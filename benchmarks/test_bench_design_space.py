@@ -16,7 +16,7 @@ from repro.hardware.accelerator import build_sparse_accelerator
 from repro.hardware.roofline import accelerator_roofline, ctc_ratio, device_roofline
 from repro.scheduling.baselines import PaddedScheduler
 from repro.scheduling.design_space import explore_design_space
-from repro.scheduling.serving import simulate_serving
+from repro.serving import simulate_serving
 from repro.transformer.configs import BERT_BASE, MRPC, RTE, SQUAD_V11
 
 

@@ -13,18 +13,23 @@ from __future__ import annotations
 from conftest import record_metric, run_once
 
 from repro.evaluation.report import format_key_values, format_table
-from repro.evaluation.serving_sweep import run_serving_sweep
+from repro.experiments import run_experiment
 
 
 def test_bench_serving_sweep(benchmark, write_report):
     result = run_once(
         benchmark,
-        run_serving_sweep,
+        run_experiment,
+        "serving-sweep",
         datasets=("mrpc", "rte", "squad"),
         load_fractions=(0.1, 0.25, 0.5, 0.75, 1.1),
         batch_policies=("timeout",),
-        num_requests=192,
+        requests=192,
         num_accelerators=2,
+        # The sweep's historical discipline: no warm-up discarding and
+        # exact (unbucketed) schedule-cache billing.
+        warmup_fraction=0.0,
+        cache_length_bucket=None,
     )
     text = format_table(
         result.as_rows(),

@@ -5,11 +5,11 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.evaluation.report import format_table
-from repro.evaluation.table1_models import run_table1
+from repro.experiments import run_experiment
 
 
 def test_bench_table1_models_and_datasets(benchmark, write_report):
-    result = run_once(benchmark, run_table1, num_sampled_sequences=5000)
+    result = run_once(benchmark, run_experiment, "table1", num_sampled_sequences=5000)
 
     text = format_table(result.model_rows, title="Table 1 (top) - model configurations")
     text += "\n" + format_table(

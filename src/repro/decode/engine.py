@@ -42,18 +42,11 @@ import numpy as np
 from .. import config as global_config
 from ..devices import BatchExecution, Device
 from ..hardware.accelerator import Accelerator
-from ..transformer.configs import DatasetConfig, get_dataset_config
+from ..transformer.configs import DatasetConfig
 from ..serving.arrivals import ArrivalProcess
 from ..serving.clock import SimClock
-from ..serving.classes import collect_class_stats
-from ..serving.core import _EPS, DispatchCore, collect_device_stats, prepare_components
-from ..serving.engine import (
-    BatchRecord,
-    DeviceSummary,
-    OnlineServingReport,
-    _as_fleet,
-    _fleet_scheduler_label,
-)
+from ..serving.core import _EPS, DispatchCore, PlannedBatch, open_session, prepare_stream
+from ..serving.engine import OnlineServingReport
 from ..serving.policies import BatchPolicy
 from ..serving.request import Request
 from ..serving.routing import Router
@@ -65,6 +58,11 @@ from .output_lengths import (
     get_output_lengths,
 )
 from .request import DecodeRequest, DecodeRequestRecord
+
+# The end-of-run fold lives in ``ServingSession.finish``; these names stay
+# importable here because perfbench/tracing.py wraps them by module attribute.
+from ..serving.classes import collect_class_stats  # noqa: F401
+from ..serving.core import collect_device_stats  # noqa: F401
 
 __all__ = ["DecodeServingReport", "simulate_decode_online"]
 
@@ -290,13 +288,38 @@ def simulate_decode_online(
     ``kv_cache_bytes`` enforce token-level KV admission as described in the
     module docstring.
     """
-    if isinstance(dataset, str):
-        dataset = get_dataset_config(dataset)
-    fleet = _as_fleet(devices, scheduler)
-    if not fleet:
-        raise ValueError("need at least one device")
-    if max_queue_depth is not None and max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
+    generative = isinstance(arrivals, ArrivalProcess)
+    distribution = get_output_lengths(output_lengths) if generative else None
+
+    def stream(dataset: DatasetConfig):
+        if not generative:
+            requests, arrival_name, offered_qps = prepare_stream(
+                dataset, arrivals, num_requests, seed, slo
+            )
+            return as_decode_requests(requests), arrival_name, offered_qps
+        requests = generate_decode_requests(dataset, arrivals, num_requests, distribution, seed)
+        if not requests:
+            raise ValueError("the arrival stream is empty")
+        if slo is not None:
+            requests = assign_deadlines(requests, slo)
+        return requests, arrivals.name, arrivals.rate_qps
+
+    session = open_session(
+        DecodeServingReport,
+        devices,
+        dataset,
+        stream,
+        scheduler=scheduler,
+        batch_policy=batch_policy,
+        router=router,
+        continuous_batching=continuous_batching,
+        max_queue_depth=max_queue_depth,
+        slo=slo,
+        iteration_level=iteration_level,
+        output_lengths=distribution.name if generative else "explicit",
+    )
+    fleet, report, requests = session.fleet, session.report, session.requests
+    batch_policy, router = session.batch_policy, session.router
     for device in fleet:
         if not device.supports_decode():
             raise ValueError(
@@ -304,51 +327,6 @@ def simulate_decode_online(
                 "model (kv_bytes_per_token / kv_read_bandwidth); it cannot "
                 "serve decoder workloads"
             )
-
-    if isinstance(arrivals, ArrivalProcess):
-        distribution = get_output_lengths(output_lengths)
-        requests = generate_decode_requests(
-            dataset, arrivals, num_requests, distribution, seed
-        )
-        arrival_name = arrivals.name
-        offered_qps = arrivals.rate_qps
-        output_label = distribution.name
-    else:
-        requests = as_decode_requests(
-            sorted(arrivals, key=lambda r: (r.arrival_time, r.request_id))
-        )
-        arrival_name = "explicit"
-        last = requests[-1].arrival_time if requests else 0.0
-        offered_qps = len(requests) / last if last > 0 else None
-        output_label = "explicit"
-    if not requests:
-        raise ValueError("the arrival stream is empty")
-    if slo is not None:
-        requests = assign_deadlines(requests, slo)
-
-    batch_policy, router = prepare_components(batch_policy, router, fleet, dataset)
-
-    for device in fleet:
-        device.reset(continuous_batching=continuous_batching)
-
-    report = DecodeServingReport(
-        dataset=dataset.name,
-        arrival_process=arrival_name,
-        batch_policy=batch_policy.name,
-        router=router.name,
-        scheduler=_fleet_scheduler_label(fleet),
-        offered_qps=offered_qps,
-        num_requests=len(requests),
-        continuous_batching=continuous_batching,
-        queue_limit=max_queue_depth,
-        slo=slo.to_dict() if slo is not None else None,
-        iteration_level=iteration_level,
-        output_lengths=output_label,
-        devices=[
-            DeviceSummary(index=i, accelerator=device.name, backend=device.backend)
-            for i, device in enumerate(fleet)
-        ],
-    )
 
     states = [_DeviceDecodeState() for _ in fleet]
     # The core owns the formation queue and shed/admission accounting; the
@@ -469,24 +447,8 @@ def simulate_decode_online(
                         ready_time=first_token,
                     )
                 )
-        report.batches.append(
-            BatchRecord(
-                batch_id=batch_id,
-                device_index=index,
-                dispatch_time=now,
-                start_time=start,
-                execution=execution,
-                request_ids=[r.request_id for r in batch],
-            )
-        )
         device.dispatch(execution, start)
-        summary = report.devices[index]
-        summary.num_batches += 1
-        summary.num_requests += len(batch)
-        if execution.utilization is not None:
-            summary.pipeline_utilizations.append(execution.utilization)
-        if execution.energy_joules is not None and device.served_energy_joules() is None:
-            summary.energy_joules = (summary.energy_joules or 0.0) + execution.energy_joules
+        core.book_batch(PlannedBatch(batch_id, index, batch, execution, now, start))
         return True
 
     def finish_step(index: int, step_end: float) -> None:
@@ -638,14 +600,6 @@ def simulate_decode_online(
             )
         clock.advance_to(next_event)
 
-    collect_device_stats(
-        report,
-        fleet,
-        active=[
-            report.devices[i].num_batches > 0 or states[i].num_steps > 0
-            for i in range(len(fleet))
-        ],
-    )
     for index, device in enumerate(fleet):
         report.decode_devices.append(
             {
@@ -660,9 +614,10 @@ def simulate_decode_online(
                 ),
             }
         )
-    report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
-    preemptions = getattr(batch_policy, "num_preemptions", None)
-    if preemptions is not None:
-        report.num_preemptions = preemptions
-    collect_class_stats(report)
+    session.finish(
+        active=[
+            report.devices[i].num_batches > 0 or states[i].num_steps > 0
+            for i in range(len(fleet))
+        ]
+    )
     return report

@@ -1,32 +1,20 @@
 """Experiment harness: one module per paper table / figure.
 
 Importing this package registers every experiment spec into the central
-registry (see :mod:`repro.experiments`); the modules also keep their legacy
-``run_*`` entry points as deprecated shims over the registry.
+registry (see :mod:`repro.experiments`); run them with
+``repro.experiments.run_experiment(name, config)``.
 """
 
-from .fig1_breakdown import BreakdownRow, Fig1Config, Fig1Result, run_fig1_breakdown
-from .fig5_timeline import Fig5Config, Fig5Result, run_fig5_schedule
-from .fig6_accuracy import (
-    Fig6Config,
-    Fig6PairResult,
-    Fig6Result,
-    reduced_config,
-    run_fig6_accuracy,
-)
-from .fig7_throughput import Fig7Config, Fig7Result, Fig7Workload, run_fig7_throughput
+from .fig1_breakdown import BreakdownRow, Fig1Config, Fig1Result
+from .fig5_timeline import Fig5Config, Fig5Result
+from .fig6_accuracy import Fig6Config, Fig6PairResult, Fig6Result, reduced_config
+from .fig7_throughput import Fig7Config, Fig7Result, Fig7Workload
 from .report import format_key_values, format_table
 from .runner import ExperimentReport, run_all_experiments
 from .serve import ServeConfig, ServeResult
-from .serving_sweep import (
-    ServingSweepConfig,
-    ServingSweepResult,
-    SweepPoint,
-    build_serving_fleet,
-    run_serving_sweep,
-)
-from .table1_models import Table1Config, Table1Result, run_table1
-from .table2_energy import Table2Config, Table2Result, run_table2_energy
+from .serving_sweep import ServingSweepConfig, ServingSweepResult, SweepPoint
+from .table1_models import Table1Config, Table1Result
+from .table2_energy import Table2Config, Table2Result
 
 __all__ = [
     "BreakdownRow",
@@ -50,16 +38,8 @@ __all__ = [
     "Table1Result",
     "Table2Config",
     "Table2Result",
-    "build_serving_fleet",
     "format_key_values",
     "format_table",
     "reduced_config",
     "run_all_experiments",
-    "run_fig1_breakdown",
-    "run_fig5_schedule",
-    "run_fig6_accuracy",
-    "run_fig7_throughput",
-    "run_serving_sweep",
-    "run_table1",
-    "run_table2_energy",
 ]

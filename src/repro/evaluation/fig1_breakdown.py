@@ -21,15 +21,13 @@ from dataclasses import dataclass
 from ..core.complexity import encoder_layer_breakdown
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
-from ..experiments.spec import deprecated_call
-from ..transformer.configs import BERT_BASE, MODEL_ZOO, ModelConfig, get_model_config
+from ..transformer.configs import MODEL_ZOO, ModelConfig, get_model_config
 from .report import format_key_values, format_table
 
 __all__ = [
     "BreakdownRow",
     "Fig1Config",
     "Fig1Result",
-    "run_fig1_breakdown",
     "GPU_OPERATOR_EFFICIENCY",
 ]
 
@@ -205,13 +203,3 @@ SPEC = register_experiment(
         include_in_all=True,
     )
 )
-
-
-def run_fig1_breakdown(
-    model_config: ModelConfig = BERT_BASE,
-    sequence_length: int = 128,
-    mode: str = "time",
-) -> Fig1Result:
-    """Deprecated: use ``run_experiment("fig1", Fig1Config(...))`` instead."""
-    deprecated_call("run_fig1_breakdown", 'run_experiment("fig1", ...)')
-    return _fig1_impl(model_config, sequence_length, mode)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from ..datasets.length_distributions import FIG5_EXAMPLE_LENGTHS
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
-from ..experiments.spec import deprecated_call
 from ..hardware.accelerator import build_sparse_accelerator
 from ..scheduling.baselines import PaddedScheduler, SequentialScheduler
 from ..scheduling.length_aware import LengthAwareScheduler
@@ -23,7 +22,7 @@ from ..scheduling.pipeline import ScheduleResult
 from ..transformer.configs import BERT_BASE, MODEL_ZOO, ModelConfig, get_model_config
 from .report import format_key_values, format_table
 
-__all__ = ["Fig5Config", "Fig5Result", "run_fig5_schedule"]
+__all__ = ["Fig5Config", "Fig5Result"]
 
 
 @dataclass
@@ -171,14 +170,3 @@ SPEC = register_experiment(
         include_in_all=True,
     )
 )
-
-
-def run_fig5_schedule(
-    model_config: ModelConfig = BERT_BASE,
-    lengths: tuple[int, ...] = FIG5_EXAMPLE_LENGTHS,
-    num_layers_override: int | None = 2,
-    top_k: int = 30,
-) -> Fig5Result:
-    """Deprecated: use ``run_experiment("fig5", Fig5Config(...))`` instead."""
-    deprecated_call("run_fig5_schedule", 'run_experiment("fig5", ...)')
-    return _fig5_impl(model_config, lengths, num_layers_override, top_k)

@@ -31,7 +31,6 @@ from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
 from ..faults import FaultSchedule, get_fault_schedule
 from .env_overrides import apply_env_overrides, capture_env_overrides
-from ..experiments.spec import deprecated_call
 from ..registry import REGISTRY
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.classes import ClassMixArrivals, parse_class_mix
@@ -55,10 +54,8 @@ __all__ = [
     "ServingSweepResult",
     "SweepPoint",
     "build_failure_aware_router",
-    "build_serving_fleet",
     "class_mix_arrivals",
     "fault_schedules_from_knobs",
-    "run_serving_sweep",
     "validate_class_axis",
 ]
 
@@ -487,26 +484,6 @@ class ServingSweepConfig(ExperimentConfig):
             raise ValueError("max_queue_depth must be >= 1 (or none)")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-
-
-def build_serving_fleet(
-    model: ModelConfig,
-    dataset_name: str,
-    num_accelerators: int = 1,
-    top_k: int = global_config.DEFAULT_TOP_K,
-    device: str = "sparse-fpga",
-) -> list[Device]:
-    """Build ``num_accelerators`` registered devices for a dataset.
-
-    Kept as the legacy single-backend helper; :func:`repro.devices.build_fleet`
-    is the general (mixed-fleet) entry point.  ``top_k`` reaches any device
-    (canonical name or alias) whose factory declares it.
-    """
-    if num_accelerators < 1:
-        raise ValueError("num_accelerators must be >= 1")
-    return build_fleet(
-        (device,), model=model, dataset=dataset_name, replicas=num_accelerators, top_k=top_k
-    )
 
 
 def validate_slo_knobs(
@@ -1195,40 +1172,3 @@ SPEC = register_experiment(
         include_in_all=False,
     )
 )
-
-
-def run_serving_sweep(
-    datasets: tuple[str, ...] = ("mrpc", "rte", "squad"),
-    load_fractions: tuple[float, ...] = DEFAULT_LOAD_FRACTIONS,
-    batch_policies: tuple[str, ...] = ("timeout",),
-    num_requests: int = 192,
-    batch_size: int = global_config.DEFAULT_BATCH_SIZE,
-    num_accelerators: int = 1,
-    router: str = "least-loaded",
-    arrival: str = "poisson",
-    timeout_s: float = 20e-3,
-    model: ModelConfig = BERT_BASE,
-    seed: int = global_config.DEFAULT_SEED,
-) -> ServingSweepResult:
-    """Deprecated: use ``run_experiment("serving-sweep", ServingSweepConfig(...))``.
-
-    Keeps the legacy serving discipline -- a homogeneous sparse-FPGA fleet,
-    block-per-batch devices, no warm-up discarding -- but the capacity
-    reference is now measured by draining the *whole fleet* closed-loop
-    (instead of one device's drain rate times the fleet size), so recorded
-    capacity/offered-QPS numbers shift by ~1% on multi-device sweeps.
-    """
-    deprecated_call("run_serving_sweep", 'run_experiment("serving-sweep", ...)')
-    return _sweep_impl(
-        datasets=datasets,
-        load_fractions=load_fractions,
-        batch_policies=batch_policies,
-        num_requests=num_requests,
-        batch_size=batch_size,
-        num_accelerators=num_accelerators,
-        router=router,
-        arrival=arrival,
-        timeout_s=timeout_s,
-        model=model,
-        seed=seed,
-    )

@@ -22,7 +22,6 @@ import numpy as np
 from .. import config as global_config
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig
-from ..experiments.spec import deprecated_call
 from ..platforms.energy import (
     EnergyReport,
     LITERATURE_TABLE2_ROWS,
@@ -36,7 +35,7 @@ from ..transformer.configs import DATASET_ZOO
 from .fig7_throughput import Fig7Result, _fig7_impl
 from .report import format_table
 
-__all__ = ["Table2Config", "Table2Result", "run_table2_energy"]
+__all__ = ["Table2Config", "Table2Result"]
 
 
 @dataclass
@@ -172,7 +171,6 @@ def _serving_energy_rows(
 
 
 def _table2_impl(
-    fig7: Fig7Result | None = None,
     accuracy_drop_ours: float = 1.8,
     accuracy_drop_gpu: float = 1.8,
     serving_dataset: str | None = None,
@@ -180,16 +178,14 @@ def _table2_impl(
     serving_requests: int = 96,
     **fig7_kwargs,
 ) -> Table2Result:
-    """Regenerate Table 2.
+    """Regenerate Table 2 on the end-to-end Fig. 7 workloads.
 
-    ``fig7`` may be the result of a previous Fig. 7 run (end-to-end panel);
-    omitting it runs the workloads here.  The accuracy drops default to the
-    paper's reported averages; callers that also ran the Fig. 6 sweep can
-    substitute their measured drops.  ``serving_dataset`` additionally runs
-    the device-level serving-energy comparison (see
-    :func:`_serving_energy_rows`).
+    The accuracy drops default to the paper's reported averages; callers
+    that also ran the Fig. 6 sweep can substitute their measured drops.
+    ``serving_dataset`` additionally runs the device-level serving-energy
+    comparison (see :func:`_serving_energy_rows`).
     """
-    fig7 = fig7 or _fig7_impl(panel="end_to_end", **fig7_kwargs)
+    fig7 = _fig7_impl(panel="end_to_end", **fig7_kwargs)
 
     # The paper's "equivalent hardware throughput" counts the dense, padded
     # work a conventional platform would have executed for the same batch,
@@ -286,14 +282,3 @@ SPEC = register_experiment(
         include_in_all=True,
     )
 )
-
-
-def run_table2_energy(
-    fig7: Fig7Result | None = None,
-    accuracy_drop_ours: float = 1.8,
-    accuracy_drop_gpu: float = 1.8,
-    **fig7_kwargs,
-) -> Table2Result:
-    """Deprecated: use ``run_experiment("table2", Table2Config(...))`` instead."""
-    deprecated_call("run_table2_energy", 'run_experiment("table2", ...)')
-    return _table2_impl(fig7, accuracy_drop_ours, accuracy_drop_gpu, **fig7_kwargs)

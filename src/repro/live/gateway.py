@@ -31,21 +31,15 @@ import asyncio
 from dataclasses import dataclass
 
 from ..devices import Device
-from ..serving.classes import collect_class_stats, get_request_class
+from ..serving.classes import get_request_class
 from ..serving.clock import WallClock
-from ..serving.core import (
-    DispatchCore,
-    PlannedBatch,
-    collect_device_stats,
-    note_shed,
-    prepare_components,
-)
-from ..serving.engine import DeviceSummary, OnlineServingReport, _as_fleet, _fleet_scheduler_label
+from ..serving.core import CrashLedger, DispatchCore, PlannedBatch, open_session
+from ..serving.engine import OnlineServingReport
 from ..serving.policies import BatchPolicy
 from ..serving.request import Request, RequestRecord
 from ..serving.routing import Router
 from ..serving.slo import SLOSpec
-from ..transformer.configs import DatasetConfig, get_dataset_config
+from ..transformer.configs import DatasetConfig
 from .actors import DeviceActor
 
 __all__ = ["LiveGateway", "SubmitResult"]
@@ -108,44 +102,30 @@ class LiveGateway:
         hedging: bool = False,
         class_queue_limits: dict[str, int] | None = None,
     ) -> None:
-        if isinstance(dataset, str):
-            dataset = get_dataset_config(dataset)
-        fleet = _as_fleet(devices, None)
-        if not fleet:
-            raise ValueError("need at least one device")
-        if max_queue_depth is not None and max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
-        batch_policy, router = prepare_components(batch_policy, router, fleet, dataset)
-        for device in fleet:
-            device.reset(continuous_batching=continuous_batching)
-
+        self.session = session = open_session(
+            OnlineServingReport,
+            devices,
+            dataset,
+            lambda dataset: ([], "live", None),
+            batch_policy=batch_policy,
+            router=router,
+            continuous_batching=continuous_batching,
+            max_queue_depth=max_queue_depth,
+            slo=slo,
+        )
+        fleet = session.fleet
         self.fleet: list[Device] = fleet
-        self.dataset = dataset
+        self.dataset = session.dataset
         self.slo = slo
         self.rebase_on_first_ingest = rebase_on_first_ingest
-        self.report = OnlineServingReport(
-            dataset=dataset.name,
-            arrival_process="live",
-            batch_policy=batch_policy.name,
-            router=router.name,
-            scheduler=_fleet_scheduler_label(fleet),
-            offered_qps=None,
-            num_requests=0,
-            continuous_batching=continuous_batching,
-            queue_limit=max_queue_depth,
-            slo=slo.to_dict() if slo is not None else None,
-            devices=[
-                DeviceSummary(index=i, accelerator=device.name, backend=device.backend)
-                for i, device in enumerate(fleet)
-            ],
-        )
+        self.report = session.report
         # The gateway finalizes batches itself (auto_finalize=False): records
         # land only after the device actor has slept through the execution.
         self.core = DispatchCore(
             fleet,
             self.report,
-            batch_policy,
-            router,
+            session.batch_policy,
+            session.router,
             max_queue_depth=max_queue_depth,
             shed_on_predicted_miss=shed_on_predicted_miss,
             auto_finalize=False,
@@ -169,9 +149,9 @@ class LiveGateway:
         self._hedge_mirrors: set[int] = set()
         #: Losing hedge copies: cancelled, never finalized, never requeued.
         self._hedge_discarded: set[int] = set()
-        #: Crashes seen per request_id: the first crash replays the request
+        #: Crash replay/shed decisions: the first crash replays a request
         #: (requeue-exactly-once), the second sheds it (``num_shed_crashed``).
-        self._crash_counts: dict[int, int] = {}
+        self._crashes = CrashLedger(self.report, replay=True, max_retries=0)
         self._next_request_id = 0
         self._ingested_any = False
         self._started = False
@@ -232,8 +212,7 @@ class LiveGateway:
             except asyncio.CancelledError:
                 pass
         await asyncio.gather(*(actor.stop() for actor in self.actors))
-        collect_device_stats(self.report, self.fleet)
-        self.report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
+        self.session.finish()
         return self.stats()
 
     # ------------------------------------------------------------------
@@ -367,38 +346,16 @@ class LiveGateway:
         clocks stay conservative.  ``None`` when no other device admits the
         whole batch.
         """
-        lengths = [r.length for r in primary.requests]
-        mirror_index = None
-        mirror_start = None
-        for index, device in enumerate(self.fleet):
-            if index == primary.device_index:
-                continue
-            if device.admissible_prefix(lengths) < len(lengths):
-                continue
-            start = device.next_start(now)
-            if mirror_start is None or (start, index) < (mirror_start, mirror_index):
-                mirror_index, mirror_start = index, start
-        if mirror_index is None:
+        mirror = self.core.plan_mirror(primary, now)
+        if mirror is None:
             return None
-        device = self.fleet[mirror_index]
-        execution = device.execute(lengths)
-        mirror_id = self.core._next_batch_id
-        self.core._next_batch_id += 1
-        mirror = PlannedBatch(
-            batch_id=mirror_id,
-            device_index=mirror_index,
-            requests=primary.requests,
-            execution=execution,
-            dispatch_time=now,
-            start_time=mirror_start,
-        )
-        device.dispatch(execution, mirror_start)
+        # Both live copies are tracked in flight, so the mirror needs an id
+        # of its own.
+        mirror.batch_id = mirror_id = self.core.new_batch_id()
+        self.fleet[mirror.device_index].dispatch(mirror.execution, mirror.start_time)
         self._hedge_peer[primary.batch_id] = mirror_id
         self._hedge_peer[mirror_id] = primary.batch_id
         self._hedge_mirrors.add(mirror_id)
-        self.report.num_hedged += 1
-        self.report.devices[primary.device_index].num_hedged += 1
-        self.report.devices[mirror_index].num_hedged += 1
         return mirror
 
     def _hedge_cancelled(self, planned: PlannedBatch) -> bool:
@@ -500,15 +457,11 @@ class LiveGateway:
             return  # the other hedge copy is still running and may win
         if crashed:
             survivors = []
+            now = self.clock.now()
             for request in planned.requests:
-                count = self._crash_counts.get(request.request_id, 0) + 1
-                self._crash_counts[request.request_id] = count
-                if count <= 1:
+                if self._crashes.recover(request, now, planned.device_index) is not None:
                     survivors.append(request)
-                    self.report.num_replayed += 1
                 else:
-                    self.report.num_shed_crashed += 1
-                    note_shed(self.report, request, "crashed")
                     future = self._waiters.pop(request.request_id, None)
                     if future is not None and not future.done():
                         future.set_exception(
@@ -538,8 +491,7 @@ class LiveGateway:
         latency percentiles are omitted (there is nothing to take a
         percentile of).
         """
-        collect_device_stats(self.report, self.fleet)
-        collect_class_stats(self.report)
+        self.session.refresh()
         if self.report.records:
             payload = self.report.to_dict()
         else:

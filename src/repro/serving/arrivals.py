@@ -23,8 +23,8 @@ distribution:
 * :class:`TraceArrivals` -- replay of an explicit (time, length) trace,
   e.g. recorded production traffic.
 * :class:`ClosedLoopArrivals` -- every request present at t=0; this reduces
-  the online engine to the legacy batch-drain simulation and is the mode the
-  `scheduling.serving` shim uses.
+  the online engine to the legacy batch-drain simulation and is the mode
+  :func:`~repro.serving.closed_loop.simulate_serving` uses.
 
 Lengths are always drawn with :func:`repro.datasets.length_distributions.sample_lengths`
 so the open-loop stream follows the exact same per-dataset distribution as the

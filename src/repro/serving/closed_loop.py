@@ -1,6 +1,6 @@
 """Closed-loop (batch-drain) serving as a special case of the online engine.
 
-The original ``repro.scheduling.serving.simulate_serving`` drained a fixed
+The original batch-serving ``simulate_serving`` drained a fixed
 request stream back-to-back: every request present up front, fixed batches of
 16, a single accelerator.  That is exactly the online engine configured with
 :class:`~repro.serving.arrivals.ClosedLoopArrivals` (all arrivals at t=0),

@@ -23,6 +23,12 @@ same report -- a trace replayed through both produces the same attainment /
 goodput / shed accounting up to wall-clock jitter, which is the validation
 contract the live subsystem is built around.
 
+Everything else the drivers share lives here too, so each driver owns only
+its clock loop: :func:`open_session` validates the fleet, binds the policy
+and router, resets the devices and builds the report header;
+:meth:`ServingSession.finish` is the end-of-run fold; :class:`CrashLedger`
+makes the replay / backoff-retry / shed decision for crashed requests.
+
 The core also implements **deadline-aware admission at arrival**
 (``shed_on_predicted_miss``): an arriving request is shed immediately when
 no device's earliest start plus its single-request service estimate can meet
@@ -35,22 +41,29 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Sequence
 
-from ..devices import BatchExecution, Device
+from ..devices import BatchExecution, CycleAccurateDevice, Device
+from ..hardware.accelerator import Accelerator
+from ..scheduling.length_aware import LengthAwareScheduler
+from ..transformer.configs import DatasetConfig, get_dataset_config
 from .arrivals import ArrivalProcess
+from .classes import collect_class_stats
 from .policies import BatchPolicy, FixedSizeBatcher, LengthBucketedBatcher
 from .request import Request, RequestRecord
 from .routing import LeastLoadedRouter, LengthShardedRouter, Router
 from .slo import SLOSpec, assign_deadlines
 
 __all__ = [
+    "CrashLedger",
     "DispatchCore",
     "PlannedBatch",
     "PredictedMissGate",
+    "ServingSession",
     "collect_device_stats",
     "note_shed",
-    "prepare_components",
+    "open_session",
     "prepare_stream",
 ]
 
@@ -101,13 +114,118 @@ def prepare_stream(
     return requests, arrival_name, offered_qps
 
 
-def prepare_components(
-    batch_policy: BatchPolicy | None,
-    router: Router | None,
-    fleet: list[Device],
-    dataset,
-) -> tuple[BatchPolicy, Router]:
-    """Default, prepare, and fleet-bind the batch policy and router."""
+def _as_fleet(
+    devices: Accelerator | Device | Sequence[Accelerator | Device], scheduler
+) -> list[Device]:
+    """Normalize the fleet argument to Device instances.
+
+    Raw accelerators are wrapped into :class:`CycleAccurateDevice` with the
+    given batch scheduler (length-aware by default), preserving the legacy
+    ``simulate_online(accelerator, ...)`` call shape; Device instances keep
+    the scheduler they were built with.
+    """
+    if isinstance(devices, (Accelerator, Device)):
+        devices = [devices]
+    fleet: list[Device] = []
+    seen_ids: set[int] = set()
+    wrap_scheduler = None
+    for entry in devices:
+        if isinstance(entry, Device):
+            if id(entry) in seen_ids:
+                # Serving state lives on the Device (admission/drain clocks),
+                # so one instance in two slots would silently serialize the
+                # "fleet" and double-count its busy time and energy.
+                raise ValueError(
+                    f"device '{entry.name}' appears twice in the fleet; build a "
+                    "separate instance per slot (e.g. repro.devices.build_fleet "
+                    "with replicas=2)"
+                )
+            seen_ids.add(id(entry))
+            fleet.append(entry)
+        elif isinstance(entry, Accelerator):
+            if wrap_scheduler is None:
+                wrap_scheduler = scheduler or LengthAwareScheduler()
+            fleet.append(CycleAccurateDevice(entry, scheduler=wrap_scheduler))
+        else:
+            raise TypeError(
+                f"fleet entries must be Device or Accelerator, got {type(entry).__name__}"
+            )
+    return fleet
+
+
+def _fleet_scheduler_label(fleet: list[Device]) -> str:
+    names = {device.scheduler_name for device in fleet if device.scheduler_name}
+    if not names:
+        return "n/a"
+    if len(names) == 1:
+        return next(iter(names))
+    return "mixed"
+
+
+@dataclass
+class ServingSession:
+    """One run's validated fleet, bound policies, offered stream and report."""
+
+    fleet: list[Device]
+    dataset: DatasetConfig
+    batch_policy: BatchPolicy
+    router: Router
+    report: Any
+    requests: list[Request]
+
+    def refresh(self, active=None) -> None:
+        """Fold device, preemption and class state into the report.
+
+        Idempotent and leaves the record order alone, so a live driver may
+        call it mid-run.  ``active`` is forwarded to
+        :func:`collect_device_stats`.
+        """
+        collect_device_stats(self.report, self.fleet, active)
+        preemptions = getattr(self.batch_policy, "num_preemptions", None)
+        if preemptions is not None:
+            self.report.num_preemptions = preemptions
+        collect_class_stats(self.report)
+
+    def finish(self, active=None) -> None:
+        """The end-of-run fold: records in completion order, then :meth:`refresh`."""
+        self.report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
+        self.refresh(active)
+
+
+def open_session(
+    report_cls,
+    devices: Accelerator | Device | Sequence[Accelerator | Device],
+    dataset: DatasetConfig | str,
+    stream: Callable[[DatasetConfig], tuple[list[Request], str, float | None]],
+    *,
+    scheduler=None,
+    batch_policy: BatchPolicy | None = None,
+    router: Router | None = None,
+    continuous_batching: bool = False,
+    max_queue_depth: int | None = None,
+    slo: SLOSpec | None = None,
+    **header,
+) -> ServingSession:
+    """The setup every driver shares, up to an empty report.
+
+    Coerces the dataset, builds and validates the fleet, materializes the
+    offered stream (``stream(dataset)`` returns the requests, the arrival
+    process name and the offered QPS), defaults and fleet-binds the batch
+    policy and router, resets every device, and builds a ``report_cls``
+    header with one :class:`~repro.serving.engine.DeviceSummary` per device.
+    ``header`` carries engine-specific report fields.
+    """
+    from .engine import DeviceSummary  # local import: engine imports core
+
+    if isinstance(dataset, str):
+        dataset = get_dataset_config(dataset)
+    fleet = _as_fleet(devices, scheduler)
+    if not fleet:
+        raise ValueError("need at least one device")
+    if max_queue_depth is not None and max_queue_depth < 1:
+        raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
+    requests, arrival_name, offered_qps = stream(dataset)
+
     batch_policy = batch_policy or FixedSizeBatcher()
     router = router or LeastLoadedRouter()
     batch_policy.prepare(dataset)
@@ -133,7 +251,68 @@ def prepare_components(
             UserWarning,
             stacklevel=3,
         )
-    return batch_policy, router
+    for device in fleet:
+        device.reset(continuous_batching=continuous_batching)
+
+    report = report_cls(
+        dataset=dataset.name,
+        arrival_process=arrival_name,
+        batch_policy=batch_policy.name,
+        router=router.name,
+        scheduler=_fleet_scheduler_label(fleet),
+        offered_qps=offered_qps,
+        num_requests=len(requests),
+        continuous_batching=continuous_batching,
+        queue_limit=max_queue_depth,
+        slo=slo.to_dict() if slo is not None else None,
+        devices=[
+            DeviceSummary(
+                index=i,
+                accelerator=device.name,
+                backend=device.backend,
+                price_per_hour_usd=getattr(device, "price_per_hour_usd", None),
+            )
+            for i, device in enumerate(fleet)
+        ],
+        **header,
+    )
+    return ServingSession(fleet, dataset, batch_policy, router, report, requests)
+
+
+class CrashLedger:
+    """Per-request crash counts and the replay / retry / shed decision.
+
+    A request's first crash replays it at the crash instant when ``replay``
+    is on (the free requeue-once of a supervision tree).  Each further crash
+    spends one of ``max_retries`` retries, the ``k``-th re-offered
+    ``retry_backoff_s * 2**(k-1)`` after its crash.  Past the budget the
+    request is shed and counted against attainment like any other drop.
+    """
+
+    def __init__(
+        self, report, replay: bool, max_retries: int, retry_backoff_s: float = 0.0
+    ) -> None:
+        self.report = report
+        self._free_replays = 1 if replay else 0
+        self.max_retries = max_retries
+        self.retry_backoff_s = retry_backoff_s
+        self._counts: dict[int, int] = {}
+
+    def recover(self, request: Request, crash_time: float, device_index: int) -> float | None:
+        """Book one crashed request: when to re-offer it, or ``None`` once shed."""
+        count = self._counts.get(request.request_id, 0) + 1
+        self._counts[request.request_id] = count
+        retries_used = count - self._free_replays
+        if retries_used <= 0:
+            self.report.num_replayed += 1
+            return crash_time
+        if retries_used <= self.max_retries:
+            self.report.num_retries += 1
+            self.report.devices[device_index].num_retries += 1
+            return crash_time + self.retry_backoff_s * (2.0 ** (retries_used - 1))
+        self.report.num_shed_crashed += 1
+        note_shed(self.report, request, "crashed")
+        return None
 
 
 class PredictedMissGate:
@@ -334,17 +513,33 @@ class DispatchCore:
             self.queue[:0] = batch[admitted:]
             batch = batch[:admitted]
         start = device.next_start(now)
-        execution = device.execute([r.length for r in batch])
+        planned = self._plan(index, batch, now, start, self.new_batch_id())
+        self.note_pending_starts(start, len(batch), now)
+        if self.hedging and len(self.fleet) > 1:
+            planned = self._dispatch_hedged(planned, now)
+        else:
+            device.dispatch(planned.execution, planned.start_time)
+            self._note_outcome(planned)
+        return planned
+
+    def new_batch_id(self) -> int:
+        """Allocate the next batch id."""
+        batch_id = self._next_batch_id
+        self._next_batch_id += 1
+        return batch_id
+
+    def _plan(
+        self, index: int, requests: list[Request], now: float, start: float, batch_id: int
+    ) -> PlannedBatch:
+        """Cost ``requests`` on device ``index`` starting at ``start``, faults applied."""
+        execution = self.fleet[index].execute([r.length for r in requests])
         crash = None
         if self.fault_injector is not None:
             execution, crash = self._apply_faults(index, start, execution)
-        self.note_pending_starts(start, len(batch), now)
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
         planned = PlannedBatch(
             batch_id=batch_id,
             device_index=index,
-            requests=batch,
+            requests=requests,
             execution=execution,
             dispatch_time=now,
             start_time=start,
@@ -352,11 +547,6 @@ class DispatchCore:
         if crash is not None:
             planned.crashed = True
             planned.crash_time, planned.recover_time = crash
-        if self.hedging and len(self.fleet) > 1:
-            planned = self._dispatch_hedged(planned, now)
-        else:
-            device.dispatch(planned.execution, planned.start_time)
-            self._note_outcome(planned)
         return planned
 
     # ------------------------------------------------------------------
@@ -400,6 +590,32 @@ class DispatchCore:
             if note is not None:
                 note(planned.device_index, planned.end_time)
 
+    def plan_mirror(self, primary: PlannedBatch, now: float) -> PlannedBatch | None:
+        """Cost a hedge copy of ``primary`` on the best other device.
+
+        The best device admits the whole batch and can start it earliest
+        (ties go to the lower index).  The copy shares the primary's
+        ``batch_id`` and is counted in the hedge counters; nothing is booked
+        on the device yet.  ``None`` when no other device admits the batch.
+        """
+        lengths = [r.length for r in primary.requests]
+        best = None
+        for index, device in enumerate(self.fleet):
+            if index == primary.device_index:
+                continue
+            if device.admissible_prefix(lengths) < len(lengths):
+                continue
+            start = device.next_start(now)
+            if best is None or (start, index) < best:
+                best = (start, index)
+        if best is None:
+            return None
+        start, index = best
+        self.report.num_hedged += 1
+        self.report.devices[primary.device_index].num_hedged += 1
+        self.report.devices[index].num_hedged += 1
+        return self._plan(index, primary.requests, now, start, primary.batch_id)
+
     def _dispatch_hedged(self, primary: PlannedBatch, now: float) -> PlannedBatch:
         """Mirror ``primary`` on the best other device; first completion wins.
 
@@ -411,43 +627,13 @@ class DispatchCore:
         the later crash.
         """
         primary_device = self.fleet[primary.device_index]
-        lengths = [r.length for r in primary.requests]
-        mirror_index = None
-        mirror_start = None
-        for index, device in enumerate(self.fleet):
-            if index == primary.device_index:
-                continue
-            if device.admissible_prefix(lengths) < len(lengths):
-                continue
-            start = device.next_start(now)
-            if mirror_start is None or (start, index) < (mirror_start, mirror_index):
-                mirror_index, mirror_start = index, start
-        if mirror_index is None:
+        mirror = self.plan_mirror(primary, now)
+        if mirror is None:
             # No other device admits the whole batch: fall back to unhedged.
             primary_device.dispatch(primary.execution, primary.start_time)
             self._note_outcome(primary)
             return primary
-        mirror_device = self.fleet[mirror_index]
-        mirror_execution = mirror_device.execute(lengths)
-        mirror_crash = None
-        if self.fault_injector is not None:
-            mirror_execution, mirror_crash = self._apply_faults(
-                mirror_index, mirror_start, mirror_execution
-            )
-        mirror = PlannedBatch(
-            batch_id=primary.batch_id,
-            device_index=mirror_index,
-            requests=primary.requests,
-            execution=mirror_execution,
-            dispatch_time=now,
-            start_time=mirror_start,
-        )
-        if mirror_crash is not None:
-            mirror.crashed = True
-            mirror.crash_time, mirror.recover_time = mirror_crash
-        self.report.num_hedged += 1
-        self.report.devices[primary.device_index].num_hedged += 1
-        self.report.devices[mirror_index].num_hedged += 1
+        mirror_device = self.fleet[mirror.device_index]
         primary_ok = not primary.crashed
         mirror_ok = not mirror.crashed
         if primary_ok and (not mirror_ok or primary.end_time <= mirror.end_time):
@@ -481,12 +667,8 @@ class DispatchCore:
 
     def finalize(self, planned: PlannedBatch) -> None:
         """Land one planned batch's records and summaries in the report."""
-        from .engine import BatchRecord  # local import: engine imports core
-
-        report = self.report
-        device = self.fleet[planned.device_index]
         for position, request in enumerate(planned.requests):
-            report.records.append(
+            self.report.records.append(
                 RequestRecord(
                     request=request,
                     dispatch_time=planned.dispatch_time,
@@ -497,6 +679,14 @@ class DispatchCore:
                     batch_id=planned.batch_id,
                 )
             )
+        self.book_batch(planned)
+
+    def book_batch(self, planned: PlannedBatch) -> None:
+        """Append the batch's :class:`BatchRecord` and charge its device summary."""
+        from .engine import BatchRecord  # local import: engine imports core
+
+        report = self.report
+        device = self.fleet[planned.device_index]
         report.batches.append(
             BatchRecord(
                 batch_id=planned.batch_id,

@@ -48,23 +48,19 @@ from typing import Sequence
 import numpy as np
 
 from .. import config as global_config
-from ..devices import BatchExecution, CycleAccurateDevice, Device
+from ..devices import BatchExecution, Device
 from ..faults import FaultInjector, FaultSchedule, get_fault_schedule
 from ..hardware.accelerator import Accelerator
-from ..scheduling.length_aware import LengthAwareScheduler
-from ..transformer.configs import DatasetConfig, get_dataset_config
+from ..transformer.configs import DatasetConfig
 from .arrivals import ArrivalProcess
 from .autoscaler import ScaleObservation, get_autoscaler
-from .classes import collect_class_stats
 from .clock import SimClock
-from .core import (
-    _EPS,
-    DispatchCore,
-    collect_device_stats,
-    note_shed,
-    prepare_components,
-    prepare_stream,
-)
+from .core import _EPS, CrashLedger, DispatchCore, open_session, prepare_stream
+
+# The end-of-run fold lives in ``ServingSession.finish``; these names stay
+# importable here because perfbench/tracing.py wraps them by module attribute.
+from .classes import collect_class_stats  # noqa: F401
+from .core import collect_device_stats  # noqa: F401
 from .policies import BatchPolicy
 from .request import Request, RequestRecord
 from .routing import Router
@@ -699,54 +695,6 @@ class OnlineServingReport:
         return row
 
 
-def _as_fleet(
-    devices: Accelerator | Device | Sequence[Accelerator | Device], scheduler
-) -> list[Device]:
-    """Normalize the fleet argument to Device instances.
-
-    Raw accelerators are wrapped into :class:`CycleAccurateDevice` with the
-    given batch scheduler (length-aware by default), preserving the legacy
-    ``simulate_online(accelerator, ...)`` call shape; Device instances keep
-    the scheduler they were built with.
-    """
-    if isinstance(devices, (Accelerator, Device)):
-        devices = [devices]
-    fleet: list[Device] = []
-    seen_ids: set[int] = set()
-    wrap_scheduler = None
-    for entry in devices:
-        if isinstance(entry, Device):
-            if id(entry) in seen_ids:
-                # Serving state lives on the Device (admission/drain clocks),
-                # so one instance in two slots would silently serialize the
-                # "fleet" and double-count its busy time and energy.
-                raise ValueError(
-                    f"device '{entry.name}' appears twice in the fleet; build a "
-                    "separate instance per slot (e.g. repro.devices.build_fleet "
-                    "with replicas=2)"
-                )
-            seen_ids.add(id(entry))
-            fleet.append(entry)
-        elif isinstance(entry, Accelerator):
-            if wrap_scheduler is None:
-                wrap_scheduler = scheduler or LengthAwareScheduler()
-            fleet.append(CycleAccurateDevice(entry, scheduler=wrap_scheduler))
-        else:
-            raise TypeError(
-                f"fleet entries must be Device or Accelerator, got {type(entry).__name__}"
-            )
-    return fleet
-
-
-def _fleet_scheduler_label(fleet: list[Device]) -> str:
-    names = {device.scheduler_name for device in fleet if device.scheduler_name}
-    if not names:
-        return "n/a"
-    if len(names) == 1:
-        return next(iter(names))
-    return "mixed"
-
-
 def _as_fault_injector(faults, num_devices: int, seed: int) -> FaultInjector | None:
     """Normalize the ``faults`` argument to a :class:`FaultInjector`.
 
@@ -901,13 +849,20 @@ def simulate_online(
     prefix and the remainder returns to the front of the formation queue
     (counted in ``num_limit_splits``).
     """
-    if isinstance(dataset, str):
-        dataset = get_dataset_config(dataset)
-    fleet = _as_fleet(devices, scheduler)
-    if not fleet:
-        raise ValueError("need at least one device")
-    if max_queue_depth is not None and max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
+    session = open_session(
+        OnlineServingReport,
+        devices,
+        dataset,
+        lambda dataset: prepare_stream(dataset, arrivals, num_requests, seed, slo),
+        scheduler=scheduler,
+        batch_policy=batch_policy,
+        router=router,
+        continuous_batching=continuous_batching,
+        max_queue_depth=max_queue_depth,
+        slo=slo,
+    )
+    fleet, report, requests = session.fleet, session.report, session.requests
+    batch_policy, router = session.batch_policy, session.router
     if isinstance(autoscaler, str):
         autoscaler = get_autoscaler(autoscaler)
     autoscaling = autoscaler is not None
@@ -921,46 +876,19 @@ def simulate_online(
         initial = min_devices if initial_devices is None else int(initial_devices)
         if not min_devices <= initial <= len(fleet):
             raise ValueError("initial_devices must be in [min_devices, pool size]")
+        report.autoscaler = autoscaler.name
+        report.provisioning_lag_s = provisioning_lag_s
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     if retry_backoff_s < 0:
         raise ValueError("retry_backoff_s must be >= 0")
     injector = _as_fault_injector(faults, len(fleet), seed)
-
-    requests, arrival_name, offered_qps = prepare_stream(
-        dataset, arrivals, num_requests, seed, slo
-    )
-    batch_policy, router = prepare_components(batch_policy, router, fleet, dataset)
-
-    for index, device in enumerate(fleet):
-        device.reset(continuous_batching=continuous_batching)
-        if injector is not None:
+    crashes = None
+    if injector is not None:
+        for index, device in enumerate(fleet):
             device.bind_fault_timeline(injector.timeline(index))
-
-    report = OnlineServingReport(
-        dataset=dataset.name,
-        arrival_process=arrival_name,
-        batch_policy=batch_policy.name,
-        router=router.name,
-        scheduler=_fleet_scheduler_label(fleet),
-        offered_qps=offered_qps,
-        num_requests=len(requests),
-        continuous_batching=continuous_batching,
-        queue_limit=max_queue_depth,
-        slo=slo.to_dict() if slo is not None else None,
-        autoscaler=autoscaler.name if autoscaling else None,
-        provisioning_lag_s=provisioning_lag_s if autoscaling else None,
-        faults=injector.describe() if injector is not None else None,
-        devices=[
-            DeviceSummary(
-                index=i,
-                accelerator=device.name,
-                backend=device.backend,
-                price_per_hour_usd=getattr(device, "price_per_hour_usd", None),
-            )
-            for i, device in enumerate(fleet)
-        ],
-    )
+        report.faults = injector.describe()
+        crashes = CrashLedger(report, injector.replay, max_retries, retry_backoff_s)
 
     # The devices the routers see: the whole fleet when static, or the
     # currently-online prefix of the pool when autoscaled.  The list object
@@ -989,41 +917,9 @@ def simulate_online(
     next_index = 0
     total = len(requests)
 
-    # ------------------------------------------------------------------
-    # Crash recovery state (replay / retry-with-backoff / shed)
-    # ------------------------------------------------------------------
     #: Min-heap of (re-offer time, tiebreak, request) for crashed requests.
     requeue: list[tuple[float, int, Request]] = []
     requeue_seq = 0
-    crash_counts: dict[int, int] = {}
-
-    def _recover_crashed(plan) -> None:
-        """Route one crashed batch's requests through replay/retry/shed.
-
-        Crash #1 replays immediately at the crash instant when the schedule
-        says so (the live gateway's requeue-once); further crashes consume
-        the ``max_retries`` budget with exponential backoff; after that the
-        request is shed and counted against attainment like any other drop.
-        """
-        nonlocal requeue_seq
-        free_replay = 1 if injector.replay else 0
-        for request in plan.requests:
-            count = crash_counts.get(request.request_id, 0) + 1
-            crash_counts[request.request_id] = count
-            retries_used = count - free_replay
-            if retries_used <= 0:
-                heapq.heappush(requeue, (plan.crash_time, requeue_seq, request))
-                requeue_seq += 1
-                report.num_replayed += 1
-            elif retries_used <= max_retries:
-                delay = retry_backoff_s * (2.0 ** (retries_used - 1))
-                heapq.heappush(requeue, (plan.crash_time + delay, requeue_seq, request))
-                requeue_seq += 1
-                report.num_retries += 1
-                report.devices[plan.device_index].num_retries += 1
-            else:
-                report.num_shed_crashed += 1
-                note_shed(report, request, "crashed")
 
     # ------------------------------------------------------------------
     # Autoscaling state (pool billing, provisioning lag, decision cadence)
@@ -1148,10 +1044,17 @@ def simulate_online(
 
         draining = next_index >= total
         planned = core.pump(now, draining)
-        if injector is not None:
+        if crashes is not None:
             for plan in planned:
-                if plan.crashed:
-                    _recover_crashed(plan)
+                if not plan.crashed:
+                    continue
+                # Crashed requests rejoin through the ledger's replay/retry
+                # decision, or are shed there once their budget is spent.
+                for request in plan.requests:
+                    due = crashes.recover(request, plan.crash_time, plan.device_index)
+                    if due is not None:
+                        heapq.heappush(requeue, (due, requeue_seq, request))
+                        requeue_seq += 1
 
         if next_index >= total and not core.queue and not requeue:
             break
@@ -1213,10 +1116,5 @@ def simulate_online(
         if blacklisted is not None:
             for index, summary in enumerate(report.devices):
                 summary.blacklisted_s = blacklisted(index, horizon)
-    collect_device_stats(report, fleet)
-    report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
-    preemptions = getattr(batch_policy, "num_preemptions", None)
-    if preemptions is not None:
-        report.num_preemptions = preemptions
-    collect_class_stats(report)
+    session.finish()
     return report

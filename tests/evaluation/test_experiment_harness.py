@@ -4,47 +4,44 @@ from __future__ import annotations
 
 import pytest
 
-from repro.evaluation.fig1_breakdown import run_fig1_breakdown
-from repro.evaluation.fig5_timeline import run_fig5_schedule
-from repro.evaluation.fig6_accuracy import reduced_config, run_fig6_accuracy
-from repro.evaluation.fig7_throughput import run_fig7_throughput
+from repro.evaluation.fig6_accuracy import reduced_config
+from repro.evaluation.fig7_throughput import _fig7_impl
 from repro.evaluation.report import format_key_values, format_table
-from repro.evaluation.table1_models import run_table1
-from repro.evaluation.table2_energy import run_table2_energy
+from repro.experiments import run_experiment
 from repro.transformer.configs import BERT_BASE, BERT_LARGE
 
 
 class TestFig1:
     def test_time_mode_attention_share_matches_paper_claim(self):
-        result = run_fig1_breakdown()
+        result = run_experiment("fig1")
         # "around 60% of the time is spent in the self-attention workflow"
         assert 50.0 <= result.attention_share_percent <= 70.0
 
     def test_flops_mode_differs_from_time_mode(self):
-        time_share = run_fig1_breakdown(mode="time").attention_share_percent
-        flops_share = run_fig1_breakdown(mode="flops").attention_share_percent
+        time_share = run_experiment("fig1", mode="time").attention_share_percent
+        flops_share = run_experiment("fig1", mode="flops").attention_share_percent
         assert flops_share < time_share
 
     def test_shares_sum_to_100(self):
-        result = run_fig1_breakdown()
+        result = run_experiment("fig1")
         assert sum(row.share_percent for row in result.rows) == pytest.approx(100.0)
 
     def test_all_eight_legend_entries_present(self):
-        assert len(run_fig1_breakdown().rows) == 8
+        assert len(run_experiment("fig1").rows) == 8
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
-            run_fig1_breakdown(mode="latency")
+            run_experiment("fig1", mode="latency")
 
     def test_attention_share_grows_with_sequence_length(self):
-        short = run_fig1_breakdown(sequence_length=64).attention_share_percent
-        long = run_fig1_breakdown(sequence_length=512).attention_share_percent
+        short = run_experiment("fig1", sequence_length=64).attention_share_percent
+        long = run_experiment("fig1", sequence_length=512).attention_share_percent
         assert long > short
 
 
 class TestTable1:
     def test_model_rows_cover_all_four_models(self):
-        result = run_table1(num_sampled_sequences=500)
+        result = run_experiment("table1", num_sampled_sequences=500)
         assert {row["model"] for row in result.model_rows} == {
             "DistilBERT",
             "BERT-base",
@@ -53,7 +50,7 @@ class TestTable1:
         }
 
     def test_sampled_statistics_close_to_paper(self):
-        result = run_table1(num_sampled_sequences=2000)
+        result = run_experiment("table1", num_sampled_sequences=2000)
         for row in result.dataset_rows:
             assert row["avg_sampled"] == pytest.approx(row["avg_paper"], rel=0.15)
             assert row["max_sampled"] == row["max_paper"]
@@ -62,7 +59,7 @@ class TestTable1:
 class TestFig5:
     @pytest.fixture(scope="class")
     def fig5(self):
-        return run_fig5_schedule()
+        return run_experiment("fig5")
 
     def test_uses_the_paper_batch(self, fig5):
         assert fig5.lengths == [140, 100, 82, 78, 72]
@@ -88,11 +85,12 @@ class TestFig6:
     def fig6(self):
         # A two-pair, small-corpus configuration keeps the test fast while
         # exercising the full sweep machinery.
-        return run_fig6_accuracy(
-            pairs=(("distilbert", "mrpc"), ("distilbert", "squad")),
+        return run_experiment(
+            "fig6",
+            pairs=("distilbert:mrpc", "distilbert:squad"),
             top_k_values=(50, 30, 10),
-            num_examples=4,
-            max_length_cap=64,
+            examples=4,
+            max_length=64,
         )
 
     def test_baseline_scores_100_by_construction(self, fig6):
@@ -126,8 +124,13 @@ class TestFig6:
 
 class TestFig7AndTable2:
     @pytest.fixture(scope="class")
-    def fig7(self):
-        return run_fig7_throughput(panel="end_to_end", batch_size=8)
+    def table2(self):
+        return run_experiment("table2", batch_size=8)
+
+    @pytest.fixture(scope="class")
+    def fig7(self, table2):
+        # Table 2 is built on the end-to-end Fig. 7 panel and keeps it.
+        return table2.fig7
 
     def test_proposed_wins_against_every_platform_geomean(self, fig7):
         for speedup in fig7.geomean_speedups().values():
@@ -143,26 +146,23 @@ class TestFig7AndTable2:
             assert paper_value / 2.5 <= geomeans[key] <= paper_value * 2.5
 
     def test_attention_panel_speedups_exceed_end_to_end(self, fig7):
-        attention = run_fig7_throughput(panel="attention", batch_size=8)
+        attention = run_experiment("fig7b", batch_size=8)
         assert attention.geomean_speedups()["cpu"] > fig7.geomean_speedups()["cpu"]
 
     def test_invalid_panel_rejected(self):
         with pytest.raises(ValueError):
-            run_fig7_throughput(panel="memory")
+            _fig7_impl(panel="memory")
 
-    def test_table2_ours_beats_gpu_energy_efficiency_by_4x(self, fig7):
-        table2 = run_table2_energy(fig7=fig7)
+    def test_table2_ours_beats_gpu_energy_efficiency_by_4x(self, table2):
         ours = table2.row("Ours FPGA")
         gpu = table2.row("GPU RTX 6000")
         assert ours.energy_efficiency_gopj > 4 * gpu.energy_efficiency_gopj
 
-    def test_table2_contains_six_rows(self, fig7):
-        table2 = run_table2_energy(fig7=fig7)
+    def test_table2_contains_six_rows(self, table2):
         assert len(table2.rows) == 6
         assert table2.paper_rows()["Ours FPGA"]["throughput_gops"] == 3600.0
 
-    def test_table2_unknown_row_lookup_raises(self, fig7):
-        table2 = run_table2_energy(fig7=fig7)
+    def test_table2_unknown_row_lookup_raises(self, table2):
         with pytest.raises(KeyError):
             table2.row("TPU v4")
 

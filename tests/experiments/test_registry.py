@@ -11,7 +11,7 @@ from repro.experiments import (
     run_experiment,
     run_report,
 )
-from repro.evaluation.fig1_breakdown import Fig1Config, run_fig1_breakdown
+from repro.evaluation.fig1_breakdown import Fig1Config
 from repro.serving import (
     ClosedLoopArrivals,
     LengthBucketedBatcher,
@@ -168,10 +168,3 @@ class TestPluginComponents:
         with pytest.raises(TypeError):
             get_batch_policy("timeout", timeout=0.5)  # typo for timeout_s
 
-
-class TestDeprecationShims:
-    def test_legacy_run_functions_warn_and_delegate(self):
-        with pytest.warns(DeprecationWarning):
-            legacy = run_fig1_breakdown(sequence_length=96)
-        modern = run_experiment("fig1", {"sequence_length": 96})
-        assert legacy.attention_share_percent == modern.attention_share_percent

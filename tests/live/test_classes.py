@@ -89,6 +89,8 @@ def test_sim_vs_live_per_class_counts_agree_on_validation_trace():
     # And the base agreement holds on the tagged trace too.
     assert live_stats["num_completed"] == sim_report.num_completed
     assert live_stats["num_shed"] == sim_report.num_shed
+    # Both engines fold the batch policy's preemption count the same way.
+    assert live_stats.get("num_preemptions") == sim_report.to_dict().get("num_preemptions")
 
 
 class SlowDevice(Device):

@@ -188,23 +188,10 @@ class TestClosedLoopEquivalence:
             report.online_report.sustained_qps
         )
 
-    def test_legacy_module_still_importable_with_deprecation(self):
-        import importlib
-        import warnings
-
-        import repro.scheduling.serving as legacy
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            importlib.reload(legacy)
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        from repro.scheduling import simulate_serving as lazy
-
-        assert lazy is simulate_serving
-
     def test_lazy_reexport_rejects_unknown_names(self):
         import repro.scheduling
 
+        assert repro.scheduling.simulate_serving is simulate_serving
         with pytest.raises(AttributeError):
             repro.scheduling.no_such_symbol
 
@@ -290,7 +277,7 @@ class TestFleetNormalization:
             CycleAccurateDevice(accelerator, scheduler=scheduler, name=f"dev-{i}")
             for i in range(512)
         ]
-        from repro.serving.engine import _as_fleet
+        from repro.serving.core import _as_fleet
 
         import time
 

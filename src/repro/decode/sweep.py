@@ -35,8 +35,7 @@ from ..evaluation.serving_sweep import (
     DEFAULT_WARMUP_FRACTION,
 )
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
-from ..experiments.config import ExperimentConfig
-from ..registry import REGISTRY
+from ..experiments.config import ExperimentConfig, resolve_component
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.slo import SLOSpec
 from ..transformer.configs import (
@@ -313,12 +312,9 @@ class DecodeSweepConfig(ExperimentConfig):
             raise ValueError("accuracy_max_length must be >= 8")
         if not 0.0 <= self.warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        try:
-            REGISTRY.resolve("device", self.device)
-            REGISTRY.resolve("output-length", self.output_lengths)
-            arrival = REGISTRY.resolve("arrival", self.arrival)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from error
+        resolve_component("device", self.device)
+        resolve_component("output-length", self.output_lengths)
+        arrival = resolve_component("arrival", self.arrival)
         if not _is_rate_driven(arrival):
             raise ValueError(
                 f"arrival '{self.arrival}' is not rate-driven; the sweep sets "

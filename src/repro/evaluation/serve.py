@@ -22,29 +22,27 @@ batch-drain mode).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .. import config as global_config
 from ..devices import build_fleet, split_fleet_spec
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
-from ..experiments.config import ExperimentConfig
-from ..registry import REGISTRY
+from ..experiments.config import ExperimentConfig, resolve_component
 from ..serving import (
     OnlineServingReport,
     TraceArrivals,
     get_arrival_process,
     get_batch_policy,
-    get_router,
     simulate_online,
 )
-from ..serving.arrivals import _is_rate_driven
+from ..serving.arrivals import _is_rate_driven, load_trace
 from ..transformer.configs import DATASET_ZOO, MODEL_ZOO, get_model_config
 from .report import format_key_values, format_table
 from ..serving.classes import parse_class_queue_limits
 from .serving_sweep import (
     DEFAULT_WARMUP_FRACTION,
+    ServingSweepConfig,
     ServingSweepResult,
     _sweep_impl,
     build_failure_aware_router,
@@ -59,13 +57,9 @@ from .serving_sweep import (
 
 __all__ = ["ServeConfig", "ServeResult"]
 
-
-def _resolve_component(kind: str, name: str):
-    """Registry lookup that reports unknown names as config ValueErrors."""
-    try:
-        return REGISTRY.resolve(kind, name)
-    except KeyError as error:
-        raise ValueError(error.args[0]) from error
+#: Knobs only a single online run honors; the load-sweep fallback (no qps
+#: with a rate-driven arrival) has no such field, so it refuses them.
+_ONLINE_ONLY_KNOBS = ("autoscaler", "class_queue_limits", "shed_on_predicted_miss")
 
 
 @dataclass(frozen=True)
@@ -278,10 +272,10 @@ class ServeConfig(ExperimentConfig):
         if not names:
             raise ValueError("devices must name at least one registered device")
         for name in names:
-            _resolve_component("device", name)
-        arrival = _resolve_component("arrival", self.arrival)
-        _resolve_component("batch-policy", self.batch_policy)
-        _resolve_component("router", self.routing)
+            resolve_component("device", name)
+        arrival = resolve_component("arrival", self.arrival)
+        resolve_component("batch-policy", self.batch_policy)
+        resolve_component("router", self.routing)
         if self._replays_trace():
             if self.trace_file is None:
                 raise ValueError("arrival 'trace' needs trace_file")
@@ -299,27 +293,24 @@ class ServeConfig(ExperimentConfig):
         if self.min_devices < 1:
             raise ValueError("min_devices must be >= 1")
         if self.autoscaler is not None:
-            _resolve_component("autoscaler", self.autoscaler)
-            if self.is_rate_driven() and self.qps is None:
-                raise ValueError(
-                    "autoscaler needs a single online run: give qps or use a "
-                    "non-rate arrival (trace), not the load sweep"
-                )
+            resolve_component("autoscaler", self.autoscaler)
         if self.class_queue_limits is not None:
             try:
                 parse_class_queue_limits(self.class_queue_limits)
             except (KeyError, ValueError) as error:
                 message = error.args[0] if error.args else str(error)
                 raise ValueError(f"class_queue_limits: {message}") from error
-            if self.is_rate_driven() and self.qps is None:
-                raise ValueError(
-                    "class_queue_limits needs a single online run: give qps "
-                    "or use a non-rate arrival, not the load sweep"
-                )
+        if _is_rate_driven(arrival) and self.qps is None:
+            for knob in _ONLINE_ONLY_KNOBS:
+                if getattr(self, knob) not in (None, False):
+                    raise ValueError(
+                        f"{knob} needs a single online run: give qps or use a "
+                        "non-rate arrival (trace), not the load sweep"
+                    )
 
     def is_rate_driven(self) -> bool:
         """Whether the configured arrival process is driven by an offered rate."""
-        return _is_rate_driven(REGISTRY.resolve("arrival", self.arrival))
+        return _is_rate_driven(resolve_component("arrival", self.arrival))
 
     def _replays_trace(self) -> bool:
         # Registry names resolve case-insensitively; match that here.
@@ -383,74 +374,40 @@ class ServeResult:
         return payload
 
 
-def _load_trace(path: str) -> tuple:
-    """Read a JSON arrival trace: a list of times or of [time, length] pairs."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as error:
-        raise ValueError(f"trace file {path} is not valid JSON: {error}") from error
-    if not isinstance(data, list) or not data:
-        raise ValueError(f"trace file {path} must contain a non-empty JSON list")
-    return tuple(tuple(entry) if isinstance(entry, list) else entry for entry in data)
-
-
 def _build_arrivals(config: ServeConfig):
     if config._replays_trace():
-        return TraceArrivals(trace=_load_trace(config.trace_file))
+        return TraceArrivals(trace=load_trace(config.trace_file))
     return get_arrival_process(config.arrival, rate_qps=config.qps)
+
+
+def _axis(entry: str | None) -> tuple[str, ...]:
+    """One serve fault/class entry as a sweep axis ("none" = no axis)."""
+    return () if entry is None or entry == "none" else (entry,)
+
+
+def _sweep_config(config: ServeConfig) -> ServingSweepConfig:
+    """The load-sweep fallback: same-named knobs carry over as they are."""
+    shared = ServeConfig.field_types().keys() & ServingSweepConfig.field_types().keys()
+    return ServingSweepConfig(
+        **{name: getattr(config, name) for name in shared - {"faults", "classes"}},
+        datasets=(config.dataset,),
+        batch_policies=(config.batch_policy,),
+        router=config.routing,
+        faults=_axis(config.faults),
+        classes=_axis(config.classes),
+    )
 
 
 def _run_spec(config: ServeConfig) -> ServeResult:
     model = get_model_config(config.model)
-    timeout_s = config.timeout_ms * 1e-3
-    slo = slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms)
     device_names = tuple(split_fleet_spec(config.devices))
-    fault_axis = (
-        () if config.faults is None or config.faults == "none" else (config.faults,)
-    )
-    class_axis = (
-        () if config.classes is None or config.classes == "none" else (config.classes,)
-    )
     if config.is_rate_driven() and config.qps is None:
-        sweep = _sweep_impl(
-            datasets=(config.dataset,),
-            batch_policies=(config.batch_policy,),
-            num_requests=config.requests,
-            batch_size=config.batch_size,
-            devices=device_names,
-            num_accelerators=config.num_accelerators,
-            router=config.routing,
-            arrival=config.arrival,
-            timeout_s=timeout_s,
-            num_buckets=config.num_buckets,
-            bucket_width=config.bucket_width,
-            continuous_batching=config.continuous_batching,
-            max_queue_depth=config.max_queue_depth,
-            slo_s=None if slo is None else slo.base_s,
-            slo_per_token_s=0.0 if slo is None else slo.per_token_s,
-            device_max_batch_size=config.device_max_batch_size,
-            device_max_batch_tokens=config.device_max_batch_tokens,
-            faults=fault_axis,
-            classes=class_axis,
-            fault_mtbf_s=config.fault_mtbf_s,
-            fault_downtime_s=config.fault_downtime_s,
-            fault_multiplier=config.fault_multiplier,
-            fault_duration_s=config.fault_duration_s,
-            hedging=config.hedging,
-            max_retries=config.max_retries,
-            retry_backoff_s=config.retry_backoff_ms * 1e-3,
-            blacklist_s=config.blacklist_ms * 1e-3,
-            warmup_fraction=config.warmup_fraction,
-            cache_length_bucket=config.cache_length_bucket,
-            model=model,
-            seed=config.seed,
-        )
         return ServeResult(
             mode="sweep",
             model=model.name,
             num_accelerators=config.num_accelerators,
             devices=device_names,
-            sweep=sweep,
+            sweep=_sweep_impl(_sweep_config(config)),
         )
 
     fleet = build_fleet(
@@ -470,14 +427,14 @@ def _run_spec(config: ServeConfig) -> ServeResult:
         batch_policy=get_batch_policy(
             config.batch_policy,
             batch_size=config.batch_size,
-            timeout_s=timeout_s,
+            timeout_s=config.timeout_ms * 1e-3,
             num_buckets=config.num_buckets,
             bucket_width=config.bucket_width,
         ),
         router=build_failure_aware_router(config.routing, config.blacklist_ms * 1e-3),
         continuous_batching=config.continuous_batching,
         max_queue_depth=config.max_queue_depth,
-        slo=slo,
+        slo=slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms),
         faults=fault_schedules_from_knobs(
             config.faults,
             mtbf_s=config.fault_mtbf_s,

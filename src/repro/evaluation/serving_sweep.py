@@ -28,10 +28,9 @@ _MP_CONTEXT = None
 from ..devices import Device, build_fleet, split_fleet_spec
 from ..devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
-from ..experiments.config import ExperimentConfig
+from ..experiments.config import ExperimentConfig, resolve_component
 from ..faults import FaultSchedule, get_fault_schedule
 from .env_overrides import apply_env_overrides, capture_env_overrides
-from ..registry import REGISTRY
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.classes import ClassMixArrivals, parse_class_mix
 from ..serving.engine import OnlineServingReport, simulate_online
@@ -39,10 +38,8 @@ from ..serving.policies import FixedSizeBatcher, get_batch_policy
 from ..serving.routing import get_router
 from ..serving.slo import SLOSpec
 from ..transformer.configs import (
-    BERT_BASE,
     DATASET_ZOO,
     MODEL_ZOO,
-    ModelConfig,
     get_dataset_config,
     get_model_config,
 )
@@ -453,18 +450,14 @@ class ServingSweepConfig(ExperimentConfig):
             blacklist_ms=self.blacklist_ms,
         )
         validate_class_axis(self.classes)
-        try:
-            for policy in self.batch_policies:
-                REGISTRY.resolve("batch-policy", policy)
-            for paired_router in self.routers:
-                REGISTRY.resolve("router", paired_router)
-            REGISTRY.resolve("router", self.router)
-            device_names = split_fleet_spec(self.devices)
-            for name in device_names:
-                REGISTRY.resolve("device", name)
-            arrival = REGISTRY.resolve("arrival", self.arrival)
-        except KeyError as error:
-            raise ValueError(error.args[0]) from error
+        for policy in self.batch_policies:
+            resolve_component("batch-policy", policy)
+        for router in (*self.routers, self.router):
+            resolve_component("router", router)
+        device_names = split_fleet_spec(self.devices)
+        for name in device_names:
+            resolve_component("device", name)
+        arrival = resolve_component("arrival", self.arrival)
         if not _is_rate_driven(arrival):
             raise ValueError(
                 f"arrival '{self.arrival}' is not rate-driven; the sweep sets the "
@@ -665,27 +658,20 @@ def build_failure_aware_router(name: str, blacklist_s: float):
     return get_router(name)
 
 
-def _build_sweep_fleet(options: dict, dataset_name: str) -> list[Device]:
+def _build_sweep_fleet(config: ServingSweepConfig, dataset_name: str) -> list[Device]:
     return build_fleet(
-        options["devices"],
-        model=options["model"],
+        config.devices,
+        model=get_model_config(config.model),
         dataset=dataset_name,
-        replicas=options["num_accelerators"],
-        cache_length_bucket=options["cache_length_bucket"],
-        max_batch_size=options["device_max_batch_size"],
-        max_batch_tokens=options["device_max_batch_tokens"],
+        replicas=config.num_accelerators,
+        cache_length_bucket=config.cache_length_bucket,
+        max_batch_size=config.device_max_batch_size,
+        max_batch_tokens=config.device_max_batch_tokens,
     )
 
 
-def _slo_spec(options: dict) -> SLOSpec | None:
-    """The sweep's deadline assignment (None = deadline-blind)."""
-    if options["slo_s"] is None:
-        return None
-    return SLOSpec(base_s=options["slo_s"], per_token_s=options["slo_per_token_s"])
-
-
 def _capacity_worker(
-    options: dict,
+    config: ServingSweepConfig,
     dataset_name: str,
     fleet: list[Device] | None = None,
     env: dict[str, str | None] | None = None,
@@ -701,22 +687,22 @@ def _capacity_worker(
     """
     apply_env_overrides(env)
     if fleet is None:
-        fleet = _build_sweep_fleet(options, dataset_name)
+        fleet = _build_sweep_fleet(config, dataset_name)
     closed = simulate_online(
         fleet,
         dataset_name,
         arrivals=ClosedLoopArrivals(sort_by_length=True),
-        num_requests=options["num_requests"],
-        batch_policy=FixedSizeBatcher(batch_size=options["batch_size"]),
-        router=get_router(options["router"]),
-        continuous_batching=options["continuous_batching"],
-        seed=options["seed"],
+        num_requests=config.requests,
+        batch_policy=FixedSizeBatcher(batch_size=config.batch_size),
+        router=get_router(config.router),
+        continuous_batching=config.continuous_batching,
+        seed=config.seed,
     )
     return closed.sustained_qps, closed.schedule_cache_probes
 
 
 def _point_worker(
-    options: dict,
+    config: ServingSweepConfig,
     dataset_name: str,
     policy_name: str,
     router_name: str,
@@ -742,41 +728,41 @@ def _point_worker(
     apply_env_overrides(env)
     remote = fleet is None
     if fleet is None:
-        fleet = _build_sweep_fleet(options, dataset_name)
+        fleet = _build_sweep_fleet(config, dataset_name)
     offered = capacity * fraction
     policy = get_batch_policy(
         policy_name,
-        batch_size=options["batch_size"],
-        timeout_s=options["timeout_s"],
-        num_buckets=options["num_buckets"],
-        bucket_width=options["bucket_width"],
+        batch_size=config.batch_size,
+        timeout_s=config.timeout_ms * 1e-3,
+        num_buckets=config.num_buckets,
+        bucket_width=config.bucket_width,
     )
     faults = fault_schedules_from_knobs(
         fault_name,
-        mtbf_s=options["fault_mtbf_s"],
-        downtime_s=options["fault_downtime_s"],
-        multiplier=options["fault_multiplier"],
-        duration_s=options["fault_duration_s"],
+        mtbf_s=config.fault_mtbf_s,
+        downtime_s=config.fault_downtime_s,
+        multiplier=config.fault_multiplier,
+        duration_s=config.fault_duration_s,
     )
-    router = build_failure_aware_router(router_name, options["blacklist_s"])
+    router = build_failure_aware_router(router_name, config.blacklist_ms * 1e-3)
     arrivals = class_mix_arrivals(
-        get_arrival_process(options["arrival"], rate_qps=offered), mix_name
+        get_arrival_process(config.arrival, rate_qps=offered), mix_name
     )
     report = simulate_online(
         fleet,
         dataset_name,
         arrivals=arrivals,
-        num_requests=options["num_requests"],
+        num_requests=config.requests,
         batch_policy=policy,
         router=router,
-        continuous_batching=options["continuous_batching"],
-        max_queue_depth=options["max_queue_depth"],
-        slo=_slo_spec(options),
+        continuous_batching=config.continuous_batching,
+        max_queue_depth=config.max_queue_depth,
+        slo=slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms),
         faults=faults,
-        hedging=options["hedging"],
-        max_retries=options["max_retries"],
-        retry_backoff_s=options["retry_backoff_s"],
-        seed=options["seed"],
+        hedging=config.hedging,
+        max_retries=config.max_retries,
+        retry_backoff_s=config.retry_backoff_ms * 1e-3,
+        seed=config.seed,
     )
     if remote:
         # The embedded cycle-accurate schedules carry lazily-materialized
@@ -795,46 +781,11 @@ def _point_worker(
         offered_qps=offered,
         capacity_qps=capacity,
         report=report,
-        warmup_fraction=options["warmup_fraction"],
+        warmup_fraction=config.warmup_fraction,
     )
 
 
-def _sweep_impl(
-    datasets: tuple[str, ...] = ("mrpc", "rte", "squad"),
-    load_fractions: tuple[float, ...] = DEFAULT_LOAD_FRACTIONS,
-    batch_policies: tuple[str, ...] = ("timeout",),
-    num_requests: int = 192,
-    batch_size: int = global_config.DEFAULT_BATCH_SIZE,
-    devices: tuple[str, ...] = ("sparse-fpga",),
-    num_accelerators: int = 1,
-    router: str = "least-loaded",
-    routers: tuple[str, ...] = (),
-    arrival: str = "poisson",
-    timeout_s: float = 20e-3,
-    num_buckets: int = 4,
-    bucket_width: float | None = None,
-    continuous_batching: bool = False,
-    max_queue_depth: int | None = None,
-    slo_s: float | None = None,
-    slo_per_token_s: float = 0.0,
-    device_max_batch_size: int | None = None,
-    device_max_batch_tokens: int | None = None,
-    faults: tuple[str, ...] = (),
-    classes: tuple[str, ...] = (),
-    fault_mtbf_s: float = 5.0,
-    fault_downtime_s: float = 0.5,
-    fault_multiplier: float = 2.5,
-    fault_duration_s: float = 1.0,
-    hedging: bool = False,
-    max_retries: int = 0,
-    retry_backoff_s: float = 0.05,
-    blacklist_s: float = 0.0,
-    warmup_fraction: float = 0.0,
-    cache_length_bucket: int | None = None,
-    jobs: int = 1,
-    model: ModelConfig = BERT_BASE,
-    seed: int = global_config.DEFAULT_SEED,
-) -> ServingSweepResult:
+def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     """Sweep offered load for each dataset and batch policy.
 
     The offered QPS at each point is ``load_fraction`` times the fleet's
@@ -843,13 +794,13 @@ def _sweep_impl(
     ``routers`` pairs a routing policy with each batch policy (SLO
     comparisons run e.g. ``timeout``+``least-loaded`` against
     ``deadline``+``cost-model`` at the same offered loads); empty means
-    every policy uses ``router``.  ``slo_s``/``slo_per_token_s`` stamp every
-    stream with deadlines, turning on the attainment/goodput columns.
+    every policy uses ``router``.  ``slo_ms``/``slo_per_token_ms`` stamp
+    every stream with deadlines, turning on the attainment/goodput columns.
 
     ``faults`` adds a fault-injection axis to the grid: every (dataset,
     policy+router, load) cell runs once per entry (``"none"`` is the
     fault-free baseline; ``"+"`` composes schedules), with the remedy knobs
-    (``hedging``, ``max_retries``/``retry_backoff_s``, ``blacklist_s``)
+    (``hedging``, ``max_retries``/``retry_backoff_ms``, ``blacklist_ms``)
     applied to every faulty point.  Capacity is always measured fault-free
     -- the load fractions mean the same offered QPS on every row, so
     attainment-under-faults is comparable across the fault axis.  An empty
@@ -865,96 +816,61 @@ def _sweep_impl(
 
     ``jobs > 1`` fans the capacity measurements and the (dataset, policy,
     load) grid across a :class:`~concurrent.futures.ProcessPoolExecutor`.
-    Results are collected in grid order and every point is seeded
-    independently, so the sweep (and its JSON payload) is byte-identical to
-    the serial run for a fixed seed; the only observable difference is that
-    parallel runs drop the in-memory ``BatchRecord.execution.schedule``
-    objects (they never appear in the payload).
+    Workers receive the frozen config itself (it pickles as is).  Results
+    are collected in grid order and every point is seeded independently,
+    so the sweep (and its JSON payload) is byte-identical to the serial run
+    for a fixed seed; the only observable difference is that parallel runs
+    drop the in-memory ``BatchRecord.execution.schedule`` objects (they
+    never appear in the payload).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if routers and len(routers) != len(batch_policies):
-        raise ValueError("routers must pair elementwise with batch_policies")
-    pairs = list(zip(batch_policies, routers or (router,) * len(batch_policies)))
-    slo = (
-        None
-        if slo_s is None
-        else SLOSpec(base_s=slo_s, per_token_s=slo_per_token_s)
+    datasets = config.datasets
+    pairs = list(
+        zip(config.batch_policies, config.routers or (config.router,) * len(config.batch_policies))
     )
-    fault_axis: tuple[str | None, ...] = tuple(faults) if faults else (None,)
-    class_axis: tuple[str | None, ...] = tuple(classes) if classes else (None,)
+    slo = slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms)
     result = ServingSweepResult(
-        model=model.name,
-        num_accelerators=num_accelerators,
-        batch_size=batch_size,
-        num_requests=num_requests,
-        devices=tuple(split_fleet_spec(devices)),
-        warmup_fraction=warmup_fraction,
-        continuous_batching=continuous_batching,
-        cache_length_bucket=cache_length_bucket,
+        model=get_model_config(config.model).name,
+        num_accelerators=config.num_accelerators,
+        batch_size=config.batch_size,
+        num_requests=config.requests,
+        devices=tuple(split_fleet_spec(config.devices)),
+        warmup_fraction=config.warmup_fraction,
+        continuous_batching=config.continuous_batching,
+        cache_length_bucket=config.cache_length_bucket,
         slo=slo.to_dict() if slo is not None else None,
-        faults=tuple(faults),
+        faults=config.faults,
         remedies=(
             {
-                "hedging": hedging,
-                "max_retries": max_retries,
-                "retry_backoff_s": retry_backoff_s,
-                "blacklist_s": blacklist_s,
+                "hedging": config.hedging,
+                "max_retries": config.max_retries,
+                "retry_backoff_s": config.retry_backoff_ms * 1e-3,
+                "blacklist_s": config.blacklist_ms * 1e-3,
             }
-            if faults
+            if config.faults
             else None
         ),
-        classes=tuple(classes),
+        classes=config.classes,
     )
-    options = {
-        "devices": tuple(devices),
-        "model": model,
-        "num_accelerators": num_accelerators,
-        "cache_length_bucket": cache_length_bucket,
-        "num_requests": num_requests,
-        "batch_size": batch_size,
-        "router": router,
-        "arrival": arrival,
-        "timeout_s": timeout_s,
-        "num_buckets": num_buckets,
-        "bucket_width": bucket_width,
-        "continuous_batching": continuous_batching,
-        "max_queue_depth": max_queue_depth,
-        "slo_s": slo_s,
-        "slo_per_token_s": slo_per_token_s,
-        "device_max_batch_size": device_max_batch_size,
-        "device_max_batch_tokens": device_max_batch_tokens,
-        "fault_mtbf_s": fault_mtbf_s,
-        "fault_downtime_s": fault_downtime_s,
-        "fault_multiplier": fault_multiplier,
-        "fault_duration_s": fault_duration_s,
-        "hedging": hedging,
-        "max_retries": max_retries,
-        "retry_backoff_s": retry_backoff_s,
-        "blacklist_s": blacklist_s,
-        "warmup_fraction": warmup_fraction,
-        "seed": seed,
-    }
     grid = [
         (dataset_name, policy_name, router_name, fault_name, mix_name, fraction)
         for dataset_name in datasets
         for policy_name, router_name in pairs
-        for fault_name in fault_axis
-        for mix_name in class_axis
-        for fraction in load_fractions
+        for fault_name in config.faults or (None,)
+        for mix_name in config.classes or (None,)
+        for fraction in config.load_fractions
     ]
 
     capacities: dict[str, float] = {}
     capacity_probes: list[dict | None] = []
-    if jobs > 1:
+    if config.jobs > 1:
         # Captured at submit time and re-exported inside every worker, so
         # --jobs N honors REPRO_PIPELINE_ENGINE / REPRO_SCHEDULE_CACHE
         # identically to a serial run regardless of what environment the
         # worker processes started with.
         env = capture_env_overrides()
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=_MP_CONTEXT) as pool:
+        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=_MP_CONTEXT) as pool:
             capacity_futures = [
-                pool.submit(_capacity_worker, options, dataset_name, env=env)
+                pool.submit(_capacity_worker, config, dataset_name, env=env)
                 for dataset_name in datasets
             ]
             for dataset_name, future in zip(datasets, capacity_futures):
@@ -962,7 +878,7 @@ def _sweep_impl(
                 capacity_probes.append(probes)
             point_futures = [
                 pool.submit(
-                    _point_worker, options, dataset_name, policy_name, router_name,
+                    _point_worker, config, dataset_name, policy_name, router_name,
                     fault_name, mix_name, fraction, capacities[dataset_name], env=env,
                 )
                 for dataset_name, policy_name, router_name, fault_name, mix_name, fraction in grid
@@ -971,14 +887,14 @@ def _sweep_impl(
     else:
         fleets: dict[str, list[Device]] = {}
         for dataset_name in datasets:
-            fleets[dataset_name] = _build_sweep_fleet(options, dataset_name)
+            fleets[dataset_name] = _build_sweep_fleet(config, dataset_name)
             capacities[dataset_name], probes = _capacity_worker(
-                options, dataset_name, fleet=fleets[dataset_name]
+                config, dataset_name, fleet=fleets[dataset_name]
             )
             capacity_probes.append(probes)
         points = [
             _point_worker(
-                options, dataset_name, policy_name, router_name, fault_name,
+                config, dataset_name, policy_name, router_name, fault_name,
                 mix_name, fraction, capacities[dataset_name], fleet=fleets[dataset_name],
             )
             for dataset_name, policy_name, router_name, fault_name, mix_name, fraction in grid
@@ -1079,45 +995,6 @@ def _replay_cache_accounting(
         }
 
 
-def _run_spec(config: ServingSweepConfig) -> ServingSweepResult:
-    return _sweep_impl(
-        datasets=config.datasets,
-        load_fractions=config.load_fractions,
-        batch_policies=config.batch_policies,
-        num_requests=config.requests,
-        batch_size=config.batch_size,
-        devices=config.devices,
-        num_accelerators=config.num_accelerators,
-        router=config.router,
-        routers=config.routers,
-        arrival=config.arrival,
-        timeout_s=config.timeout_ms * 1e-3,
-        num_buckets=config.num_buckets,
-        bucket_width=config.bucket_width,
-        continuous_batching=config.continuous_batching,
-        max_queue_depth=config.max_queue_depth,
-        slo_s=None if config.slo_ms is None else config.slo_ms * 1e-3,
-        slo_per_token_s=config.slo_per_token_ms * 1e-3,
-        device_max_batch_size=config.device_max_batch_size,
-        device_max_batch_tokens=config.device_max_batch_tokens,
-        faults=config.faults,
-        classes=config.classes,
-        fault_mtbf_s=config.fault_mtbf_s,
-        fault_downtime_s=config.fault_downtime_s,
-        fault_multiplier=config.fault_multiplier,
-        fault_duration_s=config.fault_duration_s,
-        hedging=config.hedging,
-        max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_ms * 1e-3,
-        blacklist_s=config.blacklist_ms * 1e-3,
-        warmup_fraction=config.warmup_fraction,
-        cache_length_bucket=config.cache_length_bucket,
-        jobs=config.jobs,
-        model=get_model_config(config.model),
-        seed=config.seed,
-    )
-
-
 def render_sweep(result: ServingSweepResult) -> str:
     """Render the sweep as the CLI's plain-text report."""
     text = format_table(
@@ -1166,7 +1043,7 @@ SPEC = register_experiment(
         title="Latency vs offered load sweep",
         description="latency-vs-load sweep of the online serving simulator",
         config_cls=ServingSweepConfig,
-        run=_run_spec,
+        run=_sweep_impl,
         render=render_sweep,
         order=90,
         include_in_all=False,

@@ -21,14 +21,13 @@ import numpy as np
 
 from .. import config as global_config
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
-from ..experiments.config import ExperimentConfig
+from ..experiments.config import ExperimentConfig, resolve_component
 from ..platforms.energy import (
     EnergyReport,
     LITERATURE_TABLE2_ROWS,
     energy_report_from_result,
 )
 from ..devices import build_fleet
-from ..registry import REGISTRY
 from ..serving import ClosedLoopArrivals, FixedSizeBatcher, simulate_online
 from ..serving.routing import RoundRobinRouter
 from ..transformer.configs import DATASET_ZOO
@@ -111,11 +110,8 @@ class Table2Config(ExperimentConfig):
                 )
             if not self.serving_devices:
                 raise ValueError("serving_devices must not be empty")
-            try:
-                for name in self.serving_devices:
-                    REGISTRY.resolve("device", name)
-            except KeyError as error:
-                raise ValueError(error.args[0]) from error
+            for name in self.serving_devices:
+                resolve_component("device", name)
 
 
 def _serving_energy_rows(

@@ -21,10 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import types
 import typing
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+
+from ..registry import REGISTRY
 
 __all__ = [
     "ExperimentConfig",
@@ -32,6 +35,7 @@ __all__ = [
     "coerce_value",
     "element_type",
     "parse_assignment",
+    "resolve_component",
     "strip_optional",
 ]
 
@@ -107,6 +111,14 @@ def parse_assignment(assignment: str) -> tuple[str, str]:
     if not sep or not key:
         raise ValueError(f"override '{assignment}' is not of the form key=value")
     return key, value.strip()
+
+
+def resolve_component(kind: str, name: str):
+    """Registry lookup that reports unknown names as config ValueErrors."""
+    try:
+        return REGISTRY.resolve(kind, name)
+    except KeyError as error:
+        raise ValueError(error.args[0]) from error
 
 
 def _convert_in(value: Any, annotation: Any) -> Any:
@@ -212,12 +224,21 @@ class ExperimentConfig:
         """Hook for cross-field validation; runs after every construction path.
 
         Subclasses raise :class:`ValueError` on bad combinations.  Field
-        ``choices`` declared via :func:`cfg_field` are checked here too.
+        ``choices`` declared via :func:`cfg_field` are checked here too, and
+        every float -- scalar or tuple element -- must be finite: a NaN
+        compares false against every bound, so it would slip past the range
+        checks below and stall or silently skew a run.
         """
         for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
             choices = f.metadata.get("choices")
-            if choices is not None and getattr(self, f.name) not in choices:
+            if choices is not None and value not in choices:
                 raise ValueError(
                     f"{type(self).__name__}.{f.name} must be one of "
-                    f"{list(choices)}, got {getattr(self, f.name)!r}"
+                    f"{list(choices)}, got {value!r}"
+                )
+            items = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(item, float) and not math.isfinite(item) for item in items):
+                raise ValueError(
+                    f"{type(self).__name__}.{f.name} must be finite, got {value!r}"
                 )

@@ -19,31 +19,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import config as global_config
-from ..devices import build_fleet, split_fleet_spec
+from ..devices import split_fleet_spec
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
-from ..experiments.config import ExperimentConfig
-from ..registry import REGISTRY
-from ..serving import TraceArrivals, get_arrival_process, get_batch_policy, get_router, simulate_online
-from ..serving.arrivals import _is_rate_driven
+from ..experiments.config import ExperimentConfig, resolve_component
+from ..serving import get_arrival_process
+from ..serving.arrivals import _is_rate_driven, load_trace
 from ..transformer.configs import DATASET_ZOO, MODEL_ZOO, get_model_config
 from ..evaluation.report import format_key_values, format_table
-from ..evaluation.serving_sweep import slo_spec_from_ms
 from .search import (
     PlanSearchResult,
-    load_trace,
+    _composition_fleet,
+    _replay_trace,
     reference_trace_path,
     search_fleets,
 )
 
 __all__ = ["PlanConfig", "PlanResult", "run_plan"]
-
-
-def _resolve_component(kind: str, name: str):
-    """Registry lookup that reports unknown names as config ValueErrors."""
-    try:
-        return REGISTRY.resolve(kind, name)
-    except KeyError as error:
-        raise ValueError(error.args[0]) from error
 
 
 @dataclass(frozen=True)
@@ -154,7 +145,7 @@ class PlanConfig(ExperimentConfig):
         if not names:
             raise ValueError("devices must name at least one registered device")
         for name in names:
-            _resolve_component("device", name)
+            resolve_component("device", name)
         if len(set(names)) != len(names):
             raise ValueError("devices must not repeat a catalog entry (counts do that)")
         if self.max_per_type < 1:
@@ -177,9 +168,9 @@ class PlanConfig(ExperimentConfig):
             raise ValueError("jobs must be >= 1")
         if self.requests is not None and self.requests < 1:
             raise ValueError("requests must be >= 1 (or none for the full trace)")
-        arrival = _resolve_component("arrival", self.arrival)
-        _resolve_component("batch-policy", self.batch_policy)
-        _resolve_component("router", self.routing)
+        arrival = resolve_component("arrival", self.arrival)
+        resolve_component("batch-policy", self.batch_policy)
+        resolve_component("router", self.routing)
         if _is_rate_driven(arrival):
             if self.qps is None or self.qps <= 0:
                 raise ValueError(f"arrival '{self.arrival}' needs a positive qps")
@@ -191,7 +182,7 @@ class PlanConfig(ExperimentConfig):
                 "arrival process"
             )
         if self.compare_autoscaler is not None:
-            _resolve_component("autoscaler", self.compare_autoscaler)
+            resolve_component("autoscaler", self.compare_autoscaler)
         if self.provisioning_lag_s < 0:
             raise ValueError("provisioning_lag_s must be >= 0")
         if self.autoscale_interval_s <= 0:
@@ -255,57 +246,17 @@ def _build_trace(config: PlanConfig) -> tuple[tuple, str]:
     return trace, f"{config.arrival}@{config.qps:g}qps"
 
 
-def _search_options(config: PlanConfig, trace: tuple) -> dict:
-    """The plain-dict (picklable) evaluation context handed to workers."""
-    return {
-        "dataset": config.dataset,
-        "model": config.model,
-        "devices": tuple(split_fleet_spec(config.devices)),
-        "trace": trace,
-        "num_requests": config.requests,
-        "seed": config.seed,
-        "batch_policy": config.batch_policy,
-        "batch_size": config.batch_size,
-        "timeout_ms": config.timeout_ms,
-        "routing": config.routing,
-        "continuous_batching": config.continuous_batching,
-        "cache_length_bucket": config.cache_length_bucket,
-        "slo_ms": config.slo_ms,
-        "slo_per_token_ms": config.slo_per_token_ms,
-        "attainment_target": config.attainment_target,
-        "max_per_type": config.max_per_type,
-        "max_total": config.max_total,
-    }
-
-
-def _autoscale_comparison(config: PlanConfig, options: dict, search: PlanSearchResult) -> dict | None:
+def _autoscale_comparison(
+    config: PlanConfig, trace: tuple, search: PlanSearchResult
+) -> dict | None:
     """Re-run the chosen composition as an elastic pool and compare."""
     chosen = search.chosen
     if config.compare_autoscaler is None or chosen is None:
         return None
-    names: list[str] = []
-    for name, count in zip(chosen.devices, chosen.counts):
-        names.extend([name] * count)
-    fleet = build_fleet(
-        names,
-        model=options["model"],
-        dataset=options["dataset"],
-        cache_length_bucket=options["cache_length_bucket"],
-    )
-    report = simulate_online(
-        fleet,
-        options["dataset"],
-        TraceArrivals(trace=options["trace"]),
-        num_requests=options["num_requests"],
-        batch_policy=get_batch_policy(
-            options["batch_policy"],
-            batch_size=options["batch_size"],
-            timeout_s=options["timeout_ms"] * 1e-3,
-        ),
-        router=get_router(options["routing"]),
-        seed=options["seed"],
-        continuous_batching=options["continuous_batching"],
-        slo=slo_spec_from_ms(options["slo_ms"], options["slo_per_token_ms"]),
+    report = _replay_trace(
+        config,
+        trace,
+        _composition_fleet(config, chosen.counts),
         autoscaler=config.compare_autoscaler,
         provisioning_lag_s=config.provisioning_lag_s,
         autoscale_interval_s=config.autoscale_interval_s,
@@ -341,8 +292,7 @@ def run_plan(config: PlanConfig) -> PlanResult:
     """Run the capacity-planning search for one workload."""
     model = get_model_config(config.model)
     trace, source = _build_trace(config)
-    options = _search_options(config, trace)
-    search = search_fleets(options, jobs=config.jobs, prune=config.prune)
+    search = search_fleets(config, trace)
     num_requests = len(trace)
     if config.requests is not None:
         num_requests = min(num_requests, config.requests)
@@ -354,7 +304,7 @@ def run_plan(config: PlanConfig) -> PlanResult:
         trace_source=source,
         num_requests=num_requests,
         search=search,
-        comparison=_autoscale_comparison(config, options, search),
+        comparison=_autoscale_comparison(config, trace, search),
         max_per_type=config.max_per_type,
         max_total=config.max_total,
     )

@@ -29,10 +29,10 @@ J/Mreq (minimize).
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 #: Multiprocessing context for the search's worker pool (None = platform
 #: default).  Tests point this at a spawn context to prove the submit-time
@@ -44,14 +44,17 @@ _MP_CONTEXT = None
 #: whatever the parallelism, which is what makes ``--jobs`` byte-stable.
 _WAVE_SIZE = 8
 
-from ..devices import Device, build_device, build_fleet
+from ..devices import Device, build_device, build_fleet, split_fleet_spec
 from ..devices.schedule_cache import persist_schedule_cache, persistent_cache_dir
 from ..evaluation.env_overrides import apply_env_overrides, capture_env_overrides
 from ..evaluation.serving_sweep import slo_spec_from_ms
 from ..serving.arrivals import TraceArrivals
-from ..serving.engine import simulate_online
+from ..serving.engine import OnlineServingReport, simulate_online
 from ..serving.policies import get_batch_policy
 from ..serving.routing import get_router
+
+if TYPE_CHECKING:
+    from .experiment import PlanConfig
 
 __all__ = [
     "CandidateResult",
@@ -59,7 +62,6 @@ __all__ = [
     "enumerate_compositions",
     "evaluate_composition",
     "fleet_price_per_hour",
-    "load_trace",
     "pareto_frontier",
     "reference_trace_path",
     "search_fleets",
@@ -69,23 +71,6 @@ __all__ = [
 def reference_trace_path() -> Path:
     """The checked-in reference arrival trace the default plan runs against."""
     return Path(__file__).resolve().parent / "traces" / "reference_trace.json"
-
-
-def load_trace(path: str | Path) -> tuple:
-    """Load an arrival trace file: a JSON list of times or [time, length] pairs."""
-    payload = json.loads(Path(path).read_text())
-    if isinstance(payload, dict):
-        payload = payload["trace"]
-    if not isinstance(payload, list) or not payload:
-        raise ValueError(f"trace file {path} must hold a non-empty JSON list")
-    entries = []
-    for entry in payload:
-        if isinstance(entry, (list, tuple)):
-            time, length = entry
-            entries.append((float(time), int(length)))
-        else:
-            entries.append(float(entry))
-    return tuple(entries)
 
 
 def enumerate_compositions(
@@ -194,44 +179,49 @@ class PlanSearchResult:
     frontier: list[CandidateResult] = field(default_factory=list)
 
 
-def _composition_fleet(options: dict, counts: tuple[int, ...]) -> list[Device]:
+def _composition_fleet(config: PlanConfig, counts: tuple[int, ...]) -> list[Device]:
+    """Build the fleet holding ``counts[i]`` copies of catalog entry ``i``."""
     names: list[str] = []
-    for name, count in zip(options["devices"], counts):
+    for name, count in zip(split_fleet_spec(config.devices), counts):
         names.extend([name] * count)
     return build_fleet(
         names,
-        model=options["model"],
-        dataset=options["dataset"],
-        cache_length_bucket=options["cache_length_bucket"],
+        model=config.model,
+        dataset=config.dataset,
+        cache_length_bucket=config.cache_length_bucket,
     )
 
 
-def evaluate_composition(options: dict, counts: tuple[int, ...]) -> dict:
+def _replay_trace(
+    config: PlanConfig, trace: tuple, fleet: list[Device], **engine_knobs
+) -> OnlineServingReport:
+    """Replay the plan's trace on one fleet with the plan's serving knobs."""
+    return simulate_online(
+        fleet,
+        config.dataset,
+        TraceArrivals(trace=trace),
+        num_requests=config.requests,
+        batch_policy=get_batch_policy(
+            config.batch_policy,
+            batch_size=config.batch_size,
+            timeout_s=config.timeout_ms * 1e-3,
+        ),
+        router=get_router(config.routing),
+        seed=config.seed,
+        continuous_batching=config.continuous_batching,
+        slo=slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms),
+        **engine_knobs,
+    )
+
+
+def evaluate_composition(config: PlanConfig, trace: tuple, counts: tuple[int, ...]) -> dict:
     """Replay the plan's trace on one composition; return plain scalars only.
 
     The return value must stay picklable *and* free of anything
     runtime-dependent (timings, cache counters), because ``--jobs 1`` and
     ``--jobs 4`` must produce byte-identical plans.
     """
-    fleet = _composition_fleet(options, counts)
-    arrivals = TraceArrivals(trace=options["trace"])
-    policy = get_batch_policy(
-        options["batch_policy"],
-        batch_size=options["batch_size"],
-        timeout_s=options["timeout_ms"] * 1e-3,
-    )
-    router = get_router(options["routing"])
-    report = simulate_online(
-        fleet,
-        options["dataset"],
-        arrivals,
-        num_requests=options["num_requests"],
-        batch_policy=policy,
-        router=router,
-        seed=options["seed"],
-        continuous_batching=options["continuous_batching"],
-        slo=slo_spec_from_ms(options["slo_ms"], options["slo_per_token_ms"]),
-    )
+    report = _replay_trace(config, trace, _composition_fleet(config, counts))
     return {
         "attainment": report.attainment_rate,
         "goodput_qps": report.goodput_qps,
@@ -242,21 +232,23 @@ def evaluate_composition(options: dict, counts: tuple[int, ...]) -> dict:
     }
 
 
-def _candidate_worker(options: dict, counts: tuple[int, ...], env: dict | None = None) -> dict:
+def _candidate_worker(
+    config: PlanConfig, trace: tuple, counts: tuple[int, ...], env: dict | None = None
+) -> dict:
     """Process-pool entry point: re-apply env overrides, then evaluate."""
     apply_env_overrides(env)
-    return evaluate_composition(options, counts)
+    return evaluate_composition(config, trace, counts)
 
 
-def _catalog_prices(options: dict) -> tuple[float, ...]:
+def _catalog_prices(config: PlanConfig) -> tuple[float, ...]:
     """Per-hour price of each catalog entry, read off probe devices.
 
     Building a probe honours registry aliases and any factory defaults, so
     the ordering prices are exactly what the evaluated fleets will bill.
     """
     prices = []
-    for name in options["devices"]:
-        device = build_device(name, model=options["model"], dataset=options["dataset"])
+    for name in split_fleet_spec(config.devices):
+        device = build_device(name, model=config.model, dataset=config.dataset)
         price = getattr(device, "price_per_hour_usd", None)
         if price is None or price <= 0:
             raise ValueError(
@@ -296,29 +288,27 @@ def pareto_frontier(candidates: list[CandidateResult]) -> list[CandidateResult]:
     return frontier
 
 
-def search_fleets(options: dict, jobs: int = 1, prune: bool = True) -> PlanSearchResult:
-    """Run the fleet-composition search.
+def search_fleets(config: PlanConfig, trace: tuple) -> PlanSearchResult:
+    """Run the fleet-composition search of one ``plan`` config over ``trace``.
 
-    ``options`` is the plain-dict evaluation context (built by the ``plan``
-    experiment; must be picklable): device names, trace, SLO, batching and
-    routing knobs, and the search bounds ``max_per_type`` / ``max_total`` /
-    ``attainment_target``.  ``jobs`` parallelizes evaluation inside each
-    wave; the result is byte-identical whatever its value.
+    The frozen config carries everything else: the device catalog, the SLO,
+    batching and routing knobs, the search bounds ``max_per_type`` /
+    ``max_total`` / ``attainment_target``, ``prune``, and ``jobs``, which
+    parallelizes evaluation inside each wave (workers receive the config
+    and the trace as they are; the result is byte-identical whatever
+    ``jobs`` is).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    prices = _catalog_prices(options)
-    compositions = enumerate_compositions(
-        len(options["devices"]), options["max_per_type"], options["max_total"]
-    )
+    devices = tuple(split_fleet_spec(config.devices))
+    prices = _catalog_prices(config)
+    compositions = enumerate_compositions(len(devices), config.max_per_type, config.max_total)
     ordered = sorted(
         compositions, key=lambda counts: (fleet_price_per_hour(counts, prices), counts)
     )
 
     result = PlanSearchResult(
-        devices=tuple(options["devices"]),
+        devices=devices,
         device_prices=prices,
-        attainment_target=options["attainment_target"],
+        attainment_target=config.attainment_target,
         num_enumerated=len(ordered),
     )
     feasible: list[tuple[int, ...]] = []
@@ -336,7 +326,7 @@ def search_fleets(options: dict, jobs: int = 1, prune: bool = True) -> PlanSearc
             setattr(candidate, key, value)
         candidate.meets_target = (
             candidate.attainment is not None
-            and candidate.attainment >= options["attainment_target"]
+            and candidate.attainment >= config.attainment_target
         )
         result.candidates.append(candidate)
         if candidate.meets_target:
@@ -345,14 +335,14 @@ def search_fleets(options: dict, jobs: int = 1, prune: bool = True) -> PlanSearc
                 result.chosen = candidate
 
     executor = None
-    if jobs > 1:
+    if config.jobs > 1:
         # Snapshot the warm parent cache first so spawned workers -- which
         # load REPRO_SCHEDULE_CACHE_DIR on their first device reset -- start
         # from it instead of recomputing every schedule.
         if persistent_cache_dir() is not None:
             persist_schedule_cache()
         env = capture_env_overrides()
-        executor = ProcessPoolExecutor(max_workers=jobs, mp_context=_MP_CONTEXT)
+        executor = ProcessPoolExecutor(max_workers=config.jobs, mp_context=_MP_CONTEXT)
     try:
         queue = list(ordered)
         while queue:
@@ -363,7 +353,7 @@ def search_fleets(options: dict, jobs: int = 1, prune: bool = True) -> PlanSearc
                     (base for base in feasible if _is_strict_superset(counts, base)),
                     None,
                 )
-                if prune and pruned_by is not None:
+                if config.prune and pruned_by is not None:
                     candidate = make_candidate(counts)
                     candidate.pruned_by = pruned_by
                     result.pruned.append(candidate)
@@ -373,12 +363,12 @@ def search_fleets(options: dict, jobs: int = 1, prune: bool = True) -> PlanSearc
                 continue
             if executor is not None:
                 futures = [
-                    executor.submit(_candidate_worker, options, counts, env)
+                    executor.submit(_candidate_worker, config, trace, counts, env)
                     for counts in kept
                 ]
                 summaries = [future.result() for future in futures]
             else:
-                summaries = [evaluate_composition(options, counts) for counts in kept]
+                summaries = [evaluate_composition(config, trace, counts) for counts in kept]
             for counts, summary in zip(kept, summaries):
                 record(make_candidate(counts), summary)
     finally:

@@ -35,7 +35,10 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import json
+import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -54,6 +57,7 @@ __all__ = [
     "TraceArrivals",
     "ClosedLoopArrivals",
     "get_arrival_process",
+    "load_trace",
 ]
 
 
@@ -315,6 +319,22 @@ class TraceArrivals(ArrivalProcess):
         self.trace = tuple(self.trace)
         if not self.trace:
             raise ValueError("trace must contain at least one entry")
+        paired = isinstance(self.trace[0], (tuple, list))
+        for index, entry in enumerate(self.trace):
+            if isinstance(entry, (tuple, list)) != paired:
+                raise ValueError(
+                    f"trace entry {index} ({entry!r}): bare times and "
+                    "(time, length) pairs cannot be mixed"
+                )
+            values = tuple(entry) if paired else (entry,)
+            if paired and len(values) != 2:
+                raise ValueError(f"trace entry {index} ({entry!r}) is not a (time, length) pair")
+            try:
+                finite = all(math.isfinite(float(value)) for value in values)
+            except (TypeError, ValueError):
+                finite = False
+            if not finite:
+                raise ValueError(f"trace entry {index} ({entry!r}) must hold finite numbers")
 
     def _entries(self) -> tuple[list[float], list[int] | None]:
         first = self.trace[0]
@@ -342,6 +362,28 @@ class TraceArrivals(ArrivalProcess):
             Request(request_id=rank, length=lengths[i], arrival_time=max(times[i], 0.0))
             for rank, i in enumerate(order)
         ]
+
+
+def load_trace(path: str | Path) -> tuple:
+    """Load a JSON arrival trace: a list of times or of [time, length] pairs.
+
+    The list may also sit under the ``"trace"`` key of a JSON object.  The
+    entries are checked exactly as :class:`TraceArrivals` checks them, so a
+    bad file fails here with a :class:`ValueError` naming the entry.
+    """
+    try:
+        payload = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as error:
+        raise ValueError(f"trace file {path} is not valid JSON: {error}") from error
+    if isinstance(payload, dict):
+        payload = payload.get("trace")
+    if not isinstance(payload, list) or not payload:
+        raise ValueError(f"trace file {path} must hold a non-empty JSON list")
+    entries = [tuple(entry) if isinstance(entry, list) else entry for entry in payload]
+    try:
+        return TraceArrivals(trace=entries).trace
+    except ValueError as error:
+        raise ValueError(f"trace file {path}: {error}") from error
 
 
 @register("arrival", "closed-loop", aliases=("closed",))

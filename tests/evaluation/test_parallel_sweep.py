@@ -25,17 +25,41 @@ _SMALL = {
 }
 
 
+#: Fault and class axes plus non-default remedies: every one of these knobs
+#: reaches the workers inside the pickled config.
+_AXES = {
+    **_SMALL,
+    "devices": ("gpu-rtx6000",),
+    "num_accelerators": 2,
+    "router": "cost-model",
+    "slo_ms": 300.0,
+    "faults": ("none", "crash-restart"),
+    "classes": ("none", "interactive:0.5,batch:0.5"),
+    "fault_mtbf_s": 0.25,
+    "fault_downtime_s": 0.08,
+    "hedging": True,
+    "max_retries": 2,
+    "retry_backoff_ms": 30.0,
+    "blacklist_ms": 200.0,
+}
+
+
 @pytest.mark.parametrize("jobs", [2])
 def test_parallel_sweep_matches_serial_byte_for_byte(jobs):
-    serial = run_report("serving-sweep", {**_SMALL, "jobs": 1})
-    parallel = run_report("serving-sweep", {**_SMALL, "jobs": jobs})
-    # The config payload records the jobs knob; everything else -- including
-    # the replayed schedule-cache statistics -- must be byte-identical.
-    assert json.dumps(serial.payload["result"], indent=2) == json.dumps(
-        parallel.payload["result"], indent=2
-    )
-    assert serial.payload["config"]["jobs"] == 1
-    assert parallel.payload["config"]["jobs"] == jobs
+    for knobs in (_SMALL, _AXES):
+        serial = run_report("serving-sweep", {**knobs, "jobs": 1})
+        parallel = run_report("serving-sweep", {**knobs, "jobs": jobs})
+        # The config payload records the jobs knob; everything else --
+        # including the replayed schedule-cache statistics -- must be
+        # byte-identical.
+        assert json.dumps(serial.payload["result"], indent=2) == json.dumps(
+            parallel.payload["result"], indent=2
+        )
+        assert serial.payload["config"]["jobs"] == 1
+        assert parallel.payload["config"]["jobs"] == jobs
+    rows = serial.payload["result"]["points"]
+    assert any(row["fault"] == "crash-restart" and row["crashes"] > 0 for row in rows)
+    assert any("att[interactive]" in row for row in rows)
 
 
 def test_sweep_reports_cache_hit_rate_and_bucket():

@@ -4,13 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 
 import pytest
 
 from repro.evaluation.serve import ServeConfig
 from repro.evaluation.serving_sweep import ServingSweepConfig
 from repro.experiments import list_experiments
-from repro.experiments.config import coerce_value, parse_assignment
+from repro.experiments.config import (
+    coerce_value,
+    element_type,
+    parse_assignment,
+    strip_optional,
+)
 
 ALL_SPECS = list_experiments()
 
@@ -51,6 +57,21 @@ class TestEverySpecConfig:
                 text = str(value)
             overridden = config.with_overrides([f"{field.name}={text}"])
             assert getattr(overridden, field.name) == value, field.name
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_every_float_field_rejects_non_finite(self, spec, bad):
+        """A non-finite float (scalar or tuple element) is a config error."""
+        config = spec.config_cls()
+        for name, annotation in spec.config_cls.field_types().items():
+            annotation, _ = strip_optional(annotation)
+            if annotation is float:
+                text = bad
+            elif typing.get_origin(annotation) is tuple and element_type(annotation) is float:
+                text = f"0.5,{bad}"
+            else:
+                continue
+            with pytest.raises(ValueError, match="finite"):
+                config.with_overrides([f"{name}={text}"])
 
 
 class TestOverrideParsing:

@@ -162,6 +162,4 @@ class TestConfigValidation:
         if "tiny-free" not in REGISTRY.available("device"):
             REGISTRY.add("device", "tiny-free", lambda **kw: _Free(**kw))
         with pytest.raises(ValueError, match="price"):
-            _catalog_prices(
-                {"devices": ("tiny-free",), "model": "bert-base", "dataset": "mrpc"}
-            )
+            _catalog_prices(PlanConfig(devices=("tiny-free",)))

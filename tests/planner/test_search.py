@@ -13,7 +13,8 @@ from repro.planner import (
     pareto_frontier,
     reference_trace_path,
 )
-from repro.planner.search import _is_strict_superset, load_trace
+from repro.planner.search import _is_strict_superset
+from repro.serving.arrivals import load_trace
 
 
 class TestEnumeration:

@@ -218,10 +218,9 @@ class CycleAccurateDevice(Device):
         self.cache_hits = 0
         self.cache_misses = 0
         #: Probe accounting for deterministic replay: how many schedule
-        #: lookups this run issued, the set of distinct key fingerprints,
-        #: and the stamped lookup stream in issue order.
+        #: lookups this run issued and the stamped lookup stream in issue
+        #: order.
         self.cache_probe_total = 0
-        self.cache_probe_unique: set[str] = set()
         self.cache_probe_sequence: list[tuple[int, str]] = []
         self._cache_active = schedule_cache_enabled()
         if self._cache_active and self._schedule_cache is GLOBAL_SCHEDULE_CACHE:
@@ -326,7 +325,6 @@ class CycleAccurateDevice(Device):
                 self._schedule_cache.store(key, entry)
         if use_cache:
             self.cache_probe_total += 1
-            self.cache_probe_unique.add(entry.key_digest)
             self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))
         order = self._issue_order(billed, mode)
         if order is None:
@@ -373,7 +371,6 @@ class CycleAccurateDevice(Device):
             return None
         return {
             "total": self.cache_probe_total,
-            "unique": sorted(self.cache_probe_unique),
             "sequence": list(self.cache_probe_sequence),
         }
 

@@ -22,37 +22,25 @@ batch-drain mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .. import config as global_config
-from ..devices import build_fleet, split_fleet_spec
+from ..devices import split_fleet_spec
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
-from ..experiments.config import ExperimentConfig, resolve_component
-from ..serving import (
-    OnlineServingReport,
-    TraceArrivals,
-    get_arrival_process,
-    get_batch_policy,
-    simulate_online,
-)
+from ..experiments.config import resolve_component
+from ..serving import OnlineServingReport, TraceArrivals, get_arrival_process
 from ..serving.arrivals import _is_rate_driven, load_trace
-from ..transformer.configs import DATASET_ZOO, MODEL_ZOO, get_model_config
-from .report import format_key_values, format_table
 from ..serving.classes import parse_class_queue_limits
+from ..transformer.configs import DATASET_ZOO, get_model_config
+from .report import format_key_values, format_table
 from .serving_sweep import (
-    DEFAULT_WARMUP_FRACTION,
+    ServingKnobs,
     ServingSweepConfig,
     ServingSweepResult,
+    _config_error,
     _sweep_impl,
-    build_failure_aware_router,
     class_mix_arrivals,
-    fault_schedules_from_knobs,
     render_sweep,
-    slo_spec_from_ms,
-    validate_class_axis,
-    validate_fault_knobs,
-    validate_slo_knobs,
 )
 
 __all__ = ["ServeConfig", "ServeResult"]
@@ -63,15 +51,13 @@ _ONLINE_ONLY_KNOBS = ("autoscaler", "class_queue_limits", "shed_on_predicted_mis
 
 
 @dataclass(frozen=True)
-class ServeConfig(ExperimentConfig):
+class ServeConfig(ServingKnobs):
     """Configuration of the online serving experiment."""
 
     dataset: str = cfg_field("mrpc", choices=sorted(DATASET_ZOO), help="Table 1 dataset")
     qps: float | None = cfg_field(
         None, help="offered load (seq/s); omit to sweep load fractions"
     )
-    requests: int = cfg_field(192, help="number of requests to simulate")
-    batch_size: int = global_config.DEFAULT_BATCH_SIZE
     # Any registered name or alias is accepted (validated against the
     # registry below), so plug-in policies/arrivals/devices work unchanged;
     # plug-in routers see Device fleets and should read backlogs via
@@ -79,28 +65,9 @@ class ServeConfig(ExperimentConfig):
     batch_policy: str = cfg_field(
         "timeout", help="batch formation (fixed, timeout, bucketed, or plug-in)"
     )
-    timeout_ms: float = cfg_field(20.0, help="dynamic-batching timeout (ms)")
-    num_buckets: int = cfg_field(4, help="length buckets (bucketed policy)")
-    bucket_width: float | None = cfg_field(
-        None, help="fixed bucket width in tokens (overrides num-buckets)"
-    )
     routing: str = cfg_field(
         "least-loaded",
         help="fleet routing policy (round-robin, least-loaded, length-sharded, or plug-in)",
-    )
-    devices: tuple[str, ...] = cfg_field(
-        ("sparse-fpga",),
-        help=(
-            "device fleet: registered device names, mixed freely "
-            "(e.g. sparse-fpga,gpu-rtx6000); see `python -m repro list`"
-        ),
-    )
-    num_accelerators: int = cfg_field(1, help="replicas of the device fleet")
-    continuous_batching: bool = cfg_field(
-        False, help="device-level continuous batching (admit while draining)"
-    )
-    max_queue_depth: int | None = cfg_field(
-        None, help="shed arrivals beyond this many waiting requests"
     )
     shed_on_predicted_miss: bool = cfg_field(
         False,
@@ -109,22 +76,6 @@ class ServeConfig(ExperimentConfig):
             "device could meet its deadline even dispatched alone "
             "(reported as num_shed_predicted)"
         ),
-    )
-    slo_ms: float | None = cfg_field(
-        None,
-        help=(
-            "per-request latency budget (ms): deadline = arrival + slo-ms + "
-            "slo-per-token-ms * length; enables attainment/goodput reporting"
-        ),
-    )
-    slo_per_token_ms: float = cfg_field(
-        0.0, help="length-proportional part of the latency budget (ms per token)"
-    )
-    device_max_batch_size: int | None = cfg_field(
-        None, help="per-device admission limit: requests per dispatched batch"
-    )
-    device_max_batch_tokens: int | None = cfg_field(
-        None, help="per-device admission limit: total tokens per dispatched batch"
     )
     faults: str | None = cfg_field(
         None,
@@ -149,68 +100,8 @@ class ServeConfig(ExperimentConfig):
             "shed; online mode only"
         ),
     )
-    fault_mtbf_s: float = cfg_field(
-        5.0, help="mean seconds between faults per device (see serving-sweep)"
-    )
-    fault_downtime_s: float = cfg_field(
-        0.5, help="mean offline seconds per crash (crash-restart)"
-    )
-    fault_multiplier: float = cfg_field(
-        2.5, help="latency factor while degraded (straggler / thermal peak), >= 1"
-    )
-    fault_duration_s: float = cfg_field(
-        1.0, help="mean degraded-period seconds (straggler / thermal hold)"
-    )
-    hedging: bool = cfg_field(
-        False,
-        help=(
-            "remedy: duplicate every batch on a second device; first "
-            "completion wins, the loser is cancelled"
-        ),
-    )
-    max_retries: int = cfg_field(
-        0,
-        help=(
-            "remedy: crash retries per request after the free replay "
-            "(0 = the live gateway's requeue-exactly-once)"
-        ),
-    )
-    retry_backoff_ms: float = cfg_field(
-        50.0, help="base of the exponential backoff between crash retries (ms)"
-    )
-    blacklist_ms: float = cfg_field(
-        0.0,
-        help=(
-            "remedy (cost-model router): blacklist a crashed device this "
-            "long (ms; doubles per repeat failure; 0 = off)"
-        ),
-    )
-    # Matches the serving-sweep default so `serve` without --qps and
-    # `serving-sweep` report identical statistics for the same simulation.
-    warmup_fraction: float = cfg_field(
-        DEFAULT_WARMUP_FRACTION,
-        help=(
-            "warm-up fraction of the arrival horizon discarded from "
-            "steady-state statistics (sweep rows; a 'steady' block in "
-            "online mode)"
-        ),
-    )
-    arrival: str = cfg_field(
-        "poisson",
-        help=(
-            "arrival process (poisson, bursty, diurnal, flash-crowd, trace, "
-            "closed-loop, or plug-in)"
-        ),
-    )
     trace_file: str | None = cfg_field(
         None, help="JSON trace of arrival times (or [time, length] pairs)"
-    )
-    cache_length_bucket: int | None = cfg_field(
-        None,
-        help=(
-            "schedule-cache length quantization in tokens (round lengths up "
-            "before scheduling); default exact (serving-sweep defaults to 16)"
-        ),
     )
     autoscaler: str | None = cfg_field(
         None,
@@ -229,59 +120,26 @@ class ServeConfig(ExperimentConfig):
     min_devices: int = cfg_field(
         1, help="devices the autoscaler must keep online (also the starting pool)"
     )
-    model: str = cfg_field("bert-base", choices=sorted(MODEL_ZOO), help="model zoo key")
-    seed: int = global_config.DEFAULT_SEED
+
+    def axis(self, name: str) -> tuple[str, ...]:
+        """serve's single entries in sweep-axis form ("none" = no axis)."""
+        if name == "batch_policies":
+            return (self.batch_policy,)
+        entry = getattr(self, name)
+        return () if entry is None or entry == "none" else (entry,)
 
     def validate(self) -> None:
         super().validate()
         if self.qps is not None and self.qps <= 0:
             raise ValueError("qps must be > 0")
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.num_accelerators < 1:
-            raise ValueError("num_accelerators must be >= 1")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or none)")
-        validate_slo_knobs(
-            self.slo_ms,
-            self.slo_per_token_ms,
-            self.device_max_batch_size,
-            self.device_max_batch_tokens,
-        )
-        validate_fault_knobs(
-            () if self.faults is None else (self.faults,),
-            fault_mtbf_s=self.fault_mtbf_s,
-            fault_downtime_s=self.fault_downtime_s,
-            fault_multiplier=self.fault_multiplier,
-            fault_duration_s=self.fault_duration_s,
-            max_retries=self.max_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
-            blacklist_ms=self.blacklist_ms,
-        )
-        if self.classes is not None:
-            validate_class_axis((self.classes,))
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.cache_length_bucket is not None and self.cache_length_bucket < 1:
-            raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
-        names = split_fleet_spec(self.devices)
-        if not names:
-            raise ValueError("devices must name at least one registered device")
-        for name in names:
-            resolve_component("device", name)
-        arrival = resolve_component("arrival", self.arrival)
-        resolve_component("batch-policy", self.batch_policy)
         resolve_component("router", self.routing)
         if self._replays_trace():
             if self.trace_file is None:
                 raise ValueError("arrival 'trace' needs trace_file")
             if not Path(self.trace_file).is_file():
                 raise ValueError(f"trace file {self.trace_file} does not exist")
-        if not _is_rate_driven(arrival) and self.qps is not None:
+        rate_driven = self.is_rate_driven()
+        if not rate_driven and self.qps is not None:
             raise ValueError(
                 f"arrival '{self.arrival}' is not rate-driven; drop qps "
                 "(trace replays its recorded times, closed-loop queues everything at t=0)"
@@ -294,13 +152,15 @@ class ServeConfig(ExperimentConfig):
             raise ValueError("min_devices must be >= 1")
         if self.autoscaler is not None:
             resolve_component("autoscaler", self.autoscaler)
+            pool = self.num_accelerators * len(split_fleet_spec(self.devices))
+            if self.min_devices > pool:
+                raise ValueError(
+                    f"min_devices ({self.min_devices}) exceeds the {pool}-device pool"
+                )
         if self.class_queue_limits is not None:
-            try:
+            with _config_error("class_queue_limits"):
                 parse_class_queue_limits(self.class_queue_limits)
-            except (KeyError, ValueError) as error:
-                message = error.args[0] if error.args else str(error)
-                raise ValueError(f"class_queue_limits: {message}") from error
-        if _is_rate_driven(arrival) and self.qps is None:
+        if rate_driven and self.qps is None:
             for knob in _ONLINE_ONLY_KNOBS:
                 if getattr(self, knob) not in (None, False):
                     raise ValueError(
@@ -380,21 +240,13 @@ def _build_arrivals(config: ServeConfig):
     return get_arrival_process(config.arrival, rate_qps=config.qps)
 
 
-def _axis(entry: str | None) -> tuple[str, ...]:
-    """One serve fault/class entry as a sweep axis ("none" = no axis)."""
-    return () if entry is None or entry == "none" else (entry,)
-
-
 def _sweep_config(config: ServeConfig) -> ServingSweepConfig:
-    """The load-sweep fallback: same-named knobs carry over as they are."""
-    shared = ServeConfig.field_types().keys() & ServingSweepConfig.field_types().keys()
+    """The load-sweep fallback: the shared knobs carry over as they are."""
     return ServingSweepConfig(
-        **{name: getattr(config, name) for name in shared - {"faults", "classes"}},
+        **{f.name: getattr(config, f.name) for f in fields(ServingKnobs)},
+        **{name: config.axis(name) for name in ("batch_policies", "faults", "classes")},
         datasets=(config.dataset,),
-        batch_policies=(config.batch_policy,),
         router=config.routing,
-        faults=_axis(config.faults),
-        classes=_axis(config.classes),
     )
 
 
@@ -409,43 +261,12 @@ def _run_spec(config: ServeConfig) -> ServeResult:
             devices=device_names,
             sweep=_sweep_impl(_sweep_config(config)),
         )
-
-    fleet = build_fleet(
-        device_names,
-        model=model,
-        dataset=config.dataset,
-        replicas=config.num_accelerators,
-        cache_length_bucket=config.cache_length_bucket,
-        max_batch_size=config.device_max_batch_size,
-        max_batch_tokens=config.device_max_batch_tokens,
-    )
-    report = simulate_online(
-        fleet,
+    report = config.simulate(
         config.dataset,
-        arrivals=class_mix_arrivals(_build_arrivals(config), config.classes),
-        num_requests=config.requests,
-        batch_policy=get_batch_policy(
-            config.batch_policy,
-            batch_size=config.batch_size,
-            timeout_s=config.timeout_ms * 1e-3,
-            num_buckets=config.num_buckets,
-            bucket_width=config.bucket_width,
-        ),
-        router=build_failure_aware_router(config.routing, config.blacklist_ms * 1e-3),
-        continuous_batching=config.continuous_batching,
-        max_queue_depth=config.max_queue_depth,
-        slo=slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms),
-        faults=fault_schedules_from_knobs(
-            config.faults,
-            mtbf_s=config.fault_mtbf_s,
-            downtime_s=config.fault_downtime_s,
-            multiplier=config.fault_multiplier,
-            duration_s=config.fault_duration_s,
-        ),
-        hedging=config.hedging,
-        max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_ms * 1e-3,
-        seed=config.seed,
+        class_mix_arrivals(_build_arrivals(config), config.classes),
+        config.batch_policy,
+        config.routing,
+        config.faults,
         shed_on_predicted_miss=config.shed_on_predicted_miss,
         class_queue_limits=(
             None

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 #: Multiprocessing context for the sweep's worker pool (None = platform
@@ -34,7 +35,7 @@ from .env_overrides import apply_env_overrides, capture_env_overrides
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.classes import ClassMixArrivals, parse_class_mix
 from ..serving.engine import OnlineServingReport, simulate_online
-from ..serving.policies import FixedSizeBatcher, get_batch_policy
+from ..serving.policies import BatchPolicy, FixedSizeBatcher, get_batch_policy
 from ..serving.routing import get_router
 from ..serving.slo import SLOSpec
 from ..transformer.configs import (
@@ -47,13 +48,13 @@ from .report import format_key_values, format_table
 from .. import config as global_config
 
 __all__ = [
+    "ServingKnobs",
     "ServingSweepConfig",
     "ServingSweepResult",
     "SweepPoint",
     "build_failure_aware_router",
     "class_mix_arrivals",
     "fault_schedules_from_knobs",
-    "validate_class_axis",
 ]
 
 #: Offered-load grid (fractions of the measured closed-loop capacity); the
@@ -268,47 +269,48 @@ class ServingSweepResult:
         return payload
 
 
-@dataclass(frozen=True)
-class ServingSweepConfig(ExperimentConfig):
-    """Configuration of the latency-vs-offered-load serving sweep."""
+_CACHE_LENGTH_BUCKET_HELP = (
+    "schedule-cache length quantization in tokens (lengths round up to the "
+    "next multiple before scheduling); 'none' = exact billing"
+)
 
-    datasets: tuple[str, ...] = cfg_field(
-        ("mrpc", "rte", "squad"), help="Table 1 datasets to sweep"
-    )
-    load_fractions: tuple[float, ...] = cfg_field(
-        DEFAULT_LOAD_FRACTIONS, help="offered load as fractions of capacity"
-    )
-    batch_policies: tuple[str, ...] = cfg_field(
-        ("timeout",), help="batch-formation policies to compare"
-    )
-    routers: tuple[str, ...] = cfg_field(
-        (),
-        help=(
-            "per-policy routers paired elementwise with batch-policies "
-            "(e.g. --batch-policies timeout deadline --routers least-loaded "
-            "cost-model); empty = --router for every policy"
-        ),
-    )
-    requests: int = cfg_field(192, help="requests per sweep point")
+
+@contextmanager
+def _config_error(label: str):
+    """Report a component's own construction error as a config ValueError."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as error:
+        message = error.args[0] if error.args else str(error)
+        raise ValueError(f"{label}: {message}") from error
+
+
+@dataclass(frozen=True)
+class ServingKnobs(ExperimentConfig):
+    """The knobs ``serve`` and ``serving-sweep`` share, declared once.
+
+    This class holds the only range checks for them (:meth:`validate`) and
+    the only mapping from them to the engine (:meth:`fleet`,
+    :meth:`simulate`).  Subclasses declare ``faults`` / ``classes`` and their
+    batch policies in their own shape and hand them over as tuples through
+    :meth:`axis`.
+    """
+
+    requests: int = cfg_field(192, help="requests to simulate (per sweep point)")
     batch_size: int = global_config.DEFAULT_BATCH_SIZE
-    devices: tuple[str, ...] = cfg_field(
-        ("sparse-fpga",),
-        help="registered device fleet (e.g. sparse-fpga gpu-rtx6000; comma forms work too)",
-    )
-    num_accelerators: int = cfg_field(1, help="replicas of the device fleet")
-    router: str = cfg_field(
-        "least-loaded",
-        help="fleet routing policy (round-robin, least-loaded, length-sharded, or plug-in)",
-    )
-    arrival: str = cfg_field(
-        "poisson",
-        help="open-loop arrival process (poisson, bursty, or a rate-driven plug-in)",
-    )
     timeout_ms: float = cfg_field(20.0, help="dynamic-batching timeout (ms)")
     num_buckets: int = cfg_field(4, help="length buckets (bucketed policy)")
     bucket_width: float | None = cfg_field(
         None, help="fixed bucket width in tokens (overrides num-buckets)"
     )
+    devices: tuple[str, ...] = cfg_field(
+        ("sparse-fpga",),
+        help=(
+            "device fleet: registered device names, mixed freely "
+            "(e.g. sparse-fpga,gpu-rtx6000); see `python -m repro list`"
+        ),
+    )
+    num_accelerators: int = cfg_field(1, help="replicas of the device fleet")
     continuous_batching: bool = cfg_field(
         False, help="device-level continuous batching (admit while draining)"
     )
@@ -318,9 +320,9 @@ class ServingSweepConfig(ExperimentConfig):
     slo_ms: float | None = cfg_field(
         None,
         help=(
-            "per-request latency budget (ms): each request's deadline is "
-            "arrival + slo-ms + slo-per-token-ms * length; enables "
-            "attainment/goodput columns (none = deadline-blind sweep)"
+            "per-request latency budget (ms): deadline = arrival + slo-ms + "
+            "slo-per-token-ms * length; enables attainment/goodput reporting "
+            "(none = deadline-blind)"
         ),
     )
     slo_per_token_ms: float = cfg_field(
@@ -331,23 +333,6 @@ class ServingSweepConfig(ExperimentConfig):
     )
     device_max_batch_tokens: int | None = cfg_field(
         None, help="per-device admission limit: total tokens per dispatched batch"
-    )
-    faults: tuple[str, ...] = cfg_field(
-        (),
-        help=(
-            "fault-injection axis: registered fault schedules per grid point "
-            "(crash-restart, straggler, thermal-throttle; compose with '+', "
-            "'none' = fault-free baseline row); empty = no fault axis"
-        ),
-    )
-    classes: tuple[str, ...] = cfg_field(
-        (),
-        help=(
-            "request-class axis: class mixes per grid point (e.g. "
-            "interactive:0.5,batch:0.3,best-effort:0.2; 'none' = untagged "
-            "baseline row); adds per-class attainment/shed columns; empty = "
-            "no class axis"
-        ),
     )
     fault_mtbf_s: float = cfg_field(
         5.0,
@@ -392,14 +377,205 @@ class ServingSweepConfig(ExperimentConfig):
     )
     warmup_fraction: float = cfg_field(
         DEFAULT_WARMUP_FRACTION,
-        help="fraction of the arrival horizon discarded as warm-up in the statistics",
+        help=(
+            "fraction of the arrival horizon discarded as warm-up from the "
+            "steady-state statistics (sweep rows; a 'steady' block in online mode)"
+        ),
+    )
+    arrival: str = cfg_field(
+        "poisson",
+        help=(
+            "arrival process (poisson, bursty, diurnal, flash-crowd, or a "
+            "rate-driven plug-in; serve also replays trace and closed-loop)"
+        ),
+    )
+    cache_length_bucket: int | None = cfg_field(None, help=_CACHE_LENGTH_BUCKET_HELP)
+    model: str = cfg_field("bert-base", choices=sorted(MODEL_ZOO), help="model zoo key")
+    seed: int = global_config.DEFAULT_SEED
+
+    def axis(self, name: str) -> tuple[str, ...]:
+        """The ``faults`` / ``classes`` / ``batch_policies`` entries as a tuple."""
+        return getattr(self, name)
+
+    def validate(self) -> None:
+        super().validate()
+        if self.requests < 1:
+            raise ValueError("requests must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.num_accelerators < 1:
+            raise ValueError("num_accelerators must be >= 1")
+        if self.timeout_ms < 0:
+            raise ValueError("timeout_ms must be >= 0")
+        if self.max_queue_depth is not None and self.max_queue_depth < 1:
+            raise ValueError("max_queue_depth must be >= 1 (or none)")
+        if self.slo_ms is not None and self.slo_ms < 0:
+            raise ValueError("slo_ms must be >= 0 (or none for no deadlines)")
+        if self.slo_per_token_ms < 0:
+            raise ValueError("slo_per_token_ms must be >= 0")
+        if self.slo_per_token_ms > 0 and self.slo_ms is None:
+            raise ValueError(
+                "slo_per_token_ms needs slo_ms (use --slo-ms 0 for purely "
+                "proportional budgets)"
+            )
+        if self.device_max_batch_size is not None and self.device_max_batch_size < 1:
+            raise ValueError("device_max_batch_size must be >= 1 (or none)")
+        if self.device_max_batch_tokens is not None and self.device_max_batch_tokens < 1:
+            raise ValueError("device_max_batch_tokens must be >= 1 (or none)")
+        if self.fault_mtbf_s <= 0:
+            raise ValueError("fault_mtbf_s must be > 0")
+        if self.fault_downtime_s <= 0:
+            raise ValueError("fault_downtime_s must be > 0")
+        if self.fault_multiplier < 1.0:
+            raise ValueError("fault_multiplier must be >= 1")
+        if self.fault_duration_s <= 0:
+            raise ValueError("fault_duration_s must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if self.retry_backoff_ms < 0:
+            raise ValueError("retry_backoff_ms must be >= 0")
+        if self.blacklist_ms < 0:
+            raise ValueError("blacklist_ms must be >= 0")
+        if not 0.0 <= self.warmup_fraction < 1.0:
+            raise ValueError("warmup_fraction must be in [0, 1)")
+        if self.cache_length_bucket is not None and self.cache_length_bucket < 1:
+            raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
+        names = split_fleet_spec(self.devices)
+        if not names:
+            raise ValueError("devices must name at least one registered device")
+        for name in names:
+            resolve_component("device", name)
+        resolve_component("arrival", self.arrival)
+        # Building each policy turns its own checks (e.g. num_buckets >= 1
+        # for the bucketed batcher) into config errors.
+        for name in self.axis("batch_policies"):
+            with _config_error(f"batch policy {name!r}"):
+                self.batch_policy_named(name)
+        for spec in self.axis("faults"):
+            parts = [piece.strip() for piece in spec.split("+")]
+            if "none" in parts and len(parts) > 1:
+                raise ValueError(
+                    f"fault axis entry {spec!r}: 'none' is the baseline and "
+                    "composes with nothing"
+                )
+            with _config_error(f"fault axis entry {spec!r}"):
+                self.fault_schedules(spec)
+        for spec in self.axis("classes"):
+            if spec != "none":
+                with _config_error(f"class axis entry {spec!r}"):
+                    parse_class_mix(spec)
+
+    def fleet(self, dataset_name: str) -> list[Device]:
+        """The device fleet these knobs describe, built for one dataset."""
+        return build_fleet(
+            self.devices,
+            model=get_model_config(self.model),
+            dataset=dataset_name,
+            replicas=self.num_accelerators,
+            cache_length_bucket=self.cache_length_bucket,
+            max_batch_size=self.device_max_batch_size,
+            max_batch_tokens=self.device_max_batch_tokens,
+        )
+
+    def batch_policy_named(self, name: str) -> BatchPolicy:
+        """Build the named batch policy with these knobs."""
+        return get_batch_policy(
+            name,
+            batch_size=self.batch_size,
+            timeout_s=self.timeout_ms * 1e-3,
+            num_buckets=self.num_buckets,
+            bucket_width=self.bucket_width,
+        )
+
+    def fault_schedules(self, spec: str | None) -> list[FaultSchedule] | None:
+        """The fault schedules of one axis entry (None = fault-free)."""
+        return fault_schedules_from_knobs(
+            spec,
+            mtbf_s=self.fault_mtbf_s,
+            downtime_s=self.fault_downtime_s,
+            multiplier=self.fault_multiplier,
+            duration_s=self.fault_duration_s,
+        )
+
+    def simulate(
+        self,
+        dataset_name: str,
+        arrivals,
+        policy_name: str,
+        router_name: str,
+        fault_name: str | None,
+        fleet: list[Device] | None = None,
+        **online_knobs,
+    ) -> OnlineServingReport:
+        """One open-loop ``simulate_online`` run under these knobs.
+
+        ``fleet`` defaults to a fresh :meth:`fleet`; ``online_knobs`` are
+        engine keywords only a single ``serve`` run sets (autoscaler,
+        per-class queue limits, predicted-miss shedding).
+        """
+        return simulate_online(
+            self.fleet(dataset_name) if fleet is None else fleet,
+            dataset_name,
+            arrivals=arrivals,
+            num_requests=self.requests,
+            batch_policy=self.batch_policy_named(policy_name),
+            router=build_failure_aware_router(router_name, self.blacklist_ms * 1e-3),
+            continuous_batching=self.continuous_batching,
+            max_queue_depth=self.max_queue_depth,
+            slo=slo_spec_from_ms(self.slo_ms, self.slo_per_token_ms),
+            faults=self.fault_schedules(fault_name),
+            hedging=self.hedging,
+            max_retries=self.max_retries,
+            retry_backoff_s=self.retry_backoff_ms * 1e-3,
+            seed=self.seed,
+            **online_knobs,
+        )
+
+
+@dataclass(frozen=True)
+class ServingSweepConfig(ServingKnobs):
+    """Configuration of the latency-vs-offered-load serving sweep."""
+
+    datasets: tuple[str, ...] = cfg_field(
+        ("mrpc", "rte", "squad"), help="Table 1 datasets to sweep"
+    )
+    load_fractions: tuple[float, ...] = cfg_field(
+        DEFAULT_LOAD_FRACTIONS, help="offered load as fractions of capacity"
+    )
+    batch_policies: tuple[str, ...] = cfg_field(
+        ("timeout",), help="batch-formation policies to compare"
+    )
+    routers: tuple[str, ...] = cfg_field(
+        (),
+        help=(
+            "per-policy routers paired elementwise with batch-policies "
+            "(e.g. --batch-policies timeout deadline --routers least-loaded "
+            "cost-model); empty = --router for every policy"
+        ),
+    )
+    router: str = cfg_field(
+        "least-loaded",
+        help="fleet routing policy (round-robin, least-loaded, length-sharded, or plug-in)",
+    )
+    faults: tuple[str, ...] = cfg_field(
+        (),
+        help=(
+            "fault-injection axis: registered fault schedules per grid point "
+            "(crash-restart, straggler, thermal-throttle; compose with '+', "
+            "'none' = fault-free baseline row); empty = no fault axis"
+        ),
+    )
+    classes: tuple[str, ...] = cfg_field(
+        (),
+        help=(
+            "request-class axis: class mixes per grid point (e.g. "
+            "interactive:0.5,batch:0.3,best-effort:0.2; 'none' = untagged "
+            "baseline row); adds per-class attainment/shed columns; empty = "
+            "no class axis"
+        ),
     )
     cache_length_bucket: int | None = cfg_field(
-        DEFAULT_CACHE_LENGTH_BUCKET,
-        help=(
-            "schedule-cache length quantization in tokens (lengths round up "
-            "to the next multiple before scheduling); 'none' = exact billing"
-        ),
+        DEFAULT_CACHE_LENGTH_BUCKET, help=_CACHE_LENGTH_BUCKET_HELP
     )
     jobs: int = cfg_field(
         1,
@@ -408,13 +584,9 @@ class ServingSweepConfig(ExperimentConfig):
             "are byte-identical to jobs=1 for a fixed seed"
         ),
     )
-    model: str = cfg_field("bert-base", choices=sorted(MODEL_ZOO), help="model zoo key")
-    seed: int = global_config.DEFAULT_SEED
 
     def validate(self) -> None:
         super().validate()
-        if self.cache_length_bucket is not None and self.cache_length_bucket < 1:
-            raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if not self.datasets:
@@ -433,76 +605,13 @@ class ServingSweepConfig(ExperimentConfig):
                 "routers must pair elementwise with batch_policies "
                 f"({len(self.batch_policies)} policies, {len(self.routers)} routers)"
             )
-        validate_slo_knobs(
-            self.slo_ms,
-            self.slo_per_token_ms,
-            self.device_max_batch_size,
-            self.device_max_batch_tokens,
-        )
-        validate_fault_knobs(
-            self.faults,
-            fault_mtbf_s=self.fault_mtbf_s,
-            fault_downtime_s=self.fault_downtime_s,
-            fault_multiplier=self.fault_multiplier,
-            fault_duration_s=self.fault_duration_s,
-            max_retries=self.max_retries,
-            retry_backoff_ms=self.retry_backoff_ms,
-            blacklist_ms=self.blacklist_ms,
-        )
-        validate_class_axis(self.classes)
-        for policy in self.batch_policies:
-            resolve_component("batch-policy", policy)
         for router in (*self.routers, self.router):
             resolve_component("router", router)
-        device_names = split_fleet_spec(self.devices)
-        for name in device_names:
-            resolve_component("device", name)
-        arrival = resolve_component("arrival", self.arrival)
-        if not _is_rate_driven(arrival):
+        if not _is_rate_driven(resolve_component("arrival", self.arrival)):
             raise ValueError(
                 f"arrival '{self.arrival}' is not rate-driven; the sweep sets the "
                 "offered rate from the measured capacity"
             )
-        if not device_names:
-            raise ValueError("devices must name at least one registered device")
-        if self.requests < 1:
-            raise ValueError("requests must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.num_accelerators < 1:
-            raise ValueError("num_accelerators must be >= 1")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or none)")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-
-
-def validate_slo_knobs(
-    slo_ms: float | None,
-    slo_per_token_ms: float,
-    device_max_batch_size: int | None,
-    device_max_batch_tokens: int | None,
-) -> None:
-    """Shared validation of the SLO / per-device-limit config fields.
-
-    One definition for both the ``serve`` and ``serving-sweep`` configs, so
-    the two commands can never drift on what budgets/limits are legal.
-    """
-    if slo_ms is not None and slo_ms < 0:
-        raise ValueError("slo_ms must be >= 0 (or none for no deadlines)")
-    if slo_per_token_ms < 0:
-        raise ValueError("slo_per_token_ms must be >= 0")
-    if slo_per_token_ms > 0 and slo_ms is None:
-        raise ValueError(
-            "slo_per_token_ms needs slo_ms (use --slo-ms 0 for purely "
-            "proportional budgets)"
-        )
-    if device_max_batch_size is not None and device_max_batch_size < 1:
-        raise ValueError("device_max_batch_size must be >= 1 (or none)")
-    if device_max_batch_tokens is not None and device_max_batch_tokens < 1:
-        raise ValueError("device_max_batch_tokens must be >= 1 (or none)")
 
 
 def slo_spec_from_ms(slo_ms: float | None, slo_per_token_ms: float = 0.0) -> SLOSpec | None:
@@ -562,74 +671,6 @@ def fault_schedules_from_knobs(
     return schedules
 
 
-def validate_fault_knobs(
-    faults: tuple[str, ...],
-    *,
-    fault_mtbf_s: float,
-    fault_downtime_s: float,
-    fault_multiplier: float,
-    fault_duration_s: float,
-    max_retries: int,
-    retry_backoff_ms: float,
-    blacklist_ms: float,
-) -> None:
-    """Shared validation of the fault-injection / remedy config fields.
-
-    One definition for both the ``serve`` and ``serving-sweep`` configs (the
-    same contract as :func:`validate_slo_knobs`): every axis entry must
-    build against the knobs, ``"none"`` composes with nothing, and the
-    remedy knobs must be non-negative.
-    """
-    if fault_mtbf_s <= 0:
-        raise ValueError("fault_mtbf_s must be > 0")
-    if fault_downtime_s <= 0:
-        raise ValueError("fault_downtime_s must be > 0")
-    if fault_multiplier < 1.0:
-        raise ValueError("fault_multiplier must be >= 1")
-    if fault_duration_s <= 0:
-        raise ValueError("fault_duration_s must be > 0")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if retry_backoff_ms < 0:
-        raise ValueError("retry_backoff_ms must be >= 0")
-    if blacklist_ms < 0:
-        raise ValueError("blacklist_ms must be >= 0")
-    for spec in faults:
-        parts = [piece.strip() for piece in spec.split("+")]
-        if "none" in parts and len(parts) > 1:
-            raise ValueError(
-                f"fault axis entry {spec!r}: 'none' is the baseline and "
-                "composes with nothing"
-            )
-        try:
-            fault_schedules_from_knobs(
-                spec,
-                mtbf_s=fault_mtbf_s,
-                downtime_s=fault_downtime_s,
-                multiplier=fault_multiplier,
-                duration_s=fault_duration_s,
-            )
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else str(error)
-            raise ValueError(f"fault axis entry {spec!r}: {message}") from error
-
-
-def validate_class_axis(classes: tuple[str, ...]) -> None:
-    """Shared validation of the request-class axis (``serve`` + sweep).
-
-    Every entry must be either the ``"none"`` untagged baseline or a class
-    mix that parses against the registered request classes.
-    """
-    for spec in classes:
-        if spec == "none":
-            continue
-        try:
-            parse_class_mix(spec)
-        except (KeyError, ValueError) as error:
-            message = error.args[0] if error.args else str(error)
-            raise ValueError(f"class axis entry {spec!r}: {message}") from error
-
-
 def class_mix_arrivals(arrivals, mix_name: str | None):
     """Wrap an arrival process in a class-mix tagger when a mix is given.
 
@@ -658,18 +699,6 @@ def build_failure_aware_router(name: str, blacklist_s: float):
     return get_router(name)
 
 
-def _build_sweep_fleet(config: ServingSweepConfig, dataset_name: str) -> list[Device]:
-    return build_fleet(
-        config.devices,
-        model=get_model_config(config.model),
-        dataset=dataset_name,
-        replicas=config.num_accelerators,
-        cache_length_bucket=config.cache_length_bucket,
-        max_batch_size=config.device_max_batch_size,
-        max_batch_tokens=config.device_max_batch_tokens,
-    )
-
-
 def _capacity_worker(
     config: ServingSweepConfig,
     dataset_name: str,
@@ -687,7 +716,7 @@ def _capacity_worker(
     """
     apply_env_overrides(env)
     if fleet is None:
-        fleet = _build_sweep_fleet(config, dataset_name)
+        fleet = config.fleet(dataset_name)
     closed = simulate_online(
         fleet,
         dataset_name,
@@ -726,45 +755,14 @@ def _point_worker(
     byte-identical to a class-unaware run.
     """
     apply_env_overrides(env)
-    remote = fleet is None
-    if fleet is None:
-        fleet = _build_sweep_fleet(config, dataset_name)
     offered = capacity * fraction
-    policy = get_batch_policy(
-        policy_name,
-        batch_size=config.batch_size,
-        timeout_s=config.timeout_ms * 1e-3,
-        num_buckets=config.num_buckets,
-        bucket_width=config.bucket_width,
-    )
-    faults = fault_schedules_from_knobs(
-        fault_name,
-        mtbf_s=config.fault_mtbf_s,
-        downtime_s=config.fault_downtime_s,
-        multiplier=config.fault_multiplier,
-        duration_s=config.fault_duration_s,
-    )
-    router = build_failure_aware_router(router_name, config.blacklist_ms * 1e-3)
     arrivals = class_mix_arrivals(
         get_arrival_process(config.arrival, rate_qps=offered), mix_name
     )
-    report = simulate_online(
-        fleet,
-        dataset_name,
-        arrivals=arrivals,
-        num_requests=config.requests,
-        batch_policy=policy,
-        router=router,
-        continuous_batching=config.continuous_batching,
-        max_queue_depth=config.max_queue_depth,
-        slo=slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms),
-        faults=faults,
-        hedging=config.hedging,
-        max_retries=config.max_retries,
-        retry_backoff_s=config.retry_backoff_ms * 1e-3,
-        seed=config.seed,
+    report = config.simulate(
+        dataset_name, arrivals, policy_name, router_name, fault_name, fleet=fleet
     )
-    if remote:
+    if fleet is None:
         # The embedded cycle-accurate schedules carry lazily-materialized
         # timelines (closures), which do not pickle; the JSON payload never
         # includes them, so parallel runs ship the reports without the
@@ -773,8 +771,8 @@ def _point_worker(
             batch.execution.schedule = None
     return SweepPoint(
         dataset=report.dataset,
-        batch_policy=policy.name,
-        router=router.name,
+        batch_policy=report.batch_policy,
+        router=report.router,
         fault=fault_name,
         classes=mix_name,
         load_fraction=fraction,
@@ -887,7 +885,7 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     else:
         fleets: dict[str, list[Device]] = {}
         for dataset_name in datasets:
-            fleets[dataset_name] = _build_sweep_fleet(config, dataset_name)
+            fleets[dataset_name] = config.fleet(dataset_name)
             capacities[dataset_name], probes = _capacity_worker(
                 config, dataset_name, fleet=fleets[dataset_name]
             )
@@ -919,11 +917,6 @@ def _replay_cache_accounting(
     exactly the shared cache's behavior in a fresh serial process,
     *including* evictions past ``max_entries`` unique batch shapes.  The
     resulting hit rates are byte-identical for any ``jobs`` setting.
-
-    Probe summaries without a ``sequence`` (produced by older serialized
-    reports) fall back to the seen-set approximation, which is exact only
-    while the replay never evicts; ``num_evictions`` stays authoritative
-    either way because the fallback cannot insert past the cap unnoticed.
     """
     if max_entries is None:
         max_entries = GLOBAL_SCHEDULE_CACHE.max_entries
@@ -938,38 +931,22 @@ def _replay_cache_accounting(
         if probes is None:
             return None
         any_probes = True
-        sequence = probes.get("sequence")
         hits = 0
         misses = 0
         evictions = 0
-        if sequence is None:
-            # Legacy summary: distinct digests only.  Treat every distinct
-            # digest as one miss (exact below capacity) and touch the LRU so
-            # later runs still see them.
-            for digest in probes["unique"]:
-                if digest in lru:
-                    lru.move_to_end(digest)
-                else:
-                    misses += 1
-                    lru[digest] = None
-                    if len(lru) > max_entries:
-                        lru.popitem(last=False)
-                        evictions += 1
-            hits = probes["total"] - misses
-        else:
-            for item in sequence:
-                # Fleet-merged streams carry bare digests; per-device streams
-                # still carry their (stamp, digest) merge keys.
-                digest = item[1] if isinstance(item, tuple) else item
-                if digest in lru:
-                    lru.move_to_end(digest)
-                    hits += 1
-                else:
-                    misses += 1
-                    lru[digest] = None
-                    if len(lru) > max_entries:
-                        lru.popitem(last=False)
-                        evictions += 1
+        for item in probes["sequence"]:
+            # Fleet-merged streams carry bare digests; per-device streams
+            # still carry their (stamp, digest) merge keys.
+            digest = item[1] if isinstance(item, tuple) else item
+            if digest in lru:
+                lru.move_to_end(digest)
+                hits += 1
+            else:
+                misses += 1
+                lru[digest] = None
+                if len(lru) > max_entries:
+                    lru.popitem(last=False)
+                    evictions += 1
         total_hits += hits
         total_probes += probes["total"]
         total_evictions += evictions

@@ -487,37 +487,11 @@ class LiveGateway:
         Exactly the metrics the simulator reports -- this is what the
         sim-vs-live validation compares -- with live-only extras: uptime,
         drain state, worker restarts, in-flight batch count, and the KV bytes
-        currently reserved per device.  Before the first completion the
-        latency percentiles are omitted (there is nothing to take a
-        percentile of).
+        currently reserved per device.  The key set is the same before and
+        after the first completion.
         """
         self.session.refresh()
-        if self.report.records:
-            payload = self.report.to_dict()
-        else:
-            payload = {
-                "dataset": self.report.dataset,
-                "arrival_process": self.report.arrival_process,
-                "batch_policy": self.report.batch_policy,
-                "router": self.report.router,
-                "queue_limit": self.report.queue_limit,
-                "num_requests": self.report.num_requests,
-                "num_completed": 0,
-                "num_shed": self.report.num_shed,
-                "num_shed_late": self.report.num_shed_late,
-                "num_shed_predicted": self.report.num_shed_predicted,
-                "num_batches": 0,
-                "num_crashes": self.report.num_crashes,
-                "num_shed_crashed": self.report.num_shed_crashed,
-                "num_hedged": self.report.num_hedged,
-                "num_hedge_wins": self.report.num_hedge_wins,
-                "num_replayed": self.report.num_replayed,
-            }
-            if self.report.class_summaries is not None:
-                payload["classes"] = {
-                    name: summary.to_dict()
-                    for name, summary in self.report.class_summaries.items()
-                }
+        payload = self.report.to_dict()
         payload["live"] = {
             "uptime_seconds": self.clock.now(),
             "draining": self._draining,

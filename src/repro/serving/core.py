@@ -761,7 +761,6 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
     for engines that run phases outside the batch path (decode steps).
     """
     probe_total = 0
-    probe_unique: set[str] = set()
     probe_sequence: list[tuple[int, str]] = []
     probes_seen = False
     for index, device in enumerate(fleet):
@@ -772,8 +771,7 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
         if probes is not None:
             probes_seen = True
             probe_total += probes["total"]
-            probe_unique.update(probes["unique"])
-            probe_sequence.extend(probes.get("sequence", []))
+            probe_sequence.extend(probes["sequence"])
         served_energy = device.served_energy_joules()
         did_work = active[index] if active is not None else summary.num_batches > 0
         if served_energy is not None and did_work:
@@ -784,6 +782,5 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
         probe_sequence.sort(key=lambda item: item[0])
         report.schedule_cache_probes = {
             "total": probe_total,
-            "unique": sorted(probe_unique),
             "sequence": [digest for _, digest in probe_sequence],
         }

@@ -187,9 +187,9 @@ class OnlineServingReport:
     devices: list[DeviceSummary] = field(default_factory=list)
     #: Stepwise (time, waiting-requests) samples of the central queue.
     queue_depth_timeline: list[tuple[float, int]] = field(default_factory=list)
-    #: Fleet-merged schedule-cache probe summary (``{"total", "unique",
-    #: "sequence"}``) for deterministic cross-run hit accounting (the
-    #: ordered digest stream enables exact LRU replay); not serialized.
+    #: Fleet-merged schedule-cache probe summary (``{"total", "sequence"}``)
+    #: for deterministic cross-run hit accounting (the ordered digest stream
+    #: enables exact LRU replay); not serialized.
     schedule_cache_probes: dict | None = None
     #: Fault schedules injected into the run (``FaultInjector.describe()``
     #: form; None = no fault machinery attached).

@@ -190,7 +190,6 @@ class TestCacheMechanics:
         assert description["schedule_cache"]["shared"]["entries"] == 1
         probes = device.schedule_cache_probes()
         assert probes["total"] == 2
-        assert len(probes["unique"]) == 1
 
     def test_reset_clears_run_counters_not_shared_entries(self, accelerator):
         cache = ScheduleCache()
@@ -238,7 +237,6 @@ class TestEvictionAccounting:
         # second A probe is a miss again (4 misses, 2 evictions, 0 hits).
         probes = {
             "total": 4,
-            "unique": ["A", "B", "C"],
             "sequence": ["A", "B", "C", "A"],
         }
         point = SimpleNamespace(

@@ -101,3 +101,39 @@ def test_bad_trace_file_is_a_value_error(experiment, kind, tmp_path):
     with deadline(), pytest.raises(ValueError, match=re.escape(str(path))):
         run_experiment(experiment, config)
 
+
+
+#: Knobs a component rejects only when it is built, keyed by test id.  The
+#: config builds each one at validation time, so the CLI reports a config
+#: error (exit 2) instead of failing mid-run.
+COMPONENT_ARGV = {
+    "serve-num-buckets": (
+        ["serve", "--qps", "300", "--requests", "16", "--batch-policy", "bucketed",
+         "--num-buckets", "0"],
+        "num_buckets must be >= 1",
+    ),
+    "serve-bucket-width": (
+        ["serve", "--qps", "300", "--requests", "16", "--batch-policy", "bucketed",
+         "--bucket-width", "0"],
+        "bucket_width must be > 0",
+    ),
+    "sweep-num-buckets": (
+        ["serving-sweep", "--batch-policies", "bucketed", "--num-buckets", "0"],
+        "num_buckets must be >= 1",
+    ),
+    "serve-min-devices": (
+        ["serve", "--qps", "300", "--requests", "16", "--autoscaler", "queue-depth",
+         "--min-devices", "5"],
+        "min_devices",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, message", COMPONENT_ARGV.values(), ids=COMPONENT_ARGV.keys()
+)
+def test_cli_reports_component_knobs_as_config_errors(argv, message, capsys):
+    with deadline(), pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err

@@ -283,6 +283,26 @@ class TestSupervision:
         assert mid["num_completed"] == 0  # nothing finalizes before it finishes
         assert stats["num_completed"] == 1
 
+    def test_stats_key_set_is_the_same_before_the_first_completion(self):
+        async def scenario():
+            gateway = LiveGateway(
+                [FakeDevice(latency=0.01)],
+                "mrpc",
+                batch_policy=FixedSizeBatcher(batch_size=1),
+            )
+            await gateway.start()
+            before = gateway.stats()
+            result = gateway.submit(length=32)
+            await gateway.wait_for(result.request.request_id)
+            after = gateway.stats()
+            await gateway.shutdown()
+            return before, after
+
+        before, after = run(scenario())
+        assert before["num_completed"] == 0 and after["num_completed"] == 1
+        assert set(before) == set(after)
+        assert {"num_retries", "num_limit_splits", "slo", "devices"} <= set(before)
+
 
 class TestFaultRemedies:
     """Chaos semantics of the live gateway: double-crash shedding, hedging,

@@ -61,6 +61,11 @@ class _CliInputError(Exception):
     """A bad --config/--set/flag combination (reported via parser.error)."""
 
 
+def _input_error(error: Exception) -> _CliInputError:
+    """The user-facing form of a config error (KeyError messages unquoted)."""
+    return _CliInputError(str(error.args[0] if error.args else error))
+
+
 def _optional_scalar(scalar_type):
     """Argparse type for ``X | None`` fields: accepts the 'none' sentinel.
 
@@ -180,8 +185,7 @@ def _make_command(spec: ExperimentSpec):
             # Config construction failures are user input errors; anything
             # raised later, inside spec.run(), is a real failure and keeps
             # its traceback.
-            message = error.args[0] if error.args else str(error)
-            raise _CliInputError(str(message)) from error
+            raise _input_error(error) from error
         result = spec.run(config)
         if args.format == "json":
             text = json.dumps(result_payload(spec, config, result), indent=2)
@@ -286,21 +290,25 @@ def _cmd_live(args: argparse.Namespace) -> str:
     from .devices import build_fleet
     from .serving import SLOSpec, get_batch_policy, get_router
 
-    fleet = build_fleet(tuple(args.devices), dataset=args.dataset)
-    gateway = LiveGateway(
-        fleet,
-        args.dataset,
-        batch_policy=get_batch_policy(
-            args.batch_policy,
-            batch_size=args.batch_size,
-            timeout_s=args.timeout_ms / 1e3,
-        ),
-        router=get_router(args.routing),
-        max_queue_depth=args.max_queue_depth,
-        slo=SLOSpec(base_s=args.slo_ms / 1e3) if args.slo_ms is not None else None,
-        shed_on_predicted_miss=args.shed_on_predicted_miss,
-        continuous_batching=args.continuous_batching,
-    )
+    try:
+        # Bad flags surface here, while building the gateway: config errors.
+        fleet = build_fleet(tuple(args.devices), dataset=args.dataset)
+        gateway = LiveGateway(
+            fleet,
+            args.dataset,
+            batch_policy=get_batch_policy(
+                args.batch_policy,
+                batch_size=args.batch_size,
+                timeout_s=args.timeout_ms / 1e3,
+            ),
+            router=get_router(args.routing),
+            max_queue_depth=args.max_queue_depth,
+            slo=SLOSpec(base_s=args.slo_ms / 1e3) if args.slo_ms is not None else None,
+            shed_on_predicted_miss=args.shed_on_predicted_miss,
+            continuous_batching=args.continuous_batching,
+        )
+    except (ValueError, KeyError) as error:
+        raise _input_error(error) from error
 
     async def _serve() -> dict:
         server = LiveServer(gateway, host=args.host, port=args.port)

@@ -6,7 +6,10 @@
 * **Prefill** runs through the *identical* dispatch path as an encoder
   batch -- batch policy, router, per-device admission limits, the device's
   own ``execute`` cost model -- and produces the request's first token
-  (TTFT = prefill completion).
+  (TTFT = prefill completion).  The engine is a
+  :class:`~repro.serving.core.DispatchCore` subclass driven by the encoder
+  simulator's own event loop; it adds only KV admission, the landing of a
+  finished prefill, and the decode steps below.
 * **Decode** then generates the remaining ``output_len - 1`` tokens one
   iteration at a time: every step costs
   :meth:`~repro.devices.Device.decode_step_latency_seconds` over the running
@@ -19,9 +22,9 @@
 
 **KV-cache capacity is a first-class device resource**: a device built with
 ``kv_cache_bytes`` admits prefills token-by-token against its cache
-occupancy -- each request reserves ``(length + output_len) *
-kv_bytes_per_token()`` for its prompt and every token it will generate, and
-releases it on completion (gang end in request-level mode).  A batch that
+occupancy -- each request reserves ``Device.kv_reservation_bytes`` of its
+``total_tokens`` (prompt plus every token it will generate), and releases it
+on completion (gang end in request-level mode).  A batch that
 does not fit waits for releases; a request that could never fit an empty
 cache raises immediately.
 
@@ -44,9 +47,8 @@ from ..devices import BatchExecution, Device
 from ..hardware.accelerator import Accelerator
 from ..transformer.configs import DatasetConfig
 from ..serving.arrivals import ArrivalProcess
-from ..serving.clock import SimClock
 from ..serving.core import _EPS, DispatchCore, PlannedBatch, open_session, prepare_stream
-from ..serving.engine import OnlineServingReport
+from ..serving.engine import OnlineServingReport, _run_events
 from ..serving.policies import BatchPolicy
 from ..serving.request import Request
 from ..serving.routing import Router
@@ -72,9 +74,8 @@ class _RunningRequest:
     """One request past prefill, decoding on (or waiting to join) a device."""
 
     request: DecodeRequest
-    dispatch_time: float
-    start_time: float
-    batch_id: int
+    #: The prefill batch that produced the first token.
+    prefill: PlannedBatch
     #: When prefill finishes: the first token, and the earliest join instant.
     ready_time: float
     #: Tokens produced so far (prefill produces the first).
@@ -88,6 +89,17 @@ class _RunningRequest:
     @property
     def done(self) -> bool:
         return self.generated >= self.request.output_len
+
+    def record(self, completion_time: float) -> DecodeRequestRecord:
+        return DecodeRequestRecord(
+            request=self.request,
+            dispatch_time=self.prefill.dispatch_time,
+            start_time=self.prefill.start_time,
+            completion_time=completion_time,
+            device_index=self.prefill.device_index,
+            batch_id=self.prefill.batch_id,
+            first_token_time=self.ready_time,
+        )
 
 
 @dataclass
@@ -240,11 +252,207 @@ class DecodeServingReport(OnlineServingReport):
         return row
 
 
-def _kv_reservation_bytes(request: DecodeRequest, per_token: int) -> int:
-    """Bytes a request holds in the KV cache from prefill to completion:
-    its prompt plus every token it will generate (conservative by exactly
-    the final token, whose KV is written but never read)."""
-    return request.total_tokens * per_token
+class _DecodeCore(DispatchCore):
+    """The dispatch core plus KV admission, prefill landing and decode steps.
+
+    Prefill takes the base dispatch path unchanged; :meth:`admit` adds KV
+    admission, :meth:`finalize` lands a prefill, :meth:`pump` wraps
+    formation in the decode steps, and :meth:`next_action_time` /
+    :meth:`busy` feed the decode events to the shared event loop.
+    """
+
+    def __init__(self, *args, iteration_level: bool, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.iteration_level = iteration_level
+        self.states = [_DeviceDecodeState() for _ in self.fleet]
+        #: A prefill was refused for KV at this instant: the policy timer
+        #: must not pull the loop back to ``now`` until something frees.
+        self._kv_blocked = False
+
+    # ------------------------------------------------------------------
+    # KV cache
+    # ------------------------------------------------------------------
+
+    def _drain_kv_releases(self, index: int, now: float) -> None:
+        state = self.states[index]
+        while state.release_heap and state.release_heap[0][0] <= now + _EPS:
+            _, nbytes = heapq.heappop(state.release_heap)
+            state.reserved_bytes -= nbytes
+
+    def admit(self, index: int, batch: list[DecodeRequest], now: float) -> int:
+        """Requests to dispatch now: all-or-nothing up to a capacity chunk.
+
+        The target prefix is the longest that fits an *empty* cache (a
+        whole formed batch can exceed total capacity); it dispatches only
+        once the cache has room for all of it at once.  Admitting eagerly
+        whenever a single slot frees would fragment prefill into tiny
+        batches, which a weight-streaming accelerator pays for dearly --
+        deferring (return 0) keeps prefill batches capacity-sized.  Every
+        deferral or shortened batch counts one ``num_kv_stalls``.
+        """
+        device = self.fleet[index]
+        capacity = device.kv_cache_bytes
+        if capacity is None:
+            return len(batch)
+        self._drain_kv_releases(index, now)
+        free = capacity - self.states[index].reserved_bytes
+        target = 0
+        need_total = 0
+        for request in batch:
+            need = device.kv_reservation_bytes(request.total_tokens)
+            if need > capacity:
+                raise ValueError(
+                    f"request {request.request_id} needs {need} KV bytes "
+                    f"({request.length}+{request.output_len} tokens) but device "
+                    f"'{device.name}' caps its cache at {capacity}; "
+                    "raise kv_cache_bytes or bound the output-length distribution"
+                )
+            if need_total + need > capacity:
+                break
+            need_total += need
+            target += 1
+        taken = target if need_total <= free else 0
+        if taken < len(batch):
+            self.report.num_kv_stalls += 1
+        if taken == 0:
+            self._kv_blocked = True
+        return taken
+
+    def _release_kv(self, index: int, request: DecodeRequest) -> None:
+        device = self.fleet[index]
+        if device.kv_cache_bytes is not None:
+            self.states[index].reserved_bytes -= device.kv_reservation_bytes(
+                request.total_tokens
+            )
+
+    # ------------------------------------------------------------------
+    # Prefill
+    # ------------------------------------------------------------------
+
+    def finalize(self, planned: PlannedBatch) -> None:
+        """Land one prefill: reserve KV, record one-token requests, queue joiners.
+
+        Runs inside :meth:`pump` for every batch, so the next batch's KV
+        admission sees this batch's reservation.
+        """
+        device = self.fleet[planned.device_index]
+        state = self.states[planned.device_index]
+        for position, request in enumerate(planned.requests):
+            first_token = planned.start_time + planned.execution.completion_offsets[position]
+            if device.kv_cache_bytes is not None:
+                nbytes = device.kv_reservation_bytes(request.total_tokens)
+                state.reserved_bytes += nbytes
+                state.kv_peak_bytes = max(state.kv_peak_bytes, state.reserved_bytes)
+            member = _RunningRequest(request, planned, ready_time=first_token)
+            if request.output_len == 1:
+                # Prefill produced the only token: the request completes as
+                # an encoder request would, and its KV frees at completion.
+                self.report.records.append(member.record(first_token))
+                if device.kv_cache_bytes is not None:
+                    heapq.heappush(state.release_heap, (first_token, nbytes))
+            else:
+                state.joiners.append(member)
+        self.book_batch(planned)
+
+    # ------------------------------------------------------------------
+    # Decode steps
+    # ------------------------------------------------------------------
+
+    def _finish_step(self, index: int, step_end: float) -> None:
+        state = self.states[index]
+        still_running: list[_RunningRequest] = []
+        for member in state.step_members:
+            member.generated += 1
+            state.decode_tokens += 1
+            if member.done:
+                self.report.records.append(member.record(step_end))
+                if self.iteration_level:
+                    self._release_kv(index, member.request)
+                else:
+                    state.gang_done.append(member)
+            else:
+                still_running.append(member)
+        state.running = still_running
+        state.step_members = []
+        state.step_end = None
+        if not self.iteration_level and not state.running and state.gang_done:
+            # Request-level batching: the gang's KV frees only once every
+            # member has finished.
+            for member in state.gang_done:
+                self._release_kv(index, member.request)
+            state.gang_done = []
+
+    def _start_step(self, index: int, now: float) -> None:
+        state = self.states[index]
+        device = self.fleet[index]
+        if state.step_end is not None:
+            return
+        # Join: iteration-level admits at any step boundary; request-level
+        # only into an empty (fully drained) batch.
+        if state.joiners and (self.iteration_level or not state.running):
+            ready = [j for j in state.joiners if j.ready_time <= now + _EPS]
+            if ready:
+                ready.sort(key=lambda j: (j.ready_time, j.request.request_id))
+                slots = (
+                    len(ready)
+                    if device.max_batch_size is None
+                    else max(device.max_batch_size - len(state.running), 0)
+                )
+                joining = ready[:slots]
+                if joining:
+                    joined = {id(j) for j in joining}
+                    state.joiners = [j for j in state.joiners if id(j) not in joined]
+                    state.running.extend(joining)
+        if not state.running:
+            return
+        contexts = [member.context_length for member in state.running]
+        latency = device.decode_step_latency_seconds(contexts)
+        start = device.next_start(now)
+        execution = BatchExecution(
+            device=device.name,
+            lengths=contexts,
+            latency_seconds=latency,
+            completion_offsets=[latency] * len(contexts),
+            admit_seconds=latency,
+        )
+        device.dispatch(execution, start)
+        state.step_members = list(state.running)
+        state.step_end = start + latency
+        state.num_steps += 1
+
+    # ------------------------------------------------------------------
+    # Event-loop hooks
+    # ------------------------------------------------------------------
+
+    def pump(self, now: float, draining: bool = False) -> list[PlannedBatch]:
+        for index, state in enumerate(self.states):
+            if state.release_heap:
+                self._drain_kv_releases(index, now)
+            if state.step_end is not None and state.step_end <= now + _EPS:
+                self._finish_step(index, state.step_end)
+        self._kv_blocked = False
+        planned = super().pump(now, draining)
+        for index in range(len(self.fleet)):
+            self._start_step(index, now)
+        return planned
+
+    def next_action_time(self, now: float) -> float | None:
+        timer = super().next_action_time(now)
+        # While a prefill waits for KV, a due policy timer would only
+        # re-form the refused batch: wait for a decode event instead.
+        if timer is None or (self._kv_blocked and timer <= now + _EPS):
+            timer = math.inf
+        for state in self.states:
+            if state.step_end is not None:
+                timer = min(timer, state.step_end)
+            elif state.joiners:
+                timer = min(timer, min(j.ready_time for j in state.joiners))
+            if state.release_heap:
+                timer = min(timer, state.release_heap[0][0])
+        return None if math.isinf(timer) else timer
+
+    def busy(self) -> bool:
+        return any(s.running or s.joiners or s.step_end is not None for s in self.states)
 
 
 def simulate_decode_online(
@@ -318,8 +526,7 @@ def simulate_decode_online(
         iteration_level=iteration_level,
         output_lengths=distribution.name if generative else "explicit",
     )
-    fleet, report, requests = session.fleet, session.report, session.requests
-    batch_policy, router = session.batch_policy, session.router
+    fleet, report = session.fleet, session.report
     for device in fleet:
         if not device.supports_decode():
             raise ValueError(
@@ -328,295 +535,34 @@ def simulate_decode_online(
                 "serve decoder workloads"
             )
 
-    states = [_DeviceDecodeState() for _ in fleet]
-    # The core owns the formation queue and shed/admission accounting; the
-    # decode engine keeps its own dispatch path (KV-admitted prefill feeding
-    # the per-device decode states) and so never calls core.dispatch.
-    core = DispatchCore(
+    core = _DecodeCore(
         fleet,
         report,
-        batch_policy,
-        router,
+        session.batch_policy,
+        session.router,
         max_queue_depth=max_queue_depth,
         shed_on_predicted_miss=shed_on_predicted_miss,
         class_queue_limits=class_queue_limits,
+        iteration_level=iteration_level,
     )
-    queue = core.queue
-
-    def drain_kv_releases(index: int, now: float) -> None:
-        state = states[index]
-        while state.release_heap and state.release_heap[0][0] <= now + _EPS:
-            _, nbytes = heapq.heappop(state.release_heap)
-            state.reserved_bytes -= nbytes
-
-    def reserve_kv(index: int, nbytes: int) -> None:
-        state = states[index]
-        state.reserved_bytes += nbytes
-        state.kv_peak_bytes = max(state.kv_peak_bytes, state.reserved_bytes)
-
-    def kv_admission_plan(index: int, batch: list[DecodeRequest], now: float) -> int:
-        """Requests to dispatch now: all-or-nothing up to a capacity chunk.
-
-        The target prefix is the longest that fits an *empty* cache (a
-        whole formed batch can exceed total capacity); it dispatches only
-        once the cache has room for all of it at once.  Admitting eagerly
-        whenever a single slot frees would fragment prefill into tiny
-        batches, which a weight-streaming accelerator pays for dearly --
-        deferring (return 0) keeps prefill batches capacity-sized.
-        """
-        device = fleet[index]
-        if device.kv_cache_bytes is None:
-            return len(batch)
-        per_token = device.kv_bytes_per_token()
-        drain_kv_releases(index, now)
-        free = device.kv_cache_bytes - states[index].reserved_bytes
-        target = 0
-        need_total = 0
-        for request in batch:
-            need = _kv_reservation_bytes(request, per_token)
-            if need > device.kv_cache_bytes:
-                raise ValueError(
-                    f"request {request.request_id} needs {need} KV bytes "
-                    f"({request.length}+{request.output_len} tokens) but device "
-                    f"'{device.name}' caps its cache at {device.kv_cache_bytes}; "
-                    "raise kv_cache_bytes or bound the output-length distribution"
-                )
-            if need_total + need > device.kv_cache_bytes:
-                break
-            need_total += need
-            target += 1
-        return target if need_total <= free else 0
-
-    def dispatch_prefill(batch: list[DecodeRequest], now: float) -> bool:
-        """Run one formed batch's prefill; False = KV-full, batch requeued."""
-        index = router.select(fleet, batch, now)
-        if not 0 <= index < len(fleet):
-            raise IndexError(f"router '{router.name}' picked invalid device {index}")
-        device = fleet[index]
-        state = states[index]
-        admitted = device.admissible_prefix([r.length for r in batch])
-        kv_take = kv_admission_plan(index, batch[:admitted], now)
-        if kv_take == 0:
-            # The capacity-sized chunk does not fit yet: hand the whole
-            # batch back to the queue head and wait for a KV release.
-            report.num_kv_stalls += 1
-            queue[:0] = batch
-            return False
-        if kv_take < admitted:
-            report.num_kv_stalls += 1
-        if admitted < len(batch):
-            report.num_limit_splits += 1
-        if kv_take < len(batch):
-            queue[:0] = batch[kv_take:]
-            batch = batch[:kv_take]
-        per_token = device.kv_bytes_per_token()
-        start = device.next_start(now)
-        execution = device.execute([r.length for r in batch])
-        core.note_pending_starts(start, len(batch), now)
-        batch_id = len(report.batches)
-        for position, request in enumerate(batch):
-            first_token = start + execution.completion_offsets[position]
-            if device.kv_cache_bytes is not None:
-                reserve_kv(index, _kv_reservation_bytes(request, per_token))
-            if request.output_len == 1:
-                # Prefill produced the only token: the request completes as
-                # an encoder request would, and its KV frees at completion.
-                report.records.append(
-                    DecodeRequestRecord(
-                        request=request,
-                        dispatch_time=now,
-                        start_time=start,
-                        completion_time=first_token,
-                        device_index=index,
-                        batch_id=batch_id,
-                        first_token_time=first_token,
-                    )
-                )
-                if device.kv_cache_bytes is not None:
-                    heapq.heappush(
-                        state.release_heap,
-                        (first_token, _kv_reservation_bytes(request, per_token)),
-                    )
-            else:
-                state.joiners.append(
-                    _RunningRequest(
-                        request=request,
-                        dispatch_time=now,
-                        start_time=start,
-                        batch_id=batch_id,
-                        ready_time=first_token,
-                    )
-                )
-        device.dispatch(execution, start)
-        core.book_batch(PlannedBatch(batch_id, index, batch, execution, now, start))
-        return True
-
-    def finish_step(index: int, step_end: float) -> None:
-        state = states[index]
-        device = fleet[index]
-        per_token = device.kv_bytes_per_token()
-        still_running: list[_RunningRequest] = []
-        for member in state.step_members:
-            member.generated += 1
-            state.decode_tokens += 1
-            if member.done:
-                report.records.append(
-                    DecodeRequestRecord(
-                        request=member.request,
-                        dispatch_time=member.dispatch_time,
-                        start_time=member.start_time,
-                        completion_time=step_end,
-                        device_index=index,
-                        batch_id=member.batch_id,
-                        first_token_time=member.ready_time,
-                    )
-                )
-                if device.kv_cache_bytes is None:
-                    pass
-                elif iteration_level:
-                    state.reserved_bytes -= _kv_reservation_bytes(
-                        member.request, per_token
-                    )
-                else:
-                    state.gang_done.append(member)
-            else:
-                still_running.append(member)
-        state.running = still_running
-        state.step_members = []
-        state.step_end = None
-        if not iteration_level and not state.running and state.gang_done:
-            # Request-level batching: the gang's KV frees only once every
-            # member has finished.
-            if device.kv_cache_bytes is not None:
-                for member in state.gang_done:
-                    state.reserved_bytes -= _kv_reservation_bytes(
-                        member.request, per_token
-                    )
-            state.gang_done = []
-
-    def maybe_start_step(index: int, now: float) -> None:
-        state = states[index]
-        device = fleet[index]
-        if state.step_end is not None:
-            return
-        # Join: iteration-level admits at any step boundary; request-level
-        # only into an empty (fully drained) batch.
-        if state.joiners and (iteration_level or not state.running):
-            ready = [j for j in state.joiners if j.ready_time <= now + _EPS]
-            if ready:
-                ready.sort(key=lambda j: (j.ready_time, j.request.request_id))
-                slots = (
-                    len(ready)
-                    if device.max_batch_size is None
-                    else max(device.max_batch_size - len(state.running), 0)
-                )
-                joining = ready[:slots]
-                if joining:
-                    joined = {id(j) for j in joining}
-                    state.joiners = [j for j in state.joiners if id(j) not in joined]
-                    state.running.extend(joining)
-        if not state.running:
-            return
-        contexts = [member.context_length for member in state.running]
-        latency = device.decode_step_latency_seconds(contexts)
-        start = device.next_start(now)
-        execution = BatchExecution(
-            device=device.name,
-            lengths=contexts,
-            latency_seconds=latency,
-            completion_offsets=[latency] * len(contexts),
-            admit_seconds=latency,
-        )
-        device.dispatch(execution, start)
-        state.step_members = list(state.running)
-        state.step_end = start + latency
-        state.num_steps += 1
-
-    depth_timeline = report.queue_depth_timeline
-    clock = SimClock()
-    next_index = 0
-    total = len(requests)
-
-    def decode_active() -> bool:
-        return any(
-            s.running or s.joiners or s.step_end is not None for s in states
-        )
-
-    while next_index < total or queue or decode_active():
-        now = clock.now()
-        while next_index < total and requests[next_index].arrival_time <= now + _EPS:
-            core.offer(requests[next_index], now)
-            next_index += 1
-        core.note_queue_depth(now)
-
-        for index, state in enumerate(states):
-            if fleet[index].kv_cache_bytes is not None:
-                drain_kv_releases(index, now)
-            if state.step_end is not None and state.step_end <= now + _EPS:
-                finish_step(index, state.step_end)
-
-        draining = next_index >= total
-        kv_blocked = False
-        while True:
-            batch = batch_policy.form_batch(queue, now, draining)
-            if batch is None:
-                break
-            if not batch:
-                raise RuntimeError(
-                    f"batch policy '{batch_policy.name}' formed an empty batch"
-                )
-            if not dispatch_prefill(batch, now):
-                kv_blocked = True
-                depth_timeline.append((now, len(queue)))
-                break
-            depth_timeline.append((now, len(queue)))
-        core.collect_policy_shed()
-
-        for index in range(len(fleet)):
-            maybe_start_step(index, now)
-
-        if next_index >= total and not queue and not decode_active():
-            break
-        next_event = requests[next_index].arrival_time if next_index < total else math.inf
-        deadline = core.next_action_time(now)
-        if deadline is not None and not (kv_blocked and deadline <= now + _EPS):
-            next_event = min(next_event, deadline)
-        for state in states:
-            if state.step_end is not None:
-                next_event = min(next_event, state.step_end)
-            elif state.joiners:
-                next_event = min(
-                    next_event, min(j.ready_time for j in state.joiners)
-                )
-            if state.release_heap:
-                next_event = min(next_event, state.release_heap[0][0])
-        if math.isinf(next_event):
-            raise RuntimeError(
-                f"batch policy '{batch_policy.name}' left {len(queue)} requests stranded"
-            )
-        if next_event <= now + _EPS and draining and not decode_active():
-            raise RuntimeError(
-                f"batch policy '{batch_policy.name}' is not making progress"
-            )
-        clock.advance_to(next_event)
+    _run_events(session, core)
 
     for index, device in enumerate(fleet):
+        state = core.states[index]
         report.decode_devices.append(
             {
                 "device": index,
-                "num_decode_steps": states[index].num_steps,
-                "decode_tokens": states[index].decode_tokens,
+                "num_decode_steps": state.num_steps,
+                "decode_tokens": state.decode_tokens,
                 "kv_cache_bytes": device.kv_cache_bytes,
                 "kv_peak_bytes": (
-                    states[index].kv_peak_bytes
-                    if device.kv_cache_bytes is not None
-                    else None
+                    state.kv_peak_bytes if device.kv_cache_bytes is not None else None
                 ),
             }
         )
     session.finish(
         active=[
-            report.devices[i].num_batches > 0 or states[i].num_steps > 0
+            report.devices[i].num_batches > 0 or core.states[i].num_steps > 0
             for i in range(len(fleet))
         ]
     )

@@ -7,7 +7,8 @@ request (``Connection: close``), JSON in and out:
 * ``POST /v1/requests`` -- ingest one request.  Body: ``{"length": int,
   "output_len"?: int, "slo_ms"?: float, "class"?: str, "wait"?: bool}``.
   ``"class"`` names a registered request class (multi-tenant SLO tiers);
-  unknown names are a ``400``.  ``200`` with the
+  unknown names are a ``400``, as are lengths that are not integers >= 1
+  and an ``slo_ms`` that is not a finite number >= 0.  ``200`` with the
   admission verdict (or, with ``"wait": true``, the completion record once
   the batch actually finishes); ``429`` when admission control or the
   predicted-miss gate sheds it (bounded-queue backpressure); ``503`` while
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 
 from .gateway import LiveGateway
 
@@ -48,6 +50,24 @@ _STATUS_TEXT = {
 
 class _BadRequest(Exception):
     """Client error: reported as a 400 with the message in the body."""
+
+
+def _positive_int(body: dict, key: str, default: int | None = None) -> int:
+    """``body[key]`` (absent or null: ``default``) as an integer >= 1, else a 400."""
+    value = body.get(key)
+    if value is None:
+        if default is None:
+            raise _BadRequest(f"'{key}' is required")
+        return default
+    try:
+        number = int(value)
+        if isinstance(value, float) and number != value:
+            raise ValueError  # 2.5 tokens
+    except (TypeError, ValueError, OverflowError):  # "x", NaN, Infinity
+        raise _BadRequest(f"'{key}' must be an integer") from None
+    if number < 1:
+        raise _BadRequest(f"'{key}' must be >= 1")
+    return number
 
 
 class LiveServer:
@@ -188,22 +208,22 @@ class LiveServer:
 
     @staticmethod
     def _parse_entry(body: dict) -> dict:
-        try:
-            length = int(body["length"])
-        except KeyError:
-            raise _BadRequest("'length' is required") from None
-        except (TypeError, ValueError):
-            raise _BadRequest("'length' must be an integer") from None
-        if length < 1:
-            raise _BadRequest("'length' must be >= 1")
         slo_ms = body.get("slo_ms")
+        if slo_ms is not None:
+            try:
+                slo_ms = float(slo_ms)
+            except (TypeError, ValueError):
+                raise _BadRequest("'slo_ms' must be a number") from None
+            # json.loads accepts NaN and Infinity: neither is a deadline.
+            if not math.isfinite(slo_ms) or slo_ms < 0:
+                raise _BadRequest("'slo_ms' must be a finite number >= 0")
         request_class = body.get("class")
         if request_class is not None and not isinstance(request_class, str):
             raise _BadRequest("'class' must be a registered request-class name")
         return {
-            "length": length,
-            "output_len": int(body.get("output_len", 1)),
-            "slo_ms": float(slo_ms) if slo_ms is not None else None,
+            "length": _positive_int(body, "length"),
+            "output_len": _positive_int(body, "output_len", default=1),
+            "slo_ms": slo_ms,
             "request_class": request_class,
         }
 

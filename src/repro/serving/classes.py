@@ -321,12 +321,7 @@ class PriorityDeadlineBatcher(DeadlineBatcher):
     def form_batch(
         self, queue: list[Request], now: float, draining: bool
     ) -> list[Request] | None:
-        if self.shed_late and self._fleet:
-            late = [r for r in queue if self._provably_late(r, now)]
-            if late:
-                dropped = {r.request_id for r in late}
-                queue[:] = [r for r in queue if r.request_id not in dropped]
-                self._shed.extend(late)
+        self._shed_late(queue, now)
         if not queue:
             return None
         tiers = self._tiers(queue)

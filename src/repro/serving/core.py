@@ -53,13 +53,12 @@ from .classes import collect_class_stats
 from .policies import BatchPolicy, FixedSizeBatcher, LengthBucketedBatcher
 from .request import Request, RequestRecord
 from .routing import LeastLoadedRouter, LengthShardedRouter, Router
-from .slo import SLOSpec, assign_deadlines
+from .slo import ProvablyLate, SLOSpec, assign_deadlines
 
 __all__ = [
     "CrashLedger",
     "DispatchCore",
     "PlannedBatch",
-    "PredictedMissGate",
     "ServingSession",
     "collect_device_stats",
     "note_shed",
@@ -315,41 +314,6 @@ class CrashLedger:
         return None
 
 
-class PredictedMissGate:
-    """Arrival-time deadline check: is a request already unsalvageable?
-
-    A request is a *predicted miss* when every device's earliest possible
-    start (its admission clock at ``now``) plus that device's own
-    single-request service estimate overshoots the deadline.  The estimate
-    ignores everything queued ahead of the request, and the admission clocks
-    only move later as batches dispatch, so the bound is optimistic: a shed
-    is always a provable miss, never a guess.
-    """
-
-    def __init__(self, fleet: list[Device]) -> None:
-        self._fleet = [d for d in fleet if hasattr(d, "batch_latency_seconds")]
-        self._estimates: dict[tuple[int, int], float] = {}
-
-    def _single_estimate(self, index: int, length: int) -> float:
-        key = (index, length)
-        cached = self._estimates.get(key)
-        if cached is None:
-            cached = self._fleet[index].batch_latency_seconds([length])
-            self._estimates[key] = cached
-        return cached
-
-    def predicted_miss(self, request: Request, now: float) -> bool:
-        if request.deadline is None or not self._fleet:
-            return False
-        deadline = request.deadline + 1e-9
-        for index, device in enumerate(self._fleet):
-            next_start = getattr(device, "next_start", None)
-            start = next_start(now) if next_start is not None else now
-            if start + self._single_estimate(index, request.length) <= deadline:
-                return False
-        return True
-
-
 @dataclass
 class PlannedBatch:
     """One batch the core has routed and costed but not yet finalized.
@@ -428,7 +392,9 @@ class DispatchCore:
         #: population the admission-control limit bounds.
         self._pending_starts: list[float] = []
         self._take_shed = getattr(batch_policy, "take_shed", None)
-        self._miss_gate = PredictedMissGate(fleet) if shed_on_predicted_miss else None
+        #: Arrival gate: snapshots the fleet it is built with (the initial
+        #: pool when autoscaled).
+        self._predicted_miss = ProvablyLate(fleet) if shed_on_predicted_miss else None
         self._next_batch_id = 0
 
     # ------------------------------------------------------------------
@@ -467,7 +433,7 @@ class DispatchCore:
                     self.report.num_shed += 1
                     note_shed(self.report, request, "shed")
                     return "shed"
-        if self._miss_gate is not None and self._miss_gate.predicted_miss(request, now):
+        if self._predicted_miss is not None and self._predicted_miss(request, now):
             self.report.num_shed_predicted += 1
             note_shed(self.report, request, "shed-predicted")
             return "shed-predicted"
@@ -477,44 +443,55 @@ class DispatchCore:
     def note_queue_depth(self, now: float) -> None:
         self.report.queue_depth_timeline.append((now, len(self.queue)))
 
-    def note_pending_starts(self, start: float, count: int, now: float) -> None:
-        """Register dispatched-not-yet-started requests for admission control.
-
-        Engines with a custom dispatch path (the decode engine's KV-admitted
-        prefill) call this instead of :meth:`dispatch`; only admission
-        control reads the waiting population, so the bookkeeping is skipped
-        entirely when no limit is set.
-        """
-        if self.max_queue_depth is not None and start > now + _EPS:
-            for _ in range(count):
-                heapq.heappush(self._pending_starts, start)
-
     # ------------------------------------------------------------------
     # Formation / dispatch
     # ------------------------------------------------------------------
 
-    def dispatch(self, batch: list[Request], now: float) -> PlannedBatch:
-        """Route, limit-split, and cost one formed batch.
+    def admit(self, index: int, batch: list[Request], now: float) -> int:
+        """How many of ``batch`` (already limit-split) device ``index`` takes now.
+
+        All of it here; a subclass guarding a device resource (the decode
+        engine's KV cache) may take a prefix, or 0 to refuse the batch.
+        """
+        return len(batch)
+
+    def busy(self) -> bool:
+        """Whether requests past dispatch still need events (decode steps)."""
+        return False
+
+    def dispatch(self, batch: list[Request], now: float) -> PlannedBatch | None:
+        """Route, limit-split, admit and cost one formed batch.
 
         Updates the device's serving clocks and the fleet accounting that is
         determined at dispatch time; the per-request records land via
-        :meth:`finalize` (immediately under ``auto_finalize``).
+        :meth:`finalize` (immediately under ``auto_finalize``).  Returns
+        ``None`` when :meth:`admit` refuses the batch, which then waits at
+        the head of the formation queue.
         """
         index = self.router.select(self.fleet, batch, now)
         if not 0 <= index < len(self.fleet):
             raise IndexError(f"router '{self.router.name}' picked invalid device {index}")
         device = self.fleet[index]
         admitted = device.admissible_prefix([r.length for r in batch])
+        taken = self.admit(index, batch[:admitted], now)
+        if taken == 0:
+            self.queue[:0] = batch
+            return None
         if admitted < len(batch):
-            # The device's admission limits cap this batch: run the prefix
-            # and hand the remainder back to the head of the formation queue
-            # (those requests arrived before anything still waiting there).
             self.report.num_limit_splits += 1
-            self.queue[:0] = batch[admitted:]
-            batch = batch[:admitted]
+        if taken < len(batch):
+            # Run the prefix and hand the remainder back to the head of the
+            # formation queue (those requests arrived before anything still
+            # waiting there).
+            self.queue[:0] = batch[taken:]
+            batch = batch[:taken]
         start = device.next_start(now)
         planned = self._plan(index, batch, now, start, self.new_batch_id())
-        self.note_pending_starts(start, len(batch), now)
+        if self.max_queue_depth is not None and start > now + _EPS:
+            # Dispatched but not yet started: still "waiting" for admission
+            # control, which is the only reader of this bookkeeping.
+            for _ in batch:
+                heapq.heappush(self._pending_starts, start)
         if self.hedging and len(self.fleet) > 1:
             planned = self._dispatch_hedged(planned, now)
         else:
@@ -724,7 +701,7 @@ class DispatchCore:
             note_shed(self.report, request, "late")
 
     def pump(self, now: float, draining: bool = False) -> list[PlannedBatch]:
-        """Cut and dispatch every batch the policy will form at ``now``."""
+        """Cut and dispatch every batch the policy forms at ``now``, up to a refusal."""
         planned: list[PlannedBatch] = []
         while True:
             batch = self.batch_policy.form_batch(self.queue, now, draining)
@@ -735,6 +712,9 @@ class DispatchCore:
                     f"batch policy '{self.batch_policy.name}' formed an empty batch"
                 )
             plan = self.dispatch(batch, now)
+            if plan is None:
+                self.note_queue_depth(now)
+                break
             if self.auto_finalize and not plan.crashed:
                 # A crashed plan never touches the report's records; the
                 # driver requeues/retries/sheds its requests instead.

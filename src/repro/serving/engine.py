@@ -55,7 +55,7 @@ from ..transformer.configs import DatasetConfig
 from .arrivals import ArrivalProcess
 from .autoscaler import ScaleObservation, get_autoscaler
 from .clock import SimClock
-from .core import _EPS, CrashLedger, DispatchCore, open_session, prepare_stream
+from .core import _EPS, CrashLedger, DispatchCore, ServingSession, open_session, prepare_stream
 
 # The end-of-run fold lives in ``ServingSession.finish``; these names stay
 # importable here because perfbench/tracing.py wraps them by module attribute.
@@ -898,8 +898,8 @@ def simulate_online(
     active: list[Device] = list(fleet[:initial]) if autoscaling else fleet
 
     # The simulator is one driver of the shared dispatch core (the live
-    # gateway in repro.live is the other): it owns a SimClock, feeds arrivals
-    # from the pre-generated stream, and finalizes batches at dispatch time
+    # gateway in repro.live is the other): it feeds arrivals from the
+    # pre-generated stream and finalizes batches at dispatch time
     # (auto_finalize) because completion offsets are fully determined there.
     core = DispatchCore(
         active,
@@ -913,6 +913,40 @@ def simulate_online(
         hedging=hedging,
         class_queue_limits=class_queue_limits,
     )
+    _run_events(
+        session,
+        core,
+        crashes=crashes,
+        autoscaler=autoscaler,
+        provisioning_lag_s=provisioning_lag_s,
+        autoscale_interval_s=autoscale_interval_s,
+        min_devices=min_devices,
+    )
+    session.finish()
+    return report
+
+
+def _run_events(
+    session: ServingSession,
+    core: DispatchCore,
+    crashes: CrashLedger | None = None,
+    autoscaler=None,
+    provisioning_lag_s: float = 0.0,
+    autoscale_interval_s: float = 1.0,
+    min_devices: int = 1,
+) -> None:
+    """The one event loop of both simulators: drive ``core`` on a :class:`SimClock`.
+
+    Owns the requeue heap for crashed requests (``crashes`` decides their
+    fate) and the autoscaled pool (``core.fleet``, a prefix of
+    ``session.fleet`` grown and shrunk in place), and folds pool billing,
+    fault downtime and blacklist time into the report at the end.  A core
+    subclass adds its own events through ``next_action_time`` and stays
+    alive past the last dispatch through ``busy``.
+    """
+    fleet, report, requests = session.fleet, session.report, session.requests
+    batch_policy, active = core.batch_policy, core.fleet
+    autoscaling = autoscaler is not None
     clock = SimClock()
     next_index = 0
     total = len(requests)
@@ -1024,7 +1058,7 @@ def simulate_online(
                 continue
             break
 
-    while next_index < total or core.queue or requeue:
+    while next_index < total or core.queue or requeue or core.busy():
         now = clock.now()
         if autoscaling:
             _apply_scaling(now)
@@ -1056,7 +1090,7 @@ def simulate_online(
                         heapq.heappush(requeue, (due, requeue_seq, request))
                         requeue_seq += 1
 
-        if next_index >= total and not core.queue and not requeue:
+        if next_index >= total and not core.queue and not requeue and not core.busy():
             break
         next_event = requests[next_index].arrival_time if next_index < total else math.inf
         deadline = core.next_action_time(now)
@@ -1092,14 +1126,14 @@ def simulate_online(
                 f"batch policy '{batch_policy.name}' left {len(core.queue)} requests stranded"
             )
         requeue_due = bool(requeue) and requeue[0][0] <= now + _EPS
-        if next_event <= now + _EPS and draining and not requeue_due:
+        if next_event <= now + _EPS and draining and not requeue_due and not core.busy():
             raise RuntimeError(f"batch policy '{batch_policy.name}' is not making progress")
         clock.advance_to(next_event)
 
+    horizon = report.makespan_seconds
     if autoscaling:
         # Close every open billing interval at the later of the run's end and
         # the device's own drain instant, then land the totals on the report.
-        horizon = max((r.completion_time for r in report.records), default=0.0)
         for index in list(online_since):
             device = fleet[index]
             off = max(horizon, device.pending_until, online_since[index])
@@ -1108,13 +1142,11 @@ def simulate_online(
             )
         for index, summary in enumerate(report.devices):
             summary.online_seconds = online_seconds.get(index, 0.0)
+    injector = core.fault_injector
     if injector is not None:
-        horizon = max((r.completion_time for r in report.records), default=0.0)
         for index, summary in enumerate(report.devices):
             summary.downtime_s = injector.timeline(index).downtime_before(horizon)
-        blacklisted = getattr(router, "blacklisted_seconds", None)
+        blacklisted = getattr(core.router, "blacklisted_seconds", None)
         if blacklisted is not None:
             for index, summary in enumerate(report.devices):
                 summary.blacklisted_s = blacklisted(index, horizon)
-    session.finish()
-    return report

@@ -34,6 +34,7 @@ fraction of SLO-carrying requests that finished on time) and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from .. import config as global_config
@@ -45,6 +46,7 @@ from .routing import Router
 __all__ = [
     "SLOSpec",
     "assign_deadlines",
+    "ProvablyLate",
     "DeadlineBatcher",
     "CostModelRouter",
 ]
@@ -72,12 +74,11 @@ class SLOSpec:
     per_output_token_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.base_s < 0:
-            raise ValueError("base_s must be >= 0")
-        if self.per_token_s < 0:
-            raise ValueError("per_token_s must be >= 0")
-        if self.per_output_token_s < 0:
-            raise ValueError("per_output_token_s must be >= 0")
+        for name in ("base_s", "per_token_s", "per_output_token_s"):
+            value = getattr(self, name)
+            # ``nan < 0`` is False: a NaN budget would stamp NaN deadlines.
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be a finite number >= 0")
 
     def budget_seconds(self, length: int, output_len: int = 1) -> float:
         """The latency budget for a request of ``length`` prompt tokens."""
@@ -116,6 +117,42 @@ def assign_deadlines(requests: list[Request], slo: SLOSpec) -> list[Request]:
     ]
 
 
+class ProvablyLate:
+    """Could no device meet a request's deadline, even serving it alone now?
+
+    True when every device's earliest start (``next_start(now)``) plus its
+    own single-request estimate overshoots the deadline.  Start clocks only
+    move later and the queue ahead is ignored, so the bound is optimistic:
+    a request judged late is unsalvageable.  The EDF batchers shed such
+    requests; the dispatch core's ``shed_on_predicted_miss`` gate sheds them
+    on arrival.  The fleet is snapshotted at construction.
+    """
+
+    def __init__(self, fleet: list) -> None:
+        self._fleet = [d for d in fleet if hasattr(d, "batch_latency_seconds")]
+        self._estimates: dict[tuple[int, int], float] = {}
+
+    def single_estimate(self, index: int, length: int) -> float:
+        """Memoized single-request service estimate on device ``index``."""
+        key = (index, length)
+        cached = self._estimates.get(key)
+        if cached is None:
+            cached = self._fleet[index].batch_latency_seconds([length])
+            self._estimates[key] = cached
+        return cached
+
+    def __call__(self, request: Request, now: float) -> bool:
+        if request.deadline is None or not self._fleet:
+            return False
+        deadline = request.deadline + _TIME_EPS
+        for index, device in enumerate(self._fleet):
+            next_start = getattr(device, "next_start", None)
+            start = next_start(now) if next_start is not None else now
+            if start + self.single_estimate(index, request.length) <= deadline:
+                return False
+        return True
+
+
 @register("batch-policy", "deadline", aliases=("edf", "slo"))
 @dataclass
 class DeadlineBatcher(BatchPolicy):
@@ -150,6 +187,7 @@ class DeadlineBatcher(BatchPolicy):
     _fleet: list = field(default_factory=list, repr=False)
     _shed: list[Request] = field(default_factory=list, repr=False)
     _estimates: dict = field(default_factory=dict, repr=False)
+    _late: ProvablyLate | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -163,6 +201,7 @@ class DeadlineBatcher(BatchPolicy):
         self._fleet = [d for d in fleet if hasattr(d, "batch_latency_seconds")]
         self._shed = []
         self._estimates = {}
+        self._late = ProvablyLate(self._fleet)
 
     # ------------------------------------------------------------------
     # Cost estimates (through the Device protocol)
@@ -188,34 +227,6 @@ class DeadlineBatcher(BatchPolicy):
                 )
             self._estimates[key] = cached
         return cached
-
-    def _single_estimate(self, index: int, length: int) -> float:
-        """Memoized single-request service estimate on fleet device ``index``."""
-        key = ("single", index, length)
-        cached = self._estimates.get(key)
-        if cached is None:
-            cached = self._fleet[index].batch_latency_seconds([length])
-            self._estimates[key] = cached
-        return cached
-
-    def _provably_late(self, request: Request, now: float) -> bool:
-        """No device could meet the deadline, even dispatched alone right now.
-
-        Provable because a batch dispatched at ``now`` cannot start before
-        the device's admission clock (``next_start(now)``), and that clock
-        only moves *later* as more batches dispatch; so if every device's
-        earliest start plus its own single-request service estimate already
-        overshoots the deadline, the request is unsalvageable.
-        """
-        if request.deadline is None:
-            return False
-        deadline = request.deadline + _TIME_EPS
-        for index, device in enumerate(self._fleet):
-            next_start = getattr(device, "next_start", None)
-            start = next_start(now) if next_start is not None else now
-            if start + self._single_estimate(index, request.length) <= deadline:
-                return False
-        return True
 
     @staticmethod
     def _edf_key(request: Request) -> tuple:
@@ -250,15 +261,19 @@ class DeadlineBatcher(BatchPolicy):
         # progress guarantee holds).
         return max(action, now)
 
-    def form_batch(
-        self, queue: list[Request], now: float, draining: bool
-    ) -> list[Request] | None:
+    def _shed_late(self, queue: list[Request], now: float) -> None:
+        """Move every provably-late request from ``queue`` to the shed list."""
         if self.shed_late and self._fleet:
-            late = [r for r in queue if self._provably_late(r, now)]
+            late = [r for r in queue if self._late(r, now)]
             if late:
                 dropped = {r.request_id for r in late}
                 queue[:] = [r for r in queue if r.request_id not in dropped]
                 self._shed.extend(late)
+
+    def form_batch(
+        self, queue: list[Request], now: float, draining: bool
+    ) -> list[Request] | None:
+        self._shed_late(queue, now)
         if not queue:
             return None
         ordered = sorted(queue, key=self._edf_key)

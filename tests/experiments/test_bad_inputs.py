@@ -137,3 +137,21 @@ def test_cli_reports_component_knobs_as_config_errors(argv, message, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+#: ``repro live`` flags the gateway rejects while it is being built.
+LIVE_ARGV = {
+    "batch-size": (["--batch-size", "0"], "batch_size must be >= 1"),
+    "max-queue-depth": (["--max-queue-depth", "0"], "max_queue_depth must be >= 1"),
+    "timeout": (["--timeout-ms", "-5"], "timeout_s must be >= 0"),
+    "devices": (["--devices", "nope"], "Unknown device 'nope'"),
+    "slo-nan": (["--slo-ms", "nan"], "base_s must be a finite number"),
+}
+
+
+@pytest.mark.parametrize("flags, message", LIVE_ARGV.values(), ids=LIVE_ARGV.keys())
+def test_live_reports_bad_flags_as_config_errors(flags, message, capsys):
+    with deadline(), pytest.raises(SystemExit) as excinfo:
+        main(["live", "--port", "0", *flags])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err

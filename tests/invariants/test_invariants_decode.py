@@ -1,9 +1,9 @@
 """Cross-scenario invariants of the two-phase (prefill/decode) engine.
 
-The decode engine shares the dispatch core but runs its own prefill path
-and iteration-level admission, so the conservation / immutability / work
-invariants are re-asserted here over a subset of the scenario space (fault
-injection is a sim/live feature; the decode engine has no injector).
+The decode engine runs on the simulator's dispatch core and event loop but
+adds KV admission and iteration-level decode steps, so the conservation /
+immutability / work invariants are re-asserted here over a subset of the
+scenario space (fault injection is not wired through the decode engine).
 """
 
 from __future__ import annotations

@@ -102,6 +102,40 @@ class TestEndpoints:
         assert statuses.count((200, "queued")) == 2
         assert statuses.count((429, "shed")) == 4
 
+    def test_bad_request_fields_are_400(self):
+        """Malformed fields get a 400 naming the field; the server keeps serving."""
+        bad_bodies = [
+            ({"length": 8, "output_len": "x"}, "output_len"),
+            ({"length": 8, "output_len": 0}, "output_len"),
+            ({"length": 8, "output_len": 2.5}, "output_len"),
+            ({"length": 8, "slo_ms": "abc"}, "slo_ms"),
+            ({"length": 8, "slo_ms": float("nan")}, "slo_ms"),
+            ({"length": 8, "slo_ms": float("inf")}, "slo_ms"),
+            ({"length": 8, "slo_ms": -1.0}, "slo_ms"),
+            ({"length": float("inf")}, "length"),
+        ]
+
+        async def scenario():
+            server = await _server(batch_policy=FixedSizeBatcher(batch_size=1))
+            host, port = server.host, server.port
+            replies = [
+                await http_json(host, port, "POST", "/v1/requests", body)
+                for body, _ in bad_bodies
+            ]
+            good = await http_json(
+                host, port, "POST", "/v1/requests", {"length": 8, "slo_ms": 500, "wait": True}
+            )
+            _, final = await http_json(host, port, "POST", "/shutdown")
+            await server.serve_until_shutdown()
+            return replies, good, final
+
+        replies, good, final = asyncio.run(scenario())
+        for (status, payload), (body, field) in zip(replies, bad_bodies):
+            assert status == 400, body
+            assert field in payload["error"], (body, payload)
+        assert good[0] == 200 and good[1]["status"] == "completed"
+        assert final["num_requests"] == 1
+
     def test_draining_returns_503_and_errors_are_4xx(self):
         async def scenario():
             server = await _server()

@@ -71,6 +71,14 @@ class TestRequestDeadlines:
             SLOSpec(per_token_s=-1e-6)
 
 
+    @pytest.mark.parametrize("knob", ["base_s", "per_token_s", "per_output_token_s"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_spec_rejects_non_finite_budgets(self, knob, value):
+        # NaN slips past a plain `< 0` check and would stamp NaN deadlines.
+        with pytest.raises(ValueError, match="finite"):
+            SLOSpec(**{knob: value})
+
+
 class TestAttainmentAccounting:
     def test_no_slo_reports_none(self):
         report = simulate_online(
@@ -239,7 +247,7 @@ class TestDeadlineBatcher:
         policy = DeadlineBatcher(batch_size=16)
         policy.bind_fleet([_Stub(per_token=1.0), _Stub(per_token=10.0)])
         batch_estimate = policy._estimate((1, 40))  # fleet min: 41.0
-        single_on_slow = policy._single_estimate(1, 40)  # device 1: 400.0
+        single_on_slow = policy._late.single_estimate(1, 40)  # device 1: 400.0
         assert batch_estimate == pytest.approx(41.0)
         assert single_on_slow == pytest.approx(400.0)
 

@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import config as global_config
-from ..devices import BatchExecution, Device
+from ..devices import Device
 from ..hardware.accelerator import Accelerator
 from ..transformer.configs import DatasetConfig
 from ..serving.arrivals import ArrivalProcess
@@ -408,14 +408,8 @@ class _DecodeCore(DispatchCore):
         contexts = [member.context_length for member in state.running]
         latency = device.decode_step_latency_seconds(contexts)
         start = device.next_start(now)
-        execution = BatchExecution(
-            device=device.name,
-            lengths=contexts,
-            latency_seconds=latency,
-            completion_offsets=[latency] * len(contexts),
-            admit_seconds=latency,
-        )
-        device.dispatch(execution, start)
+        # A step admits nothing until it ends: book the window directly.
+        device.book_interval(start, start + latency)
         state.step_members = list(state.running)
         state.step_end = start + latency
         state.num_steps += 1

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .. import config as global_config
@@ -164,6 +165,7 @@ class CycleAccurateDevice(Device):
             float(accelerator.clock_hz),
         )
         self._scheduler_key = _scheduler_cache_key(self.scheduler)
+        self._key_rows: dict[int, tuple[int, tuple[int, ...]]] = {}
         super().__init__(
             max_batch_size=max_batch_size,
             max_batch_tokens=max_batch_tokens,
@@ -196,6 +198,22 @@ class CycleAccurateDevice(Device):
     def kv_read_bandwidth(self) -> float:
         return self.hbm.effective_bandwidth
 
+    @cached_property
+    def _decode_roofline(self) -> tuple[float, float, float]:
+        """(weight-stream seconds, ops per request, peak ops/s) of a step.
+
+        Per-device constants, computed once: the design's stages and clock
+        are fixed once the factory returns (the same premise as the
+        accelerator's stage-row memo and the cache key's structure part).
+        """
+        model = self.accelerator.model_config
+        weight_bytes = model.num_parameters * (global_config.MODEL_QUANT_BITS // 8)
+        return (
+            weight_bytes / self.kv_read_bandwidth(),
+            2.0 * model.num_parameters,
+            self.accelerator.peak_ops(),
+        )
+
     def decode_compute_seconds(self, batch_size: int) -> float:
         """Weight-side work of one step: batched GEMV through the stack.
 
@@ -203,13 +221,8 @@ class CycleAccurateDevice(Device):
         step sits on a roofline between the weight-stream time and the MAC
         time at the design's peak rate.
         """
-        model = self.accelerator.model_config
-        weight_bytes = model.num_parameters * (global_config.MODEL_QUANT_BITS // 8)
-        weight_seconds = weight_bytes / self.kv_read_bandwidth()
-        mac_seconds = (
-            batch_size * 2.0 * model.num_parameters / self.accelerator.peak_ops()
-        )
-        return max(weight_seconds, mac_seconds)
+        weight_seconds, ops_per_request, peak_ops = self._decode_roofline
+        return max(weight_seconds, batch_size * ops_per_request / peak_ops)
 
     def reset(self, continuous_batching: bool = False) -> None:
         super().reset(continuous_batching=continuous_batching)
@@ -241,15 +254,26 @@ class CycleAccurateDevice(Device):
         """
         return getattr(self.scheduler, "cache_canonicalization", "exact")
 
+    def _key_row(self, length: int) -> tuple[int, tuple[int, ...]]:
+        """``(length, stage latency row)``: one length's part of a cache key.
+
+        Memoized per length (bounded by the distinct lengths a device sees),
+        like the accelerator's own row memo it reads.
+        """
+        row = self._key_rows.get(length)
+        if row is None:
+            row = self._key_rows[length] = (
+                length,
+                self.accelerator.stage_latency_row(length),
+            )
+        return row
+
     def _cache_key(self, canonical: tuple[int, ...]) -> tuple:
-        rows = tuple(
-            (length, self.accelerator.stage_latency_row(length))
-            for length in sorted(set(canonical))
-        )
+        key_row = self._key_row
+        rows = tuple(map(key_row, sorted(set(canonical))))
         pad_to = getattr(self.scheduler, "pad_to", None)
         if pad_to is not None:
-            pad_to = int(pad_to)
-            rows += ((pad_to, self.accelerator.stage_latency_row(pad_to)),)
+            rows += (key_row(int(pad_to)),)
         return (canonical, rows, self._structure_key, self._scheduler_key)
 
     def _simulate_canonical(self, canonical: tuple[int, ...]) -> _CanonicalSchedule:
@@ -281,8 +305,21 @@ class CycleAccurateDevice(Device):
             return sort_batch_by_length(list(billed), descending=False)
         return None
 
-    def execute(self, lengths: Sequence[int]) -> BatchExecution:
-        call = tuple(int(x) for x in lengths)
+    def _canonical_entry(
+        self, lengths: Sequence[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...], str, _CanonicalSchedule]:
+        """Canonicalize one batch and fetch (or simulate) its cached schedule.
+
+        The one place a batch touches the schedule cache: :meth:`execute`
+        and the latency-only queries all come through here, so each query
+        is exactly one lookup, one hit or miss on the device and the shared
+        cache, and one stamped probe.  Returns the call's lengths, the
+        billed (quantized) lengths, the canonicalization mode and the entry.
+        """
+        call = tuple(map(int, lengths))
+        if not call:
+            # Before the cache: an empty batch is no lookup, hit or miss.
+            raise ValueError("a batch needs at least one request")
         if self.cache_length_bucket is None:
             billed = call
         else:
@@ -326,6 +363,10 @@ class CycleAccurateDevice(Device):
         if use_cache:
             self.cache_probe_total += 1
             self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))
+        return call, billed, mode, entry
+
+    def execute(self, lengths: Sequence[int]) -> BatchExecution:
+        call, billed, mode, entry = self._canonical_entry(lengths)
         order = self._issue_order(billed, mode)
         if order is None:
             offsets = list(entry.slot_completion_seconds)
@@ -343,6 +384,18 @@ class CycleAccurateDevice(Device):
             energy_joules=entry.latency_seconds * self.power_watts,
             schedule=entry.result,
         )
+
+    def batch_latency_seconds(self, lengths: Sequence[int]) -> float:
+        """``execute(lengths).latency_seconds`` from the cached entry alone.
+
+        Same lookup and cache accounting as :meth:`execute`, without the
+        issue order, the per-request offsets or a :class:`BatchExecution`.
+        """
+        return self._canonical_entry(lengths)[3].latency_seconds
+
+    def energy_joules(self, lengths: Sequence[int]) -> float:
+        """``execute(lengths).energy_joules`` from the cached entry alone."""
+        return self._canonical_entry(lengths)[3].latency_seconds * self.power_watts
 
     def schedule_cache_stats(self) -> dict | None:
         """Per-run hit/miss counters (reset with the serving clocks).
@@ -460,21 +513,30 @@ class AnalyticalDevice(Device):
             return float(self.mem_bandwidth_bytes)
         return global_config.DEFAULT_ANALYTICAL_MEM_BANDWIDTH
 
-    def decode_compute_seconds(self, batch_size: int) -> float:
-        """Weight-side roofline of one step (fp16 weights stream once)."""
-        if self.model_config is None:
-            return 0.0
+    @cached_property
+    def _decode_roofline(self) -> tuple[float, float, float | None]:
+        """(weight-stream seconds, ops per request, peak ops/s or None).
+
+        Per-device constants of a step, computed once (the platform and the
+        model are fixed at construction).
+        """
         weight_bytes = (
             self.model_config.num_parameters
             * global_config.KV_BYTES_PER_ELEMENT_ANALYTICAL
         )
-        weight_seconds = weight_bytes / self.kv_read_bandwidth()
         gops = getattr(self.platform, "effective_gops", None)
-        mac_seconds = (
-            0.0
-            if gops is None
-            else batch_size * 2.0 * self.model_config.num_parameters / (gops * 1e9)
+        return (
+            weight_bytes / self.kv_read_bandwidth(),
+            2.0 * self.model_config.num_parameters,
+            None if gops is None else gops * 1e9,
         )
+
+    def decode_compute_seconds(self, batch_size: int) -> float:
+        """Weight-side roofline of one step (fp16 weights stream once)."""
+        if self.model_config is None:
+            return 0.0
+        weight_seconds, ops_per_request, peak_ops = self._decode_roofline
+        mac_seconds = 0.0 if peak_ops is None else batch_size * ops_per_request / peak_ops
         return max(weight_seconds, mac_seconds)
 
     def _platform_result(self, lengths: list[int]) -> PlatformResult:

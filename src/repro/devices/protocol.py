@@ -33,6 +33,7 @@ of that single method, so adapters stay pure cost models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -234,25 +235,17 @@ class Device:
         return int(total_tokens) * per_token
 
     def decode_compute_seconds(self, batch_size: int) -> float:
-        """Compute-side floor of one decode step for ``batch_size`` requests."""
+        """Compute-side floor of one decode step for ``batch_size`` requests.
+
+        It runs on every decode step, so backends derive it from per-device
+        constants computed once: the weight-stream time and the ops per
+        request over the peak rate.
+        """
         return 0.0
 
     def supports_decode(self) -> bool:
         """Whether this backend models the decode phase at all."""
         return self.kv_bytes_per_token() is not None and self.kv_read_bandwidth() is not None
-
-    def effective_kv_tokens(self, context_length: int) -> int:
-        """KV rows actually read per step for one request's context.
-
-        Top-k sparse attention caps the reads at ``decode_top_k`` rows: the
-        pre-selection picks the k highest-scoring keys, so a long context
-        costs no more bandwidth than a k-token one (the paper's accuracy knob
-        becomes a serving-capacity knob).
-        """
-        context = max(int(context_length), 0)
-        if self.decode_top_k is None:
-            return context
-        return min(context, int(self.decode_top_k))
 
     def prefill_latency_seconds(self, lengths: Sequence[int]) -> float:
         """Service time of the prompt pass (reuses the encoder batch path)."""
@@ -261,27 +254,36 @@ class Device:
     def decode_step_latency_seconds(self, context_lengths: Sequence[int]) -> float:
         """One iteration of the running batch: generate one token per request.
 
-        Each request streams ``effective_kv_tokens(context) *
-        kv_bytes_per_token()`` of KV rows on top of the weight-side work of
-        the dense stack (``decode_compute_seconds``).  The two are additive:
+        Each request streams ``min(context, decode_top_k) *
+        kv_bytes_per_token()`` of KV rows -- top-k sparse attention reads at
+        most the k highest-scoring keys, so a long context costs no more
+        bandwidth than a k-token one (the paper's accuracy knob becomes a
+        serving-capacity knob) -- on top of the weight-side work of the
+        dense stack (``decode_compute_seconds``).  The two are additive:
         within every layer the QKV projection, the KV-reading attention, and
         the FFN form a dependency chain, so the KV stream cannot hide behind
         the weight pass.  A fixed control overhead closes the step.
         """
-        contexts = [int(c) for c in context_lengths]
-        if not contexts:
+        top_k = self.decode_top_k
+        cap = math.inf if top_k is None else int(top_k)
+        batch_size = tokens = 0
+        # One pass: validate each context and add its capped KV rows.
+        for context in context_lengths:
+            context = int(context)
+            if context < 1:
+                raise ValueError("decode context lengths must be >= 1")
+            tokens += context if context < cap else cap
+            batch_size += 1
+        if not batch_size:
             raise ValueError("a decode step needs at least one running request")
-        if any(c < 1 for c in contexts):
-            raise ValueError("decode context lengths must be >= 1")
         per_token = self.kv_bytes_per_token()
         bandwidth = self.kv_read_bandwidth()
         if per_token is None or bandwidth is None:
             raise NotImplementedError(
                 f"device '{self.name}' ({self.backend}) has no decode cost model"
             )
-        kv_bytes = per_token * sum(self.effective_kv_tokens(c) for c in contexts)
-        read_seconds = kv_bytes / bandwidth
-        compute_seconds = self.decode_compute_seconds(len(contexts))
+        read_seconds = per_token * tokens / bandwidth
+        compute_seconds = self.decode_compute_seconds(batch_size)
         return read_seconds + compute_seconds + self.decode_step_overhead_s
 
     @property

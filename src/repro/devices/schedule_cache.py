@@ -101,7 +101,7 @@ def quantize_lengths(lengths: tuple[int, ...], bucket: int) -> tuple[int, ...]:
         raise ValueError("cache_length_bucket must be >= 1")
     if bucket == 1:
         return lengths
-    return tuple(-(-length // bucket) * bucket for length in lengths)
+    return tuple([-(-length // bucket) * bucket for length in lengths])
 
 
 class ScheduleCache:

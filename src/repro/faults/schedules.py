@@ -27,6 +27,7 @@ byte-identical to runs without the fault machinery.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,13 +68,19 @@ class DeviceFaultTimeline:
 
     Subclasses generate *offline windows* ``(crash_time, recover_time)`` in
     :meth:`_extend`; windows must be emitted in order and non-overlapping
-    (renewal processes are, by construction).  The base class is the
-    identity timeline: always online, multiplier 1.0.
+    (renewal processes are, by construction).  A subclass that materializes
+    its windows up front indexes them with :meth:`_index_windows`.  The base
+    class is the identity timeline: always online, multiplier 1.0.
     """
 
     def __init__(self) -> None:
         #: Offline windows generated so far, in start order.
         self._windows: list[tuple[float, float]] = []
+        #: Bisect index over the windows, kept in step by :meth:`_ensure`:
+        #: each window's crash time, and the latest recovery among it and
+        #: every window before it.
+        self._crashes: list[float] = []
+        self._reach: list[float] = []
         self._horizon = 0.0
 
     # -- generation ----------------------------------------------------
@@ -85,6 +92,14 @@ class DeviceFaultTimeline:
         if until > self._horizon:
             self._extend(until)
             self._horizon = until
+            self._index_windows()
+
+    def _index_windows(self) -> None:
+        """Extend the bisect index over windows generated since the last call."""
+        crashes, reach = self._crashes, self._reach
+        for crash, recover in self._windows[len(crashes) :]:
+            crashes.append(crash)
+            reach.append(max(reach[-1], recover) if reach else recover)
 
     # -- queries the serving engines use -------------------------------
 
@@ -93,16 +108,22 @@ class DeviceFaultTimeline:
         return 1.0
 
     def next_online(self, t: float) -> float:
-        """Earliest instant >= ``t`` at which the device is online."""
-        self._ensure(t)
+        """Earliest instant >= ``t`` at which the device is online.
+
+        Bisects the windows opened by ``t``: the device is offline at ``t``
+        exactly when one of them recovers later, and then the latest such
+        recovery is the next instant to test (back-to-back windows chain).
+        """
+        if t > self._horizon:
+            self._ensure(t)
+        crashes, reach = self._crashes, self._reach
         online = t
-        for crash, recover in self._windows:
-            if crash > online:
-                break
-            if crash <= online < recover:
-                online = recover
-                self._ensure(online)
-        return online
+        while True:
+            opened = bisect_right(crashes, online)
+            if not opened or reach[opened - 1] <= online:
+                return online
+            online = reach[opened - 1]
+            self._ensure(online)
 
     def first_crash_in(self, start: float, end: float) -> tuple[float, float] | None:
         """First ``(crash_time, recover_time)`` with crash in ``[start, end)``."""
@@ -228,6 +249,7 @@ class _ScriptedTimeline(DeviceFaultTimeline):
     ) -> None:
         super().__init__()
         self._windows = sorted((crash, crash + downtime) for crash, downtime in crashes)
+        self._index_windows()
         self._slowdowns = sorted(slowdowns)
         self._horizon = float("inf")  # fully materialized up front
 
@@ -260,7 +282,11 @@ class _CompositeTimeline(DeviceFaultTimeline):
     def next_online(self, t: float) -> float:
         online = t
         while True:
-            moved = max(child.next_online(online) for child in self._children)
+            moved = online
+            for child in self._children:
+                candidate = child.next_online(online)
+                if candidate > moved:
+                    moved = candidate
             if moved <= online:
                 return online
             online = moved

@@ -15,8 +15,11 @@ The anchor tests here are the two the fault subsystem was built around:
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import build_device, build_fleet
 from repro.faults import (
@@ -25,6 +28,7 @@ from repro.faults import (
     ScriptedFaults,
     StragglerFaults,
     ThermalThrottleFaults,
+    compose_timelines,
     get_fault_schedule,
 )
 from repro.serving import (
@@ -141,6 +145,83 @@ class TestScheduleDeterminism:
             ScriptedFaults(crashes=((0, 1.0, 0.0),))
         with pytest.raises(ValueError):
             ScriptedFaults(slowdowns=((0, 2.0, 1.0, 1.5),))
+
+
+def _scanned_next_online(timeline, t: float) -> float:
+    """Reference ``next_online``: walk the windows from the first one."""
+    timeline._ensure(t)
+    online = t
+    for crash, recover in timeline._windows:
+        if crash > online:
+            break
+        if crash <= online < recover:
+            online = recover
+            timeline._ensure(online)
+    return online
+
+
+@st.composite
+def _scripted_crashes(draw) -> ScriptedFaults:
+    """Crash windows on device 0 that may touch (recover == next crash),
+    leave a gap, or overlap the previous window."""
+    crash = draw(st.floats(0.0, 1.0))
+    crashes = []
+    for _ in range(draw(st.integers(0, 8))):
+        downtime = draw(st.floats(0.01, 1.0))
+        crashes.append((0, crash, downtime))
+        gap = draw(st.sampled_from([0.0, 0.3, -0.5 * downtime]))
+        crash = max(crash + downtime + gap, 0.0)
+    return ScriptedFaults(crashes=tuple(crashes))
+
+
+def _query_times(data, timelines) -> float:
+    """A time to query: arbitrary, or exactly a crash or recover instant."""
+    instants = sorted({x for timeline in timelines for w in timeline._windows for x in w})
+    anytime = st.floats(0.0, 12.0)
+    return data.draw(anytime | st.sampled_from(instants) if instants else anytime)
+
+
+_RENEWAL = st.builds(
+    CrashRestartFaults, mtbf_s=st.floats(0.05, 2.0), downtime_s=st.floats(0.01, 1.0)
+)
+
+
+class TestNextOnline:
+    """The bisected ``next_online`` equals the linear scan it replaced."""
+
+    @given(data=st.data(), schedule=_RENEWAL | _scripted_crashes(), seed=st.integers(0, 99))
+    @settings(max_examples=60, deadline=None)
+    def test_bisect_matches_linear_scan(self, data, schedule, seed):
+        bisected = schedule.build_timeline(0, seed)
+        scanned = schedule.build_timeline(0, seed)
+        for _ in range(data.draw(st.integers(1, 20))):
+            t = _query_times(data, [scanned])
+            assert bisected.next_online(t) == _scanned_next_online(scanned, t)
+            # Lazy extension generated the same history on both.
+            assert bisected._windows == scanned._windows
+
+    @given(
+        data=st.data(), renewal=_RENEWAL, scripted=_scripted_crashes(), seed=st.integers(0, 99)
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_composite_matches_linear_scan(self, data, renewal, scripted, seed):
+        bisected = compose_timelines(
+            [renewal.build_timeline(0, seed), scripted.build_timeline(0, seed, 1)]
+        )
+        children = [renewal.build_timeline(0, seed), scripted.build_timeline(0, seed, 1)]
+        for child in children:
+            child.next_online = partial(_scanned_next_online, child)
+        scanned = compose_timelines(children)
+        for _ in range(data.draw(st.integers(1, 20))):
+            t = _query_times(data, children)
+            assert bisected.next_online(t) == scanned.next_online(t)
+
+    def test_back_to_back_windows_chain(self):
+        timeline = ScriptedFaults(crashes=((0, 1.0, 0.5), (0, 1.5, 0.25))).build_timeline(0, 0)
+        assert timeline.next_online(1.0) == 1.75  # at a crash instant
+        assert timeline.next_online(1.2) == 1.75  # recover == next crash
+        assert timeline.next_online(1.75) == 1.75  # at the last recovery
+        assert timeline.next_online(0.5) == 0.5
 
 
 class TestCrashAccounting:

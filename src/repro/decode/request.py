@@ -35,6 +35,16 @@ class DecodeRequest(Request):
         if self.output_len < 1:
             raise ValueError("output_len must be >= 1")
 
+    def restamped(self, deadline: float | None, request_class: str | None) -> "DecodeRequest":
+        return DecodeRequest(
+            self.request_id,
+            self.length,
+            self.arrival_time,
+            deadline,
+            request_class,
+            self.output_len,
+        )
+
     @property
     def total_tokens(self) -> int:
         """Prompt plus every generated token: the KV-cache reservation."""

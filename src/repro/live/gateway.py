@@ -268,23 +268,17 @@ class LiveGateway:
                 request_class=cls.name if cls is not None else None,
             )
         if slo_ms is not None:
-            request = self._with_deadline(request, now + slo_ms / 1e3)
+            request = request.restamped(now + slo_ms / 1e3, request.request_class)
         elif cls is not None and cls.slo is not None:
-            request = self._with_deadline(request, cls.slo.deadline_for(request))
+            request = request.restamped(cls.slo.deadline_for(request), request.request_class)
         elif self.slo is not None:
-            request = self._with_deadline(request, self.slo.deadline_for(request))
+            request = request.restamped(self.slo.deadline_for(request), request.request_class)
         self.report.num_requests += 1
         status = self.core.offer(request, now)
         self.core.note_queue_depth(now)
         if status == "queued":
             self._wake.set()
         return SubmitResult(status=status, request=request)
-
-    @staticmethod
-    def _with_deadline(request: Request, deadline: float) -> Request:
-        from dataclasses import replace
-
-        return replace(request, deadline=deadline)
 
     async def wait_for(self, request_id: int) -> RequestRecord:
         """Await the completion record of an admitted request."""

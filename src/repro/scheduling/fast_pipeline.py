@@ -28,9 +28,20 @@ block per encoder layer; since all layers carry identical work, the block
 recurrence reaches an exactly periodic steady state (the max-plus cycle
 time), which is detected and the remaining layers extrapolated in O(1).
 
+Small unreplicated layer-periodic workloads (the serving batches: at most
+``_SMALL_PERIOD`` distinct sequences per layer) skip NumPy for a slot-major
+scalar solver: each slot carries its completion through every stage against
+the per-stage tails, and its last-stage completion gates its next-layer
+entry directly.  The extrapolation applies there too, but fires on small
+batches only (all MRPC batches of one or two sequences, nearly all of three,
+a few percent of four, none from five up): the entry stage's cycle time is
+shorter than the last stage's, so it drifts ahead and the layer-over-layer
+shift stays non-uniform.
+
 Exactness: every completion cycle equals the reference implementation's
 bit-for-bit (integer arithmetic throughout); the equivalence is pinned by
-``tests/scheduling/test_fast_pipeline.py``.  Unsupported parameter
+``tests/scheduling/test_fast_pipeline.py`` (the block path, the scalar path
+and the extrapolation on both).  Unsupported parameter
 combinations (finite ``buffer_slots`` under pipelining) raise
 :class:`FastPathUnsupported` and the caller falls back to the reference.
 """
@@ -465,92 +476,99 @@ def _assemble(
 
 
 #: Below this many slots per layer, plain Python integer recurrences beat
-#: NumPy's per-call overhead (serving batches are often 2-4 sequences).
+#: NumPy's per-call overhead (serving batches are often 2-16 sequences).
 _SMALL_PERIOD = 32
+
+
+def _int_list(values: Sequence[int]) -> list[int]:
+    """``values`` as a list of Python ints (arrays convert in one call)."""
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    return [int(v) for v in values]
+
+
+def _uniform_shift(state: list[int], prev: list[int]) -> int | None:
+    """The common step if ``state`` is ``prev`` shifted uniformly, else None.
+
+    Compares from the tail first: the last stage's tail sets the step and
+    the stage tails sit at the end of the state, so a layer that has not
+    reached its periodic steady state fails within the first few elements.
+    """
+    step = state[-1] - prev[-1]
+    for k in range(len(state) - 2, -1, -1):
+        if state[k] - prev[k] != step:
+            return None
+    return step
 
 
 def _layered_small(
     accelerator: "Accelerator",
-    billed_layer: np.ndarray,
-    seq_layer: np.ndarray,
+    billed: list[int],
+    seq: list[int],
     num_layers: int,
     names: list[str],
 ) -> FastSchedule:
-    """Scalar solver for small, unreplicated layer-periodic workloads.
+    """Slot-major scalar solver for small, unreplicated layer-periodic workloads.
 
     Identical integer recurrence as the NumPy path (and the reference), but
-    with Python ints: for a 3-sequence batch the whole schedule is a few
-    dozen scalar operations, far below NumPy's per-ufunc overhead.  The same
-    steady-state extrapolation applies.
+    with Python ints.  Each slot carries its completion through every stage
+    against the per-stage tails (the previous job's completion there).  Slot
+    ``i`` is the same sequence in every layer, so its last-stage completion
+    gates its next-layer entry directly, with no per-layer permutation.  The
+    same steady-state extrapolation applies (the module docstring says when
+    it fires); stage first starts are the prefix sums of slot 0's row.
     """
-    period = int(billed_layer.size)
-    num_stages = len(names)
-    billed = [int(x) for x in billed_layer]
-    seq = [int(x) for x in seq_layer]
-    row_of = {length: accelerator.stage_latencies(length) for length in set(billed)}
-    # lat_s[s][i]: latency of slot i at stage s.
-    lat_s = [[row_of[length][s] for length in billed] for s in range(num_stages)]
-    ids_sorted = sorted(set(seq))
-    compact = {sid: i for i, sid in enumerate(ids_sorted)}
-    slot_to_compact = [compact[s] for s in seq]
-
-    seq_done = [0] * period
-    tails = [0] * num_stages
-    first_ends: list[int] = []
-    prev_state: tuple[int, ...] | None = None
+    period = len(billed)
+    rows = [accelerator.stage_latency_row(length) for length in billed]
+    done = [0] * period  # done[i]: slot i's completion at the last stage
+    tails = [0] * len(names)  # tails[s]: the previous job's completion at s
+    stages = range(len(names))
+    prev_state: list[int] | None = None
     layer = 0
     while layer < num_layers:
-        ready = [seq_done[c] for c in slot_to_compact]
-        for s in range(num_stages):
-            carry = tails[s]
-            row = lat_s[s]
-            for i in range(period):
-                gate = ready[i]
-                carry = (gate if gate > carry else carry) + row[i]
-                ready[i] = carry
-            tails[s] = carry
-            if layer == 0:
-                first_ends.append(ready[0])
-        for i in range(period):
-            seq_done[slot_to_compact[i]] = ready[i]
+        for i, row in enumerate(rows):
+            t = done[i]
+            for s in stages:
+                tail = tails[s]
+                t = (t if t > tail else tail) + row[s]
+                tails[s] = t
+            done[i] = t
         if layer >= 1:
-            state = (*seq_done, *tails)
+            state = done + tails
             if prev_state is not None:
-                step = state[0] - prev_state[0]
-                if all(a - b == step for a, b in zip(state, prev_state)):
+                step = _uniform_shift(state, prev_state)
+                if step is not None:
                     shift = step * (num_layers - 1 - layer)
-                    seq_done = [value + shift for value in seq_done]
+                    done = [value + shift for value in done]
                     tails = [value + shift for value in tails]
                     break
             prev_state = state
         layer += 1
 
-    stage_busy = {
-        name: num_layers * sum(lat_s[s]) for s, name in enumerate(names)
-    }
-    stage_first = {
-        name: first_ends[s] - lat_s[s][0] for s, name in enumerate(names)
-    }
-    stage_last = {name: tails[s] for s, name in enumerate(names)}
+    stage_first: dict[str, int] = {}
+    start = 0
+    for name, lat in zip(names, rows[0]):
+        stage_first[name] = start
+        start += lat
     return FastSchedule(
         num_jobs=period * num_layers,
-        num_stages=num_stages,
+        num_stages=len(names),
         makespan=tails[-1],
         entry_admit_cycles=tails[0],
-        sequence_completion={
-            sid: seq_done[compact[sid]] for sid in ids_sorted
-        },
+        sequence_completion=dict(sorted(zip(seq, done))),
         stage_label_order=list(names),
-        stage_busy=stage_busy,
+        stage_busy={
+            name: num_layers * sum(column) for name, column in zip(names, zip(*rows))
+        },
         stage_first_start=stage_first,
-        stage_last_end=stage_last,
+        stage_last_end=dict(zip(names, tails)),
     )
 
 
 def simulate_fast_layered(
     accelerator: "Accelerator",
-    slot_billed: np.ndarray,
-    slot_sequences: np.ndarray,
+    slot_billed: Sequence[int],
+    slot_sequences: Sequence[int],
     num_layers: int,
     pipelined: bool = True,
     buffer_slots: int | None = None,
@@ -558,18 +576,22 @@ def simulate_fast_layered(
     """Specialized entry for layer-periodic workloads (all batch schedulers).
 
     ``slot_billed`` / ``slot_sequences`` describe one layer's issue slots;
-    every layer repeats the same pattern.  Latency tables, block bounds, and
-    chain busy sums are computed on one layer only and the steady-state
-    extrapolation engages as soon as the layer-over-layer completion delta
-    becomes a uniform shift (the max-plus cycle time).  Falls back to the
-    generic array entry when the structure is not layer-periodic (replication
-    not dividing the batch, repeated sequences inside a layer).
+    every layer repeats the same pattern.  Small unreplicated pipelined
+    layers (at most ``_SMALL_PERIOD`` distinct sequences, the serving
+    batches) go to the slot-major scalar solver on plain lists; NumPy only
+    runs on the block path below.  There, latency tables, block bounds, and
+    chain busy sums are computed on one layer only.  Both paths extrapolate
+    the remaining layers in O(1) as soon as the layer-over-layer completion
+    delta becomes a uniform shift (the max-plus cycle time); that happens
+    for batches of one to three sequences, seldom from four up.  Falls back
+    to the generic array entry when the structure is not layer-periodic
+    (replication not dividing the batch, repeated sequences inside a layer).
     """
     if not fast_path_supported(pipelined, buffer_slots):
         raise FastPathUnsupported("finite buffer_slots require the reference engine")
-    billed_layer = np.asarray(slot_billed, dtype=np.int64)
-    seq_layer = np.asarray(slot_sequences, dtype=np.int64)
-    period = int(billed_layer.size)
+    billed = _int_list(slot_billed)
+    seq = _int_list(slot_sequences)
+    period = len(billed)
     if period == 0:
         raise ValueError("simulate_fast_layered needs at least one slot")
     names = [stage.name for stage in accelerator.stages]
@@ -578,9 +600,11 @@ def simulate_fast_layered(
         pipelined
         and period <= _SMALL_PERIOD
         and all(r == 1 for r in replication)
-        and len(set(seq_layer.tolist())) == period
+        and len(set(seq)) == period
     ):
-        return _layered_small(accelerator, billed_layer, seq_layer, num_layers, names)
+        return _layered_small(accelerator, billed, seq, num_layers, names)
+    billed_layer = np.asarray(billed, dtype=np.int64)
+    seq_layer = np.asarray(seq, dtype=np.int64)
     seq_ids, seq_idx = np.unique(seq_layer, return_inverse=True)
     layered_ok = (
         pipelined

@@ -28,9 +28,8 @@ def sort_batch_by_length(lengths: list[int] | np.ndarray, descending: bool = Tru
     The paper feeds sequences in decreasing order of length; ties keep their
     original order so results are deterministic.
     """
-    lengths = list(int(x) for x in lengths)
-    order = sorted(range(len(lengths)), key=lambda i: (-lengths[i], i) if descending else (lengths[i], i))
-    return order
+    # Python's sort is stable under ``reverse=True`` too: ties stay ascending.
+    return sorted(range(len(lengths)), key=lengths.__getitem__, reverse=descending)
 
 
 def build_layer_ordered_jobs(

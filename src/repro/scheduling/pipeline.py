@@ -313,8 +313,8 @@ def simulate_layered(
         else:
             fast = simulate_fast_layered(
                 accelerator,
-                np.asarray(slot_billed, dtype=np.int64),
-                np.asarray(slot_sequences, dtype=np.int64),
+                slot_billed,
+                slot_sequences,
                 num_layers,
                 pipelined=pipelined,
                 buffer_slots=buffer_slots,

@@ -34,7 +34,7 @@ byte-identical shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -192,16 +192,16 @@ def tag_requests(
     deadline; existing deadlines always win.
     """
     rng = np.random.default_rng([seed, _CLASS_SALT])
-    names = [name for name, _ in mix]
+    classes = [get_request_class(name) for name, _ in mix]
     shares = np.asarray([share for _, share in mix], dtype=np.float64)
-    picks = rng.choice(len(names), size=len(requests), p=shares / shares.sum())
+    picks = rng.choice(len(classes), size=len(requests), p=shares / shares.sum())
     tagged = []
-    for request, pick in zip(requests, picks):
-        cls = get_request_class(names[int(pick)])
+    for request, pick in zip(requests, picks.tolist()):
+        cls = classes[pick]
         deadline = request.deadline
         if deadline is None and cls.slo is not None:
             deadline = cls.slo.deadline_for(request)
-        tagged.append(replace(request, request_class=cls.name, deadline=deadline))
+        tagged.append(request.restamped(deadline, cls.name))
     return tagged
 
 

@@ -267,10 +267,18 @@ class OnlineServingReport:
 
     @property
     def makespan_seconds(self) -> float:
-        """Time at which the last request completed."""
-        if not self.records:
-            return 0.0
-        return max(record.completion_time for record in self.records)
+        """Time at which the last request completed.
+
+        Memoized on the record count like :meth:`_metric_array`: report
+        assembly reads it a score of times, and a report still under
+        construction (the live ``/stats`` path) gets the fresh value.
+        """
+        cached = self.__dict__.get("_makespan_memo")
+        if cached is not None and cached[0] == len(self.records):
+            return cached[1]
+        makespan = max((record.completion_time for record in self.records), default=0.0)
+        self.__dict__["_makespan_memo"] = (len(self.records), makespan)
+        return makespan
 
     @property
     def sustained_qps(self) -> float:

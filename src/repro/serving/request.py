@@ -49,6 +49,16 @@ class Request:
         if self.deadline is not None and self.deadline < self.arrival_time:
             raise ValueError("deadline must be at or after arrival_time")
 
+    def restamped(self, deadline: float | None, request_class: str | None) -> "Request":
+        """This request with its deadline and class replaced.
+
+        One constructor call instead of :func:`dataclasses.replace` (whose
+        field introspection dominated stamping large streams);
+        ``__post_init__`` validation still runs.  Subclasses with extra
+        fields override it to carry them over.
+        """
+        return Request(self.request_id, self.length, self.arrival_time, deadline, request_class)
+
     @property
     def slo_seconds(self) -> float | None:
         """The latency budget this request arrived with (deadline - arrival)."""

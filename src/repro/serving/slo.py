@@ -35,7 +35,7 @@ fraction of SLO-carrying requests that finished on time) and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .. import config as global_config
 from ..registry import register
@@ -111,8 +111,9 @@ def assign_deadlines(requests: list[Request], slo: SLOSpec) -> list[Request]:
     Requests that already carry a deadline (an explicit stream or a trace
     with recorded SLOs) keep it; only deadline-less requests are stamped.
     """
+    deadline_for = slo.deadline_for
     return [
-        r if r.deadline is not None else replace(r, deadline=slo.deadline_for(r))
+        r if r.deadline is not None else r.restamped(deadline_for(r), r.request_class)
         for r in requests
     ]
 

@@ -9,6 +9,8 @@ must fall back to the reference transparently.
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.scheduling.baselines import (
     PaddedScheduler,
     SequentialScheduler,
 )
+from repro.scheduling import fast_pipeline
 from repro.scheduling.fast_pipeline import (
     FastPathUnsupported,
     fast_path_supported,
@@ -115,7 +118,11 @@ class TestVectorizedEquivalence:
             )
             assert fast.makespan_cycles == ref.makespan
 
-    def test_every_scheduler_matches_reference_engine(self, replicated_accelerator, monkeypatch):
+    @pytest.mark.parametrize("device", ["accelerator", "replicated_accelerator"])
+    def test_every_scheduler_matches_reference_engine(self, device, request, monkeypatch):
+        # The unreplicated design runs the layered schedulers through the
+        # scalar solver; the replicated one through the NumPy block path.
+        replicated_accelerator = request.getfixturevalue(device)
         lengths = [150, 120, 90, 60, 33, 45, 100]
         schedulers = (
             LengthAwareScheduler(),
@@ -143,6 +150,85 @@ class TestVectorizedEquivalence:
         accelerator = build_sparse_accelerator(_DEEP_MODEL, top_k=30, avg_seq=96, max_seq=160)
         jobs = _jobs([140, 100, 82, 78, 72], num_layers=_DEEP_MODEL.num_layers)
         _assert_equivalent(accelerator, jobs, pipelined=True, buffer_slots=None)
+
+
+@functools.cache
+def _layered_accelerator(num_layers):
+    model = ModelConfig(
+        name=f"fastsim-{num_layers}L", num_layers=num_layers, hidden_dim=768, num_heads=12
+    )
+    return build_sparse_accelerator(model, top_k=30, avg_seq=96, max_seq=160)
+
+
+def _assert_schedules_match(scheduler, accelerator, lengths, monkeypatch):
+    monkeypatch.setenv("REPRO_PIPELINE_ENGINE", "fast")
+    fast = scheduler.schedule(accelerator, lengths)
+    monkeypatch.setenv("REPRO_PIPELINE_ENGINE", "reference")
+    ref = scheduler.schedule(accelerator, lengths)
+    monkeypatch.delenv("REPRO_PIPELINE_ENGINE")
+    assert isinstance(fast.timeline, LazyTimeline)
+    assert not isinstance(ref.timeline, LazyTimeline)
+    assert fast.makespan_cycles == ref.makespan_cycles
+    assert fast.sequence_completion_cycles() == ref.sequence_completion_cycles()
+    assert fast.entry_admit_cycles() == ref.entry_admit_cycles()
+    assert fast.average_utilization == ref.average_utilization
+    assert fast.timeline.events == ref.timeline.events
+
+
+class TestScalarLayeredPath:
+    """The slot-major scalar solver (small unreplicated batches) vs the oracle.
+
+    Batches of up to ``_SMALL_PERIOD`` slots take the scalar path and larger
+    ones the NumPy block path; batches of one to three sequences reach the
+    periodic steady state, so their remaining layers are extrapolated.
+    """
+
+    @given(
+        lengths=st.lists(st.integers(1, 160), min_size=1, max_size=40),
+        num_layers=st.integers(1, 12),
+        descending=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_length_aware_matches_reference(self, lengths, num_layers, descending):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_schedules_match(
+                LengthAwareScheduler(sort_descending=descending),
+                _layered_accelerator(num_layers),
+                lengths,
+                monkeypatch,
+            )
+
+    @given(
+        lengths=st.lists(st.integers(1, 160), min_size=1, max_size=40),
+        num_layers=st.integers(1, 12),
+        extra=st.none() | st.integers(0, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_padded_matches_reference(self, lengths, num_layers, extra):
+        pad_to = None if extra is None else max(lengths) + extra
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _assert_schedules_match(
+                PaddedScheduler(pad_to=pad_to),
+                _layered_accelerator(num_layers),
+                lengths,
+                monkeypatch,
+            )
+
+    def test_small_unreplicated_batches_take_the_scalar_path(self, monkeypatch):
+        calls = []
+        solver = fast_pipeline._layered_small
+
+        def spy(*args, **kwargs):
+            calls.append(len(args[1]))
+            return solver(*args, **kwargs)
+
+        monkeypatch.setattr(fast_pipeline, "_layered_small", spy)
+        accelerator = _layered_accelerator(12)
+        for size in (1, 3, 16, fast_pipeline._SMALL_PERIOD, fast_pipeline._SMALL_PERIOD + 1):
+            _assert_schedules_match(
+                LengthAwareScheduler(), accelerator, list(range(20, 20 + size)), monkeypatch
+            )
+        assert calls == [1, 3, 16, fast_pipeline._SMALL_PERIOD]
 
 
 def _jobs_for(scheduler, accelerator, lengths):

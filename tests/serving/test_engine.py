@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import json
 import warnings
 
 import pytest
@@ -32,6 +34,7 @@ from repro.serving import (
     simulate_online,
     simulate_serving,
 )
+from repro.serving.core import ServingSession
 from repro.transformer.configs import DATASET_ZOO, MRPC, ModelConfig
 
 _SMALL_MODEL = ModelConfig(name="serve-2L", num_layers=2, hidden_dim=768, num_heads=12)
@@ -335,3 +338,55 @@ class TestScheduleCacheReporting:
         assert report.schedule_cache is None
         assert report.schedule_cache_probes is None
         assert "cache_hit" not in report.as_row()
+
+
+class TestReportMemo:
+    def test_makespan_follows_appended_records(self, accelerator):
+        report = simulate_online(
+            accelerator, MRPC, PoissonArrivals(rate_qps=300), num_requests=48
+        )
+        makespan = report.makespan_seconds
+        assert report.to_dict()["makespan_seconds"] == makespan
+        assert makespan == max(r.completion_time for r in report.records)
+        last = report.records[-1]
+        later = dataclasses.replace(
+            last,
+            request=dataclasses.replace(last.request, request_id=48),
+            completion_time=makespan + 1.0,
+        )
+        report.records.append(later)
+        # The memo keys on the record count: a growing report (the live
+        # gateway's mid-run /stats) never serves the stale value.
+        assert report.makespan_seconds == makespan + 1.0
+        assert report.to_dict()["makespan_seconds"] == makespan + 1.0
+
+    def test_to_dict_unchanged_across_finish(self, accelerator, monkeypatch):
+        def run():
+            return simulate_online(
+                accelerator,
+                MRPC,
+                PoissonArrivals(rate_qps=500),
+                num_requests=64,
+                batch_policy=TimeoutBatcher(batch_size=8, timeout_s=0.005),
+            )
+
+        # Both runs must start cold: a warm shared cache changes hit counts.
+        monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "off")
+        untouched = run().to_dict()
+        snapshots = []
+        finish = ServingSession.finish
+
+        def snapshot_then_finish(session, active=None):
+            session.refresh(active)  # what the live /stats path reads mid-run
+            snapshots.append(session.report.to_dict())
+            finish(session, active)
+
+        monkeypatch.setattr(ServingSession, "finish", snapshot_then_finish)
+        report = run()
+        # finish() re-sorts the records (same count, so the memo survives):
+        # order-free values carry over, and the final payload is exactly the
+        # one a report never read before finish() produces.
+        assert snapshots[0]["makespan_seconds"] == report.makespan_seconds
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+            untouched, sort_keys=True
+        )

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.decode import DecodeRequest
 from repro.devices import AnalyticalDevice, build_fleet
 from repro.hardware.accelerator import build_sparse_accelerator
 from repro.platforms.devices import RTX_6000
@@ -59,6 +62,25 @@ class TestRequestDeadlines:
             [Request(request_id=0, length=50, arrival_time=2.0)], spec
         )
         assert stamped[0].deadline == pytest.approx(2.0 + 0.1 + 0.05)
+
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            Request(request_id=3, length=50, arrival_time=2.0, request_class="batch"),
+            DecodeRequest(request_id=4, length=50, arrival_time=2.0, output_len=7),
+        ],
+    )
+    def test_stamping_matches_dataclasses_replace(self, request_):
+        spec = SLOSpec(base_s=0.1, per_token_s=0.001, per_output_token_s=0.01)
+        (stamped,) = assign_deadlines([request_], spec)
+        expected = dataclasses.replace(request_, deadline=spec.deadline_for(request_))
+        assert type(stamped) is type(request_)
+        assert stamped == expected
+        assert request_.restamped(2.5, "interactive") == dataclasses.replace(
+            request_, deadline=2.5, request_class="interactive"
+        )
+        with pytest.raises(ValueError, match="deadline"):
+            request_.restamped(1.0, None)  # __post_init__ still validates
 
     def test_existing_deadlines_are_preserved(self):
         explicit = Request(request_id=0, length=50, arrival_time=2.0, deadline=2.01)

@@ -82,6 +82,12 @@ def _key_digest(key: tuple) -> str:
 #: Serial for schedulers whose repr is not value-based (see _scheduler_cache_key).
 _SCHEDULER_SERIAL = itertools.count()
 
+#: Interned device signatures: equal signatures are one object, so a replay
+#: check is an identity test (see CycleAccurateDevice._canonical_entry).
+#: One entry per distinct design a process builds (and per plug-in
+#: scheduler instance, whose key is a serial).
+_SIGNATURES: dict[tuple, tuple] = {}
+
 #: Process-wide monotonic stamp for schedule-cache probes.  Each ``execute``
 #: call takes one, so merging the per-device probe streams of one run by
 #: stamp recovers the exact order in which the shared LRU saw the lookups
@@ -166,6 +172,23 @@ class CycleAccurateDevice(Device):
         )
         self._scheduler_key = _scheduler_cache_key(self.scheduler)
         self._key_rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+        # How the scheduler canonicalizes a batch: built-in schedulers
+        # advertise ``cache_canonicalization``; unknown ones fall back to
+        # "exact" (order-sensitive keys, no cross-permutation sharing).
+        self._mode = getattr(self.scheduler, "cache_canonicalization", "exact")
+        pad_to = getattr(self.scheduler, "pad_to", None)
+        self._pad_to = None if pad_to is None else int(pad_to)
+        # Everything but the lengths and the stage rows that decides a
+        # query's cache key; replicas share one interned object.
+        signature = (
+            type(self),
+            self._structure_key,
+            self._scheduler_key,
+            cache_length_bucket,
+            self._mode,
+            self._pad_to,
+        )
+        self._signature = _SIGNATURES.setdefault(signature, signature)
         super().__init__(
             max_batch_size=max_batch_size,
             max_batch_tokens=max_batch_tokens,
@@ -245,15 +268,6 @@ class CycleAccurateDevice(Device):
     # Cache plumbing
     # ------------------------------------------------------------------
 
-    def _canonical_order(self) -> str:
-        """How this device's scheduler canonicalizes a batch.
-
-        Built-in schedulers advertise ``cache_canonicalization``; unknown
-        schedulers fall back to ``"exact"`` (order-sensitive keys, no
-        cross-permutation sharing, always correct).
-        """
-        return getattr(self.scheduler, "cache_canonicalization", "exact")
-
     def _key_row(self, length: int) -> tuple[int, tuple[int, ...]]:
         """``(length, stage latency row)``: one length's part of a cache key.
 
@@ -268,13 +282,13 @@ class CycleAccurateDevice(Device):
             )
         return row
 
-    def _cache_key(self, canonical: tuple[int, ...]) -> tuple:
-        key_row = self._key_row
-        rows = tuple(map(key_row, sorted(set(canonical))))
-        pad_to = getattr(self.scheduler, "pad_to", None)
-        if pad_to is not None:
-            rows += (key_row(int(pad_to)),)
-        return (canonical, rows, self._structure_key, self._scheduler_key)
+    def _cache_key(self, canonical: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
+        """The cache key of a canonical batch, and the lengths of its rows."""
+        row_lengths = tuple(sorted(set(canonical)))
+        if self._pad_to is not None:
+            row_lengths += (self._pad_to,)
+        rows = tuple(map(self._key_row, row_lengths))
+        return (canonical, rows, self._structure_key, self._scheduler_key), row_lengths
 
     def _simulate_canonical(self, canonical: tuple[int, ...]) -> _CanonicalSchedule:
         result = self.scheduler.schedule(self.accelerator, list(canonical))
@@ -312,11 +326,37 @@ class CycleAccurateDevice(Device):
 
         The one place a batch touches the schedule cache: :meth:`execute`
         and the latency-only queries all come through here, so each query
-        is exactly one lookup, one hit or miss on the device and the shared
-        cache, and one stamped probe.  Returns the call's lengths, the
-        billed (quantized) lengths, the canonicalization mode and the entry.
+        is exactly one hit or miss on the device and the shared cache, and
+        one stamped probe.  Returns the call's lengths, the billed
+        (quantized) lengths, the canonicalization mode and the entry.
+
+        When the cache's :attr:`~ScheduleCache.last_query` was made by a
+        device with this one's signature, on the same lengths, and the stage
+        rows this device has memoized for the key's lengths equal the key's
+        rows, the key is provably the same (EDF asks every replica of a
+        fleet about one batch in a row): the query replays that record
+        instead of quantizing, sorting, building and hashing the key again.
+        A length this device has not memoized yet takes the full path.
         """
-        call = tuple(map(int, lengths))
+        query = tuple(lengths)
+        if self._cache_active:
+            last = self._schedule_cache.last_query
+            if last is not None:
+                signature, call, billed, mode, row_lengths = last.context
+                if (
+                    signature is self._signature
+                    and query == call
+                    and tuple(map(self._key_rows.get, row_lengths)) == last.key[1]
+                    and self._schedule_cache.replay(last)
+                ):
+                    entry = last.entry
+                    self.cache_hits += 1
+                    self.cache_probe_total += 1
+                    self.cache_probe_sequence.append(
+                        (next(_PROBE_SERIAL), entry.key_digest)
+                    )
+                    return call, billed, mode, entry
+        call = tuple(map(int, query))
         if not call:
             # Before the cache: an empty batch is no lookup, hit or miss.
             raise ValueError("a batch needs at least one request")
@@ -324,19 +364,18 @@ class CycleAccurateDevice(Device):
             billed = call
         else:
             billed = quantize_lengths(call, self.cache_length_bucket)
-            pad_to = getattr(self.scheduler, "pad_to", None)
+            pad_to = self._pad_to
             if pad_to is not None:
                 # Never quantize a valid length past a fixed padding target:
                 # the scheduler bills such sequences at pad_to anyway, and
                 # rounding beyond it would reject a batch that is fine
                 # unquantized.  Lengths already above pad_to stay as they
                 # are (and fail exactly like the unquantized call would).
-                pad_to = int(pad_to)
                 billed = tuple(
                     min(quantized, pad_to) if original <= pad_to else quantized
                     for quantized, original in zip(billed, call)
                 )
-        mode = self._canonical_order()
+        mode = self._mode
         if mode in ("sort-desc", "uniform"):
             canonical = tuple(sorted(billed, reverse=True))
         elif mode == "sort-asc":
@@ -349,8 +388,9 @@ class CycleAccurateDevice(Device):
         # stats can never disagree about whether the cache was active.
         use_cache = self._cache_active
         if use_cache:
-            key = self._cache_key(canonical)
-            entry = self._schedule_cache.lookup(key)
+            key, row_lengths = self._cache_key(canonical)
+            context = (self._signature, call, billed, mode, row_lengths)
+            entry = self._schedule_cache.lookup(key, context)
             if entry is None:
                 self.cache_misses += 1
             else:
@@ -359,7 +399,7 @@ class CycleAccurateDevice(Device):
             entry = self._simulate_canonical(canonical)
             if use_cache:
                 entry.key_digest = _key_digest(key)
-                self._schedule_cache.store(key, entry)
+                self._schedule_cache.store(key, entry, context)
         if use_cache:
             self.cache_probe_total += 1
             self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))

@@ -21,6 +21,11 @@ module replaces that with one process-wide LRU shared by all devices:
   length up to the next multiple of ``Q`` before scheduling, trading a
   slightly conservative (never optimistic) latency for a much smaller key
   space and hit rates above 90% on Poisson traffic.  Default off (exact).
+* **Replayed probes** -- the cache remembers the query that last made an
+  entry the most recent (:attr:`ScheduleCache.last_query`); a device that
+  can prove its query has the same key counts a hit on it through
+  :meth:`ScheduleCache.replay` instead of hashing the key again.  The
+  counters and the LRU order come out as a full lookup leaves them.
 
 ``REPRO_SCHEDULE_CACHE=off`` disables lookups entirely (every batch is
 re-simulated), which is the knob the cache-correctness tests and debugging
@@ -46,10 +51,11 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Hashable, NamedTuple
 
 __all__ = [
     "GLOBAL_SCHEDULE_CACHE",
+    "CacheQuery",
     "ScheduleCache",
     "ensure_persistent_cache_loaded",
     "persist_schedule_cache",
@@ -104,6 +110,19 @@ def quantize_lengths(lengths: tuple[int, ...], bucket: int) -> tuple[int, ...]:
     return tuple([-(-length // bucket) * bucket for length in lengths])
 
 
+class CacheQuery(NamedTuple):
+    """The lookup hit or store that last made an entry the most recent one.
+
+    ``context`` is the caller's description of the query (opaque to the
+    cache); a caller that can prove its next query has the same ``key`` may
+    :meth:`ScheduleCache.replay` it instead of looking the key up again.
+    """
+
+    context: Any
+    key: Hashable
+    entry: Any
+
+
 class ScheduleCache:
     """A thread-safe LRU mapping schedule keys to canonical batch executions."""
 
@@ -116,12 +135,19 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
         self.num_evictions = 0
+        #: Immutable record of whatever made the most recent entry most
+        #: recent (``None`` once that is unknown); read without the lock.
+        self.last_query: CacheQuery | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: Hashable) -> Any | None:
-        """Return the cached entry (and count a hit) or ``None`` (a miss)."""
+    def lookup(self, key: Hashable, context: Any = None) -> Any | None:
+        """Return the cached entry (and count a hit) or ``None`` (a miss).
+
+        A hit with a ``context`` becomes :attr:`last_query`; a miss leaves
+        the LRU order, and so the record, as it was.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -129,9 +155,24 @@ class ScheduleCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
+            self.last_query = None if context is None else CacheQuery(context, key, entry)
             return entry
 
-    def store(self, key: Hashable, value: Any) -> None:
+    def replay(self, query: CacheQuery) -> bool:
+        """Count a hit on ``query``'s entry if it is still :attr:`last_query`.
+
+        The entry is then already the most recent, so a full lookup of its
+        key would count one hit and leave the LRU order as it is; this does
+        exactly that without hashing or comparing the key.  ``False`` (and
+        nothing counted) when another lookup or store got there first.
+        """
+        with self._lock:
+            if self.last_query is not query:
+                return False
+            self.hits += 1
+            return True
+
+    def store(self, key: Hashable, value: Any, context: Any = None) -> None:
         """Insert an entry, evicting least-recently-used ones past the cap."""
         with self._lock:
             self._entries[key] = value
@@ -139,6 +180,7 @@ class ScheduleCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.num_evictions += 1
+            self.last_query = None if context is None else CacheQuery(context, key, value)
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""
@@ -147,22 +189,31 @@ class ScheduleCache:
             self.hits = 0
             self.misses = 0
             self.num_evictions = 0
+            self.last_query = None
 
     @property
     def hit_rate(self) -> float:
+        with self._lock:
+            return self._hit_rate()
+
+    def _hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
     def stats(self) -> dict:
-        """JSON-ready counters (process lifetime, across all devices)."""
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "num_evictions": self.num_evictions,
-        }
+        """JSON-ready counters (process lifetime, across all devices).
+
+        Read in one lock hold, so a concurrent lookup cannot tear them.
+        """
+        with self._lock:
+            return {
+                "entries": len(self._entries),
+                "max_entries": self.max_entries,
+                "hits": self.hits,
+                "misses": self.misses,
+                "hit_rate": self._hit_rate(),
+                "num_evictions": self.num_evictions,
+            }
 
     def save_dir(self, directory: str) -> int:
         """Snapshot every entry into a per-pid pickle under ``directory``.
@@ -219,6 +270,8 @@ class ScheduleCache:
             if not isinstance(entries, list):
                 continue
             with self._lock:
+                # Merged entries become the most recent ones.
+                self.last_query = None
                 for key, value in entries:
                     if key in self._entries:
                         continue

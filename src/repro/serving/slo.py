@@ -125,8 +125,9 @@ class ProvablyLate:
     own single-request estimate overshoots the deadline.  Start clocks only
     move later and the queue ahead is ignored, so the bound is optimistic:
     a request judged late is unsalvageable.  The EDF batchers shed such
-    requests; the dispatch core's ``shed_on_predicted_miss`` gate sheds them
-    on arrival.  The fleet is snapshotted at construction.
+    requests, sweeping their queue with :meth:`late_requests`; the dispatch
+    core's ``shed_on_predicted_miss`` gate calls the instance on each
+    arrival.  The fleet is snapshotted at construction.
     """
 
     def __init__(self, fleet: list) -> None:
@@ -152,6 +153,38 @@ class ProvablyLate:
             if start + self.single_estimate(index, request.length) <= deadline:
                 return False
         return True
+
+    def late_requests(self, queue: list[Request], now: float) -> list[Request]:
+        """``[r for r in queue if self(r, now)]``, in queue order.
+
+        Each device's start is read lazily, at most once per sweep, instead
+        of once per request: nothing dispatches during a sweep, and a fault
+        timeline draws its windows by horizon, not by query pattern, so the
+        start is the same value and the same windows get drawn.
+        """
+        if not self._fleet:
+            return []
+        starts: list[float | None] = [None] * len(self._fleet)
+        estimates = self._estimates
+        late = []
+        for request in queue:
+            if request.deadline is None:
+                continue
+            deadline = request.deadline + _TIME_EPS
+            length = request.length
+            for index, device in enumerate(self._fleet):
+                start = starts[index]
+                if start is None:
+                    next_start = getattr(device, "next_start", None)
+                    start = starts[index] = next_start(now) if next_start is not None else now
+                estimate = estimates.get((index, length))
+                if estimate is None:
+                    estimate = self.single_estimate(index, length)
+                if start + estimate <= deadline:
+                    break
+            else:
+                late.append(request)
+        return late
 
 
 @register("batch-policy", "deadline", aliases=("edf", "slo"))
@@ -265,7 +298,7 @@ class DeadlineBatcher(BatchPolicy):
     def _shed_late(self, queue: list[Request], now: float) -> None:
         """Move every provably-late request from ``queue`` to the shed list."""
         if self.shed_late and self._fleet:
-            late = [r for r in queue if self._late(r, now)]
+            late = self._late.late_requests(queue, now)
             if late:
                 dropped = {r.request_id for r in late}
                 queue[:] = [r for r in queue if r.request_id not in dropped]

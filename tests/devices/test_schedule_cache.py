@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,23 @@ class TestEvictionAccounting:
         assert cache.stats()["num_evictions"] == 1
         cache.clear()
         assert cache.num_evictions == 0
+
+    @pytest.mark.parametrize("read", ["stats", "hit_rate"])
+    def test_counter_reads_wait_for_the_lock(self, read):
+        """``stats()`` / ``hit_rate`` read the counters in one lock hold, so
+        a lookup in flight on another thread cannot tear the snapshot."""
+        cache = ScheduleCache()
+        cache.store("a", 1)
+        results = []
+        readers = {"stats": cache.stats, "hit_rate": lambda: cache.hit_rate}
+        with cache._lock:  # a lookup, store or replay in flight
+            reader = threading.Thread(target=lambda: results.append(readers[read]()))
+            reader.start()
+            reader.join(timeout=0.05)
+            assert reader.is_alive() and not results
+            cache.hits += 1
+        reader.join()
+        assert results == [{**cache.stats(), "hit_rate": 1.0} if read == "stats" else 1.0]
 
     def test_probe_sequence_recorded_in_order(self, accelerator):
         cache = ScheduleCache()

@@ -5,9 +5,12 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.decode import DecodeRequest
-from repro.devices import AnalyticalDevice, build_fleet
+from repro.devices import AnalyticalDevice, CycleAccurateDevice, ScheduleCache, build_fleet
+from repro.faults import CrashRestartFaults, FaultInjector, StragglerFaults
 from repro.hardware.accelerator import build_sparse_accelerator
 from repro.platforms.devices import RTX_6000
 from repro.serving import (
@@ -23,6 +26,8 @@ from repro.serving import (
     assign_deadlines,
     simulate_online,
 )
+from repro.serving.policies import _TIME_EPS
+from repro.serving.slo import ProvablyLate
 from repro.transformer.configs import MRPC, ModelConfig
 
 _SMALL_MODEL = ModelConfig(name="slo-2L", num_layers=2, hidden_dim=768, num_heads=12)
@@ -272,6 +277,104 @@ class TestDeadlineBatcher:
         single_on_slow = policy._late.single_estimate(1, 40)  # device 1: 400.0
         assert batch_estimate == pytest.approx(41.0)
         assert single_on_slow == pytest.approx(400.0)
+
+
+@st.composite
+def _late_sweeps(draw) -> dict:
+    """A crash- and/or straggler-bound fleet with booked backlogs, and a
+    queue whose deadlines straddle what the fleet can still meet."""
+    num_devices = draw(st.integers(1, 4))
+    now = draw(st.floats(0.0, 3.0))
+    queue = []
+    for request_id in range(draw(st.integers(0, 12))):
+        arrival = draw(st.floats(0.0, now))
+        slack = draw(st.none() | st.floats(0.0, 1.5))
+        queue.append(
+            Request(
+                request_id,
+                draw(st.integers(1, MRPC.max_length)),
+                arrival,
+                None if slack is None else now + slack,
+            )
+        )
+    return {
+        "faults": draw(st.sampled_from(["crash", "straggler", "both"])),
+        "mtbf_s": draw(st.floats(0.05, 2.0)),
+        "downtime_s": draw(st.floats(0.01, 1.0)),
+        "seed": draw(st.integers(0, 2**16)),
+        "busy_until": draw(
+            st.lists(st.floats(0.0, 3.0), min_size=num_devices, max_size=num_devices)
+        ),
+        "now": now,
+        "queue": queue,
+        # Pin one request's deadline just inside the tolerance of one
+        # device's bound: (request index, device index), or None.
+        "pin": draw(st.none() | st.tuples(st.integers(0, 11), st.integers(0, 3))),
+    }
+
+
+def _bound_late(accelerators, case) -> tuple[ProvablyLate, FaultInjector]:
+    schedules = {
+        "crash": (CrashRestartFaults(case["mtbf_s"], case["downtime_s"]),),
+        "straggler": (StragglerFaults(case["mtbf_s"], case["downtime_s"]),),
+    }
+    schedules["both"] = schedules["crash"] + schedules["straggler"]
+    busy_until = case["busy_until"]
+    injector = FaultInjector(schedules[case["faults"]], len(busy_until), case["seed"])
+    cache = ScheduleCache()
+    fleet = []
+    for index, until in enumerate(busy_until):
+        device = CycleAccurateDevice(
+            accelerators[index % len(accelerators)], schedule_cache=cache
+        )
+        device.reset()
+        device.book_interval(0.0, until)
+        device.bind_fault_timeline(injector.timeline(index))
+        fleet.append(device)
+    return ProvablyLate(fleet), injector
+
+
+def _drawn_windows(timeline):
+    """Everything a fault timeline has generated so far."""
+    children = getattr(timeline, "_children", None)
+    if children is not None:
+        return [_drawn_windows(child) for child in children]
+    return (timeline._horizon, list(timeline._windows), list(getattr(timeline, "_slow", [])))
+
+
+class TestProvablyLateSweep:
+    @pytest.fixture(scope="class")
+    def accelerators(self):
+        return [
+            _build(),
+            build_sparse_accelerator(
+                _SMALL_MODEL, top_k=8, avg_seq=MRPC.avg_length, max_seq=MRPC.max_length
+            ),
+        ]
+
+    @given(case=_late_sweeps())
+    @settings(max_examples=60, deadline=None)
+    def test_sweep_equals_per_request_calls(self, accelerators, case):
+        queue, now = list(case["queue"]), case["now"]
+        if case["pin"] is not None and queue:
+            # Measured on a third fleet, so the two below start untouched.
+            probe, _ = _bound_late(accelerators, case)
+            index = case["pin"][0] % len(queue)
+            device = case["pin"][1] % len(case["busy_until"])
+            request = queue[index]
+            bound = probe._fleet[device].next_start(now) + probe.single_estimate(
+                device, request.length
+            )
+            queue[index] = Request(
+                request.request_id, request.length, request.arrival_time, bound - _TIME_EPS / 2
+            )
+        swept, swept_faults = _bound_late(accelerators, case)
+        called, called_faults = _bound_late(accelerators, case)
+        assert swept.late_requests(list(queue), now) == [r for r in queue if called(r, now)]
+        num_devices = len(case["busy_until"])
+        assert [_drawn_windows(swept_faults.timeline(i)) for i in range(num_devices)] == [
+            _drawn_windows(called_faults.timeline(i)) for i in range(num_devices)
+        ]
 
 
 class TestCostModelRouter:

@@ -256,7 +256,9 @@ class PriorityDeadlineBatcher(DeadlineBatcher):
     set (``batch_size``, ``timeout_s``, ``margin_s``, ``shed_late``).  The
     queue is partitioned by class priority (``request-class`` registry
     lookup; untagged requests ride at priority 0), each tier is kept in EDF
-    order, and tiers are examined highest priority first:
+    order by the parent's persistent view (one tier per priority, synced to
+    the queue by identity: appended arrivals are inserted, any other change
+    rebuilds it), and tiers are examined highest priority first:
 
     * a tier dispatches under the parent's conditions -- full batch,
       draining, deadline pressure, or the oldest member timing out;
@@ -281,6 +283,7 @@ class PriorityDeadlineBatcher(DeadlineBatcher):
     def bind_fleet(self, fleet: list) -> None:
         super().bind_fleet(fleet)
         self.num_preemptions = 0
+        self._priorities = {}
 
     def _priority(self, request: Request) -> int:
         name = request.request_class
@@ -295,61 +298,30 @@ class PriorityDeadlineBatcher(DeadlineBatcher):
             self._priorities[name] = cached
         return cached
 
-    def _tiers(self, queue: list[Request]) -> list[list[Request]]:
-        """The queue grouped by priority (descending), each tier EDF-sorted."""
-        grouped: dict[int, list[Request]] = {}
-        for request in queue:
-            grouped.setdefault(self._priority(request), []).append(request)
-        return [
-            sorted(grouped[prio], key=self._edf_key)
-            for prio in sorted(grouped, reverse=True)
-        ]
-
-    def _due(self, tier: list[Request], candidate: list[Request], now: float, draining: bool) -> bool:
-        timed_out = now + _TIME_EPS >= min(r.arrival_time for r in tier) + self.timeout_s
-        pressured = now + _TIME_EPS >= self._latest_start(candidate)
-        return len(candidate) >= self.batch_size or draining or pressured or timed_out
-
-    def next_action_time(self, queue: list[Request], now: float) -> float | None:
-        if not queue:
-            return None
-        action = min(r.arrival_time for r in queue) + self.timeout_s
-        for tier in self._tiers(queue):
-            action = min(action, self._latest_start(tier[: self.batch_size]))
-        return max(action, now)
-
     def form_batch(
         self, queue: list[Request], now: float, draining: bool
     ) -> list[Request] | None:
-        self._shed_late(queue, now)
+        view = self._sync(queue)
+        self._shed_late(queue, view, now)
         if not queue:
             return None
-        tiers = self._tiers(queue)
-        chosen: list[Request] | None = None
+        tiers = view.tiers
         for rank, tier in enumerate(tiers):
-            candidate = tier[: self.batch_size]
-            if not self._due(tier, candidate, now, draining):
+            if not self._due(tier, now, draining):
                 continue
             # The highest due tier wants to dispatch; check whether serving
             # it now would starve any *strictly higher* tier past its latest
             # feasible start.  If so, the higher tier preempts: its batch
             # (partial if need be) dispatches instead and the due candidate
             # never leaves its tier -- work conserved by construction.
+            candidate = tier.requests[: self.batch_size]
             service = self._estimate(tuple(r.length for r in candidate))
             for higher in tiers[:rank]:
-                higher_candidate = higher[: self.batch_size]
-                if now + service > self._latest_start(higher_candidate) + _TIME_EPS:
-                    chosen = higher_candidate
+                if now + service > self._tier_latest(higher) + _TIME_EPS:
                     self.num_preemptions += 1
-                    break
-            if chosen is None:
-                chosen = candidate
-            break
-        if chosen is None:
-            return None
-        taken = {r.request_id for r in chosen}
-        queue[:] = [r for r in queue if r.request_id not in taken]
-        return chosen
+                    return self._take(queue, view, higher)
+            return self._take(queue, view, tier)
+        return None
 
 
 # ----------------------------------------------------------------------

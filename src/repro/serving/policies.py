@@ -224,7 +224,8 @@ class LengthBucketedBatcher(BatchPolicy):
             return None
         counts: dict[int, int] = {}
         for request in queue:
-            counts[self._bucket(request.length)] = counts.get(self._bucket(request.length), 0) + 1
+            bucket = self._bucket(request.length)
+            counts[bucket] = counts.get(bucket, 0) + 1
         full = sorted(b for b, count in counts.items() if count >= self.batch_size)
         if full:
             return self._pop_bucket(queue, full[0])

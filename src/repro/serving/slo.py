@@ -35,7 +35,9 @@ fraction of SLO-carrying requests that finished on time) and
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import is_
 
 from .. import config as global_config
 from ..registry import register
@@ -187,6 +189,57 @@ class ProvablyLate:
         return late
 
 
+class _Tier:
+    """One priority tier of an :class:`_EDFView`, in EDF order.
+
+    ``keys`` parallels ``requests`` (their ``_edf_key``), so an arrival goes
+    in with ``bisect``.  ``latest`` memoizes the latest start of the tier's
+    candidate batch (its first ``batch_size`` requests) and ``oldest`` its
+    earliest arrival; ``None`` means not computed since the tier changed.
+    """
+
+    __slots__ = ("priority", "requests", "keys", "latest", "oldest")
+
+    def __init__(self, priority: int) -> None:
+        self.priority = priority
+        self.requests: list[Request] = []
+        self.keys: list[tuple] = []
+        self.latest: float | None = None
+        self.oldest: float | None = None
+
+
+class _EDFView:
+    """A batcher's EDF tiers, kept across calls for the queue in ``synced``.
+
+    ``synced`` holds the queue contents (the very objects) the tiers were
+    last brought up to date with; ``tiers`` lists the non-empty tiers,
+    highest priority first.
+    """
+
+    __slots__ = ("tiers", "by_priority", "synced")
+
+    def __init__(self) -> None:
+        self.tiers: list[_Tier] = []
+        self.by_priority: dict[int, _Tier] = {}
+        self.synced: list[Request] = []
+
+    def tier(self, priority: int) -> _Tier:
+        """The tier for ``priority``, created in rank order if missing."""
+        tier = self.by_priority.get(priority)
+        if tier is None:
+            tier = self.by_priority[priority] = _Tier(priority)
+            rank = 0
+            while rank < len(self.tiers) and self.tiers[rank].priority > priority:
+                rank += 1
+            self.tiers.insert(rank, tier)
+        return tier
+
+    def discard_if_empty(self, tier: _Tier) -> None:
+        if not tier.requests:
+            self.tiers.remove(tier)
+            del self.by_priority[tier.priority]
+
+
 @register("batch-policy", "deadline", aliases=("edf", "slo"))
 @dataclass
 class DeadlineBatcher(BatchPolicy):
@@ -199,18 +252,27 @@ class DeadlineBatcher(BatchPolicy):
     latest-dispatch time), and ``shed_late`` (drop provably-late requests
     instead of serving them past their deadline).
 
-    The queue is kept in earliest-deadline-first order (ties break on
-    arrival, then id).  The candidate batch is the ``batch_size`` tightest
-    requests; it dispatches when it is full, when the stream is draining, or
-    when the clock reaches ``tightest deadline - estimated batch latency -
-    margin_s`` -- the last instant the fleet's fastest device could still
-    meet the tightest admissible deadline (the estimate is the minimum of
-    ``Device.batch_latency_seconds`` over the fleet the engine bound via
-    :meth:`bind_fleet`).  Before forming a batch the policy sheds every
-    queued request that is *provably* late: even dispatched alone and
-    immediately, no device could finish it by its deadline.  Shed requests
-    are handed back to the engine through :meth:`take_shed` and reported as
-    ``num_shed_late`` / counted against ``attainment_rate``.
+    The batcher looks at the queue in earliest-deadline-first order (ties
+    break on arrival, then id).  The candidate batch is the ``batch_size``
+    tightest requests; it dispatches when it is full, when the stream is
+    draining, or when the clock reaches ``tightest deadline - estimated
+    batch latency - margin_s`` -- the last instant the fleet's fastest
+    device could still meet the tightest admissible deadline (the estimate
+    is the minimum of ``Device.batch_latency_seconds`` over the fleet the
+    engine bound via :meth:`bind_fleet`).  Before forming a batch the policy
+    sheds every queued request that is *provably* late: even dispatched
+    alone and immediately, no device could finish it by its deadline.  Shed
+    requests are handed back to the engine through :meth:`take_shed` and
+    reported as ``num_shed_late`` / counted against ``attainment_rate``.
+
+    The EDF order is a private view that persists between calls instead of
+    a sort per call.  Each call compares the queue, object by object, with
+    the contents the view was last synced to: an unchanged queue costs
+    nothing, new requests appended at the tail are inserted with ``bisect``,
+    and any other change (a crash requeue, a refused batch put back at the
+    head) rebuilds the view.  The view memoizes each tier's candidate latest
+    start until its first ``batch_size`` requests change, so the fleet sees
+    exactly the queries a sort per call would make, in the same order.
     """
 
     batch_size: int = global_config.DEFAULT_BATCH_SIZE
@@ -222,6 +284,7 @@ class DeadlineBatcher(BatchPolicy):
     _shed: list[Request] = field(default_factory=list, repr=False)
     _estimates: dict = field(default_factory=dict, repr=False)
     _late: ProvablyLate | None = field(default=None, repr=False)
+    _view: _EDFView | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -236,6 +299,7 @@ class DeadlineBatcher(BatchPolicy):
         self._shed = []
         self._estimates = {}
         self._late = ProvablyLate(self._fleet)
+        self._view = None
 
     # ------------------------------------------------------------------
     # Cost estimates (through the Device protocol)
@@ -276,6 +340,74 @@ class DeadlineBatcher(BatchPolicy):
         return min(deadlines) - self._estimate(lengths) - self.margin_s
 
     # ------------------------------------------------------------------
+    # The EDF view
+    # ------------------------------------------------------------------
+
+    def _priority(self, request: Request) -> int:
+        """The tier ``request`` belongs to (higher forms first); one tier here."""
+        return 0
+
+    def _insert(self, view: _EDFView, request: Request) -> None:
+        tier = view.tier(self._priority(request))
+        key = self._edf_key(request)
+        position = bisect_right(tier.keys, key)
+        tier.keys.insert(position, key)
+        tier.requests.insert(position, request)
+        if position < self.batch_size:
+            tier.latest = None
+        if tier.oldest is not None and request.arrival_time < tier.oldest:
+            tier.oldest = request.arrival_time
+
+    def _sync(self, queue: list[Request]) -> _EDFView:
+        """The view, brought up to date with ``queue``."""
+        view = self._view
+        if view is not None:
+            synced = view.synced
+            known = len(synced)
+            if len(queue) >= known and all(map(is_, queue, synced)):
+                if len(queue) > known:
+                    fresh = queue[known:]
+                    for request in fresh:
+                        self._insert(view, request)
+                    synced.extend(fresh)
+                return view
+        view = self._view = _EDFView()
+        for request in queue:
+            self._insert(view, request)
+        view.synced = queue[:]
+        return view
+
+    def _tier_latest(self, tier: _Tier) -> float:
+        latest = tier.latest
+        if latest is None:
+            latest = tier.latest = self._latest_start(tier.requests[: self.batch_size])
+        return latest
+
+    @staticmethod
+    def _tier_oldest(tier: _Tier) -> float:
+        oldest = tier.oldest
+        if oldest is None:
+            oldest = tier.oldest = min(r.arrival_time for r in tier.requests)
+        return oldest
+
+    def _take(self, queue: list[Request], view: _EDFView, tier: _Tier) -> list[Request]:
+        """Remove ``tier``'s candidate batch from it and from ``queue``; return it."""
+        chosen = tier.requests[: self.batch_size]
+        count = len(chosen)
+        del tier.requests[:count]
+        del tier.keys[:count]
+        tier.latest = tier.oldest = None
+        view.discard_if_empty(tier)
+        taken = {r.request_id for r in chosen}
+        queue[:] = [r for r in queue if r.request_id not in taken]
+        if len(queue) + count == len(view.synced):
+            view.synced = queue[:]
+        else:
+            # Another queued request shared a taken id: start over.
+            self._view = None
+        return chosen
+
+    # ------------------------------------------------------------------
     # BatchPolicy interface
     # ------------------------------------------------------------------
 
@@ -286,38 +418,49 @@ class DeadlineBatcher(BatchPolicy):
     def next_action_time(self, queue: list[Request], now: float) -> float | None:
         if not queue:
             return None
-        ordered = sorted(queue, key=self._edf_key)
-        latest = self._latest_start(ordered[: self.batch_size])
-        oldest = min(r.arrival_time for r in queue)
-        action = min(latest, oldest + self.timeout_s)
+        tiers = self._sync(queue).tiers
+        action = min(self._tier_oldest(tier) for tier in tiers) + self.timeout_s
+        for tier in tiers:
+            action = min(action, self._tier_latest(tier))
         # Never hand the engine a timer in the past: act at `now` instead
         # (form_batch dispatches under the same comparison, so the engine's
         # progress guarantee holds).
         return max(action, now)
 
-    def _shed_late(self, queue: list[Request], now: float) -> None:
-        """Move every provably-late request from ``queue`` to the shed list."""
+    def _shed_late(self, queue: list[Request], view: _EDFView, now: float) -> None:
+        """Move every provably-late request from ``queue`` (and the view) to the shed list."""
         if self.shed_late and self._fleet:
             late = self._late.late_requests(queue, now)
             if late:
                 dropped = {r.request_id for r in late}
                 queue[:] = [r for r in queue if r.request_id not in dropped]
                 self._shed.extend(late)
+                for tier in view.tiers[:]:
+                    kept = [i for i, r in enumerate(tier.requests) if r.request_id not in dropped]
+                    if len(kept) < len(tier.requests):
+                        tier.requests = [tier.requests[i] for i in kept]
+                        tier.keys = [tier.keys[i] for i in kept]
+                        tier.latest = tier.oldest = None
+                        view.discard_if_empty(tier)
+                view.synced = queue[:]
+
+    def _due(self, tier: _Tier, now: float, draining: bool) -> bool:
+        """Whether ``tier``'s candidate batch should dispatch at ``now``."""
+        timed_out = now + _TIME_EPS >= self._tier_oldest(tier) + self.timeout_s
+        pressured = now + _TIME_EPS >= self._tier_latest(tier)
+        full = len(tier.requests) >= self.batch_size
+        return full or draining or pressured or timed_out
 
     def form_batch(
         self, queue: list[Request], now: float, draining: bool
     ) -> list[Request] | None:
-        self._shed_late(queue, now)
+        view = self._sync(queue)
+        self._shed_late(queue, view, now)
         if not queue:
             return None
-        ordered = sorted(queue, key=self._edf_key)
-        candidate = ordered[: self.batch_size]
-        timed_out = now + _TIME_EPS >= min(r.arrival_time for r in queue) + self.timeout_s
-        pressured = now + _TIME_EPS >= self._latest_start(candidate)
-        if len(candidate) >= self.batch_size or draining or pressured or timed_out:
-            taken = {r.request_id for r in candidate}
-            queue[:] = [r for r in queue if r.request_id not in taken]
-            return candidate
+        tier = view.tiers[0]
+        if self._due(tier, now, draining):
+            return self._take(queue, view, tier)
         return None
 
 

@@ -278,6 +278,38 @@ class TestDeadlineBatcher:
         assert batch_estimate == pytest.approx(41.0)
         assert single_on_slow == pytest.approx(400.0)
 
+    def test_bind_fleet_forgets_class_priorities(self, monkeypatch):
+        """Regression: a class unregistered on first sight stayed at priority
+        0 for the batcher's lifetime, so a re-bound batcher formed
+        differently from a fresh one once the class was registered."""
+        from repro.serving import PriorityDeadlineBatcher, RequestClass, classes
+
+        def queue():
+            return [
+                Request(request_id=0, length=10, arrival_time=0.0, request_class="edf-bulk"),
+                Request(request_id=1, length=10, arrival_time=0.0, request_class="edf-urgent"),
+            ]
+
+        def first_batch(policy):
+            return [r.request_id for r in policy.form_batch(queue(), 0.0, draining=True)]
+
+        reused = PriorityDeadlineBatcher(batch_size=1)
+        reused.bind_fleet([])
+        assert first_batch(reused) == [0]  # both unknown: one tier, EDF ties on id
+
+        urgent = RequestClass(name="edf-urgent", priority=3)
+        lookup = classes.get_request_class
+        monkeypatch.setattr(
+            classes,
+            "get_request_class",
+            lambda name: urgent if name == urgent.name else lookup(name),
+        )
+        fresh = PriorityDeadlineBatcher(batch_size=1)
+        fresh.bind_fleet([])
+        reused.bind_fleet([])
+        assert first_batch(fresh) == [1]
+        assert first_batch(reused) == first_batch(fresh)
+
 
 @st.composite
 def _late_sweeps(draw) -> dict:

@@ -213,6 +213,27 @@ def _encoder_elastic_chaos():
     )
 
 
+def _encoder_classes_chaos():
+    # Priority EDF under crash requeues: replayed requests go back to the
+    # head of the formation queue, so the tiers are rebuilt from a queue
+    # that is not an append of the previous one.
+    return simulate_online(
+        _fpga(dataset=MRPC, replicas=2),
+        MRPC,
+        ClassMixArrivals(
+            base=PoissonArrivals(rate_qps=400.0),
+            mix="interactive:0.5,batch:0.3,best-effort:0.2",
+        ),
+        num_requests=150,
+        batch_policy=PriorityDeadlineBatcher(batch_size=8),
+        router=CostModelRouter(blacklist_s=0.02),
+        faults=CrashRestartFaults(mtbf_s=0.1, downtime_s=0.01),
+        max_retries=2,
+        retry_backoff_s=0.005,
+        seed=12,
+    )
+
+
 SCENARIOS = {
     "decode-kv-iteration": _decode_kv_iteration,
     "decode-kv-gang": _decode_kv_gang,
@@ -224,6 +245,7 @@ SCENARIOS = {
     "encoder-slo": _encoder_slo,
     "encoder-classes": _encoder_classes,
     "encoder-elastic-chaos": _encoder_elastic_chaos,
+    "encoder-classes-chaos": _encoder_classes_chaos,
 }
 
 EXPECTED = {
@@ -237,6 +259,7 @@ EXPECTED = {
     "encoder-slo": "d9f4b7cb162ae8277024c7d7",
     "encoder-classes": "f05361cce90b79f07ae8909f",
     "encoder-elastic-chaos": "52826496e2c827382b64532a",
+    "encoder-classes-chaos": "b30f4719f0465eecc84850a1",
 }
 
 

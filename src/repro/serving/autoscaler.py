@@ -31,9 +31,11 @@ and become reachable from the CLI (``--autoscaler my-policy``).
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from ..registry import REGISTRY, register
+from .core import _EPS
 
 __all__ = [
     "Autoscaler",
@@ -52,11 +54,16 @@ class ScaleObservation:
     ``recent_attainment`` is the deadline attainment of requests resolved in
     the window (completions by completion time, sheds by arrival time;
     ``None`` when no deadline-carrying request resolved), and
-    ``recent_offered_qps`` is the window's arrival rate.
+    ``recent_offered_qps`` is the window's arrival rate.  A decision at
+    ``now`` counts what resolved in ``(start, now + _EPS]``, where ``start``
+    is the previous decision's ``now`` (0.0 before the first) and ``_EPS``
+    is the engine's 1e-12 s time tolerance, so a request resolved less than
+    ``_EPS`` after ``now`` counts in this window and again in the next.
     ``queue_depth`` is the waiting-to-start population: the central
     formation queue plus requests already cut into batches but still stuck
     behind a device's backlog (the engine drains the former into the latter
-    at every event, so the raw queue alone would understate load).
+    at every event, so the raw queue alone would understate load), that is,
+    those whose start is after ``now + _EPS``.
     ``provisioned_devices`` counts active devices plus scale-ups still in
     their provisioning lag -- the quantity a decision should steer, since
     pending capacity is already paid for.
@@ -154,6 +161,88 @@ class PredictedAttainmentAutoscaler(Autoscaler):
         if healthy and observation.queue_depth == 0:
             return observation.provisioned_devices - 1
         return observation.provisioned_devices
+
+
+class _DecisionWindow:
+    """The counts behind each :class:`ScaleObservation`, kept incrementally.
+
+    During a run the report's ``records`` and ``shed_requests`` lists only
+    grow, so a decision reads just the rows appended since the previous
+    one.  Records land at dispatch, so their start and completion times are
+    not in append order: each time waits in a min-heap until a decision's
+    horizon ``now + _EPS`` passes it.  A popped time after ``now`` is
+    carried into the next window, which also counts it (see
+    :class:`ScaleObservation` for the window bounds).
+    """
+
+    def __init__(self, records: list, shed_requests: list) -> None:
+        #: The previous decision's ``now``: the window's exclusive lower bound.
+        self.start = 0.0
+        self._records = records
+        self._shed_requests = shed_requests
+        self._records_read = 0
+        self._shed_read = 0
+        # Deadline-carrying completions split by outcome, deadline-carrying
+        # sheds by arrival, and every record's start.
+        self._on_time = _WindowedTimes()
+        self._late = _WindowedTimes()
+        self._shed = _WindowedTimes()
+        self._starts: list[float] = []
+
+    def advance(self, now: float) -> tuple[int, int, int, int]:
+        """Close the window at ``now`` and open the next one there.
+
+        Returns ``(served, on_time, shed, not_started)``: deadline-carrying
+        completions in the window, how many of them met their deadline,
+        deadline-carrying sheds in the window, and records that start after
+        ``now + _EPS``.  ``now`` must not decrease between calls.
+        """
+        push, starts = heapq.heappush, self._starts
+        records = self._records
+        for record in records[self._records_read :]:
+            push(starts, record.start_time)
+            if record.deadline is not None:
+                resolved = self._on_time if record.on_time else self._late
+                push(resolved.heap, record.completion_time)
+        self._records_read = len(records)
+        shed_requests = self._shed_requests
+        for request in shed_requests[self._shed_read :]:
+            if request.deadline is not None:
+                push(self._shed.heap, request.arrival_time)
+        self._shed_read = len(shed_requests)
+
+        on_time = self._on_time.count(self.start, now)
+        late = self._late.count(self.start, now)
+        shed = self._shed.count(self.start, now)
+        horizon = now + _EPS
+        while starts and starts[0] <= horizon:
+            heapq.heappop(starts)
+        self.start = now
+        return on_time + late, on_time, shed, len(starts)
+
+
+class _WindowedTimes:
+    """A min-heap of times not yet inside a window, and the times carried
+    over from the previous window (those after its ``now``)."""
+
+    __slots__ = ("carried", "heap")
+
+    def __init__(self) -> None:
+        self.heap: list[float] = []
+        self.carried: list[float] = []
+
+    def count(self, start: float, now: float) -> int:
+        """Pop the heap through ``now + _EPS``; count the times in
+        ``(start, now + _EPS]``.
+
+        Every carried time lies in this window.  The times after ``now``
+        are carried on to the next one.
+        """
+        heap, due, horizon = self.heap, self.carried, now + _EPS
+        while heap and heap[0] <= horizon:
+            due.append(heapq.heappop(heap))
+        self.carried = [t for t in due if t > now]
+        return sum(1 for t in due if t > start)
 
 
 def get_autoscaler(name: str, **kwargs) -> Autoscaler:

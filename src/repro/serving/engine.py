@@ -53,7 +53,7 @@ from ..faults import FaultInjector, FaultSchedule, get_fault_schedule
 from ..hardware.accelerator import Accelerator
 from ..transformer.configs import DatasetConfig
 from .arrivals import ArrivalProcess
-from .autoscaler import ScaleObservation, get_autoscaler
+from .autoscaler import ScaleObservation, _DecisionWindow, get_autoscaler
 from .clock import SimClock
 from .core import _EPS, CrashLedger, DispatchCore, ServingSession, open_session, prepare_stream
 
@@ -874,10 +874,10 @@ def simulate_online(
     if isinstance(autoscaler, str):
         autoscaler = get_autoscaler(autoscaler)
     autoscaling = autoscaler is not None
-    if provisioning_lag_s < 0:
-        raise ValueError("provisioning_lag_s must be >= 0")
-    if autoscale_interval_s <= 0:
-        raise ValueError("autoscale_interval_s must be > 0")
+    if not math.isfinite(provisioning_lag_s) or provisioning_lag_s < 0:
+        raise ValueError("provisioning_lag_s must be finite and >= 0")
+    if not math.isfinite(autoscale_interval_s) or autoscale_interval_s <= 0:
+        raise ValueError("autoscale_interval_s must be finite and > 0")
     if autoscaling:
         if not 1 <= min_devices <= len(fleet):
             raise ValueError("min_devices must be in [1, pool size]")
@@ -888,8 +888,8 @@ def simulate_online(
         report.provisioning_lag_s = provisioning_lag_s
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
-    if retry_backoff_s < 0:
-        raise ValueError("retry_backoff_s must be >= 0")
+    if not math.isfinite(retry_backoff_s) or retry_backoff_s < 0:
+        raise ValueError("retry_backoff_s must be finite and >= 0")
     injector = _as_fault_injector(faults, len(fleet), seed)
     crashes = None
     if injector is not None:
@@ -971,11 +971,12 @@ def _run_events(
     billed_until: dict[int, float] = {}
     pending_online: list[float] = []
     next_decision = autoscale_interval_s
-    window_start = 0.0
     arrivals_in_window = 0
     stall_signature: tuple | None = None
     stall_steps = 0
     if autoscaling:
+        # Per-decision counts, read from the rows appended since the last.
+        window = _DecisionWindow(report.records, report.shed_requests)
         for index in range(len(active)):
             online_since[index] = 0.0
         report.scaling_timeline.append((0.0, len(active)))
@@ -998,37 +999,24 @@ def _run_events(
         billed_until[index] = off
 
     def _decide(now: float) -> None:
-        nonlocal window_start, arrivals_in_window
-        window = max(now - window_start, _EPS)
-        served = [
-            r
-            for r in report.records
-            if r.deadline is not None and window_start < r.completion_time <= now + _EPS
-        ]
-        shed = [
-            r
-            for r in report.shed_requests
-            if r.deadline is not None and window_start < r.arrival_time <= now + _EPS
-        ]
-        resolved = len(served) + len(shed)
-        # Overload lives in the waiting-to-start population: the central
-        # formation queue plus requests cut into batches that are still
-        # stuck behind a device's backlog (the pump drains the former into
-        # the latter at every event, so the queue alone understates load).
-        waiting = len(core.queue) + sum(
-            1 for r in report.records if r.start_time > now + _EPS
-        )
+        nonlocal arrivals_in_window
+        span = max(now - window.start, _EPS)
+        served, on_time, shed, not_started = window.advance(now)
+        resolved = served + shed
         observation = ScaleObservation(
             now=now,
-            queue_depth=waiting,
+            # Overload lives in the waiting-to-start population: the central
+            # formation queue plus requests cut into batches that are still
+            # stuck behind a device's backlog (the pump drains the former
+            # into the latter at every event, so the queue alone understates
+            # load).
+            queue_depth=len(core.queue) + not_started,
             active_devices=len(active),
             provisioned_devices=len(active) + len(pending_online),
             min_devices=min_devices,
             max_devices=len(fleet),
-            recent_attainment=(
-                sum(1 for r in served if r.on_time) / resolved if resolved else None
-            ),
-            recent_offered_qps=arrivals_in_window / window,
+            recent_attainment=on_time / resolved if resolved else None,
+            recent_offered_qps=arrivals_in_window / span,
         )
         desired = max(min_devices, min(int(autoscaler.decide(observation)), len(fleet)))
         provisioned = len(active) + len(pending_online)
@@ -1049,7 +1037,6 @@ def _run_events(
             provisioned -= 1
         if shrank:
             report.scaling_timeline.append((now, len(active)))
-        window_start = now
         arrivals_in_window = 0
 
     def _apply_scaling(now: float) -> None:

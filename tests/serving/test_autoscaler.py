@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.devices import build_fleet
@@ -235,3 +237,11 @@ class TestElasticPoolEngine:
             )
         with pytest.raises(KeyError):
             simulate_online(fleet, "mrpc", requests, autoscaler="no-such-policy")
+        # Non-finite knobs would never decide, never bring capacity online,
+        # or never re-offer a crashed request.
+        for value in (math.nan, math.inf):
+            for knob in ("provisioning_lag_s", "autoscale_interval_s", "retry_backoff_s"):
+                with pytest.raises(ValueError, match=f"{knob} must be finite"):
+                    simulate_online(
+                        fleet, "mrpc", requests, autoscaler="queue-depth", **{knob: value}
+                    )

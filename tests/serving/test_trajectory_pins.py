@@ -4,7 +4,9 @@ Each scenario runs ``simulate_online`` or ``simulate_decode_online`` at a
 reduced size and hashes everything that makes up its trajectory: the
 ``to_dict()`` summary, every request record, every batch, the shed causes
 in shed order and the queue-depth timeline.  The expected digests were
-captured from the engines before they shared one event loop, so any change
+captured from the engines before they shared one event loop (the
+attainment-autoscaler scenario's before its decisions counted their window
+incrementally), so any change
 to when a batch forms, where it routes, what it costs or when a decode step
 runs shows up here.
 
@@ -32,6 +34,7 @@ from repro.serving import (
     DeadlineBatcher,
     FixedSizeBatcher,
     PoissonArrivals,
+    PredictedAttainmentAutoscaler,
     PriorityDeadlineBatcher,
     QueueDepthAutoscaler,
     SLOSpec,
@@ -213,6 +216,28 @@ def _encoder_elastic_chaos():
     )
 
 
+def _encoder_elastic_attainment():
+    # The attainment-feedback autoscaler: every decision reads the window's
+    # on-time completions and predicted-miss sheds, so a miscounted window
+    # moves the scaling timeline.
+    return simulate_online(
+        _fpga(dataset=MRPC, replicas=4),
+        MRPC,
+        PoissonArrivals(rate_qps=300.0),
+        num_requests=200,
+        batch_policy=DeadlineBatcher(batch_size=8),
+        router=CostModelRouter(),
+        slo=SLOSpec(base_s=0.12),
+        shed_on_predicted_miss=True,
+        autoscaler=PredictedAttainmentAutoscaler(target=0.9),
+        provisioning_lag_s=0.02,
+        autoscale_interval_s=0.01,
+        min_devices=1,
+        initial_devices=1,
+        seed=14,
+    )
+
+
 def _encoder_classes_chaos():
     # Priority EDF under crash requeues: replayed requests go back to the
     # head of the formation queue, so the tiers are rebuilt from a queue
@@ -245,6 +270,7 @@ SCENARIOS = {
     "encoder-slo": _encoder_slo,
     "encoder-classes": _encoder_classes,
     "encoder-elastic-chaos": _encoder_elastic_chaos,
+    "encoder-elastic-attainment": _encoder_elastic_attainment,
     "encoder-classes-chaos": _encoder_classes_chaos,
 }
 
@@ -259,6 +285,7 @@ EXPECTED = {
     "encoder-slo": "d9f4b7cb162ae8277024c7d7",
     "encoder-classes": "f05361cce90b79f07ae8909f",
     "encoder-elastic-chaos": "52826496e2c827382b64532a",
+    "encoder-elastic-attainment": "4811b8b365a903c4870acbae",
     "encoder-classes-chaos": "b30f4719f0465eecc84850a1",
 }
 

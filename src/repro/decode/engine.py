@@ -107,13 +107,17 @@ class _DeviceDecodeState:
     """Per-device decode bookkeeping the engine loop drives."""
 
     running: list[_RunningRequest] = field(default_factory=list)
+    #: Prefilled requests waiting to join, in join order (ready time, id).
     joiners: list[_RunningRequest] = field(default_factory=list)
     #: Request-level (gang) mode: finished members whose KV stays reserved
     #: until the whole gang drains.
     gang_done: list[_RunningRequest] = field(default_factory=list)
-    #: In-flight decode step (at most one per device).
-    step_end: float | None = None
+    #: Members of the in-flight decode step (at most one per device; empty
+    #: while the device is idle).
     step_members: list[_RunningRequest] = field(default_factory=list)
+    #: Next decode event: the step's end while a step runs, else the first
+    #: joiner's ready time (inf when idle with no joiner).
+    wake: float = math.inf
     #: KV-cache occupancy in reserved bytes, and its high-water mark.
     reserved_bytes: int = 0
     kv_peak_bytes: int = 0
@@ -352,6 +356,10 @@ class _DecodeCore(DispatchCore):
                     heapq.heappush(state.release_heap, (first_token, nbytes))
             else:
                 state.joiners.append(member)
+        # Timsort keeps this cheap: only the new batch is out of order.
+        state.joiners.sort(key=lambda j: (j.ready_time, j.request.request_id))
+        if not state.step_members and state.joiners:
+            state.wake = state.joiners[0].ready_time
         self.book_batch(planned)
 
     # ------------------------------------------------------------------
@@ -374,7 +382,6 @@ class _DecodeCore(DispatchCore):
                 still_running.append(member)
         state.running = still_running
         state.step_members = []
-        state.step_end = None
         if not self.iteration_level and not state.running and state.gang_done:
             # Request-level batching: the gang's KV frees only once every
             # member has finished.
@@ -383,27 +390,24 @@ class _DecodeCore(DispatchCore):
             state.gang_done = []
 
     def _start_step(self, index: int, now: float) -> None:
+        """Join due joiners and start a step on an idle device; refresh its wake."""
         state = self.states[index]
         device = self.fleet[index]
-        if state.step_end is not None:
-            return
+        joiners = state.joiners
         # Join: iteration-level admits at any step boundary; request-level
         # only into an empty (fully drained) batch.
-        if state.joiners and (self.iteration_level or not state.running):
-            ready = [j for j in state.joiners if j.ready_time <= now + _EPS]
-            if ready:
-                ready.sort(key=lambda j: (j.ready_time, j.request.request_id))
-                slots = (
-                    len(ready)
-                    if device.max_batch_size is None
-                    else max(device.max_batch_size - len(state.running), 0)
-                )
-                joining = ready[:slots]
-                if joining:
-                    joined = {id(j) for j in joining}
-                    state.joiners = [j for j in state.joiners if id(j) not in joined]
-                    state.running.extend(joining)
+        if joiners and (self.iteration_level or not state.running):
+            slots = len(joiners)
+            if device.max_batch_size is not None:
+                slots = min(slots, device.max_batch_size - len(state.running))
+            due = now + _EPS
+            joining = 0
+            while joining < slots and joiners[joining].ready_time <= due:
+                joining += 1
+            state.running.extend(joiners[:joining])
+            del joiners[:joining]
         if not state.running:
+            state.wake = joiners[0].ready_time if joiners else math.inf
             return
         contexts = [member.context_length for member in state.running]
         latency = device.decode_step_latency_seconds(contexts)
@@ -411,7 +415,7 @@ class _DecodeCore(DispatchCore):
         # A step admits nothing until it ends: book the window directly.
         device.book_interval(start, start + latency)
         state.step_members = list(state.running)
-        state.step_end = start + latency
+        state.wake = start + latency
         state.num_steps += 1
 
     # ------------------------------------------------------------------
@@ -419,15 +423,21 @@ class _DecodeCore(DispatchCore):
     # ------------------------------------------------------------------
 
     def pump(self, now: float, draining: bool = False) -> list[PlannedBatch]:
+        due = now + _EPS
         for index, state in enumerate(self.states):
-            if state.release_heap:
+            if state.release_heap and state.release_heap[0][0] <= due:
                 self._drain_kv_releases(index, now)
-            if state.step_end is not None and state.step_end <= now + _EPS:
-                self._finish_step(index, state.step_end)
+            if state.step_members and state.wake <= due:
+                self._finish_step(index, state.wake)
         self._kv_blocked = False
         planned = super().pump(now, draining)
-        for index in range(len(self.fleet)):
-            self._start_step(index, now)
+        for index, state in enumerate(self.states):
+            # Only an idle device with members or a due joiner can start a
+            # step.  A step that just ended left its due end as the wake (a
+            # prefill landing since sets the idle wake itself), so that
+            # device restarts or refreshes its wake here.
+            if not state.step_members and (state.running or state.wake <= due):
+                self._start_step(index, now)
         return planned
 
     def next_action_time(self, now: float) -> float | None:
@@ -437,16 +447,14 @@ class _DecodeCore(DispatchCore):
         if timer is None or (self._kv_blocked and timer <= now + _EPS):
             timer = math.inf
         for state in self.states:
-            if state.step_end is not None:
-                timer = min(timer, state.step_end)
-            elif state.joiners:
-                timer = min(timer, min(j.ready_time for j in state.joiners))
-            if state.release_heap:
-                timer = min(timer, state.release_heap[0][0])
+            if state.wake < timer:
+                timer = state.wake
+            if state.release_heap and state.release_heap[0][0] < timer:
+                timer = state.release_heap[0][0]
         return None if math.isinf(timer) else timer
 
     def busy(self) -> bool:
-        return any(s.running or s.joiners or s.step_end is not None for s in self.states)
+        return any(s.wake < math.inf for s in self.states)
 
 
 def simulate_decode_online(
@@ -490,6 +498,8 @@ def simulate_decode_online(
     ``kv_cache_bytes`` enforce token-level KV admission as described in the
     module docstring.
     """
+    if not isinstance(iteration_level, bool):
+        raise TypeError(f"iteration_level must be a bool, got {iteration_level!r}")
     generative = isinstance(arrivals, ArrivalProcess)
     distribution = get_output_lengths(output_lengths) if generative else None
 

@@ -210,6 +210,11 @@ class CycleAccurateDevice(Device):
         return self.accelerator.top_k
 
     def kv_bytes_per_token(self) -> int:
+        return self._kv_bytes_per_token
+
+    @cached_property
+    def _kv_bytes_per_token(self) -> int:
+        """Computed once, on the same premise as :attr:`_decode_roofline`."""
         model = self.accelerator.model_config
         return (
             2  # K and V
@@ -539,6 +544,11 @@ class AnalyticalDevice(Device):
     # ------------------------------------------------------------------
 
     def kv_bytes_per_token(self) -> int | None:
+        return self._kv_bytes_per_token
+
+    @cached_property
+    def _kv_bytes_per_token(self) -> int | None:
+        """Computed once (the platform and the model are fixed at construction)."""
         if self.model_config is None:
             return None  # platform wrappers without a model cannot size KV
         return (

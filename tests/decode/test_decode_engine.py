@@ -181,6 +181,19 @@ class TestEngineValidation:
         with pytest.raises(ValueError, match="empty"):
             simulate_decode_online(_decode_device(), MRPC, [])
 
+    @pytest.mark.parametrize("mode", ["no", "yes", 0, 1, None])
+    def test_iteration_level_must_be_a_bool(self, mode):
+        # A truthy string used to run iteration-level batching and report
+        # the string back as the mode.
+        with pytest.raises(TypeError, match="iteration_level"):
+            simulate_decode_online(
+                _decode_device(),
+                MRPC,
+                PoissonArrivals(rate_qps=5.0),
+                num_requests=4,
+                iteration_level=mode,
+            )
+
     def test_report_shape(self):
         slo = SLOSpec(base_s=0.5, per_output_token_s=0.005)
         report = simulate_decode_online(

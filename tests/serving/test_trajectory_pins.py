@@ -6,7 +6,8 @@ reduced size and hashes everything that makes up its trajectory: the
 in shed order and the queue-depth timeline.  The expected digests were
 captured from the engines before they shared one event loop (the
 attainment-autoscaler scenario's before its decisions counted their window
-incrementally), so any change
+incrementally, the wide tied-decode scenario's before the decode loop kept
+per-device wake times), so any change
 to when a batch forms, where it routes, what it costs or when a decode step
 runs shows up here.
 
@@ -148,6 +149,32 @@ def _decode_explicit_token_limit():
     )
 
 
+def _decode_wide_tied(iteration_level: bool = True):
+    # Six identical replicas receive identical prefill batches at the same
+    # instant, so their decode steps end together; more ready joiners than
+    # free slots wait at every boundary, and prefills stall on KV.
+    prompts = [32, 64, 48, 96]
+    outputs = [1, 3, 6, 12]
+    requests = [
+        DecodeRequest(
+            request_id=24 * burst + slot,
+            length=prompts[slot % 4],
+            arrival_time=0.01 * burst,
+            output_len=outputs[(slot + burst) % 4],
+        )
+        for burst in range(8)
+        for slot in range(24)
+    ]
+    return simulate_decode_online(
+        _fpga(dataset=MRPC, replicas=6, max_batch_size=4, kv_cache_bytes=10 * MIB),
+        MRPC,
+        requests,
+        batch_policy=TimeoutBatcher(batch_size=4, timeout_s=0.005),
+        iteration_level=iteration_level,
+        seed=0,
+    )
+
+
 def _encoder_plain():
     return simulate_online(
         _fpga(dataset=MRPC, replicas=2),
@@ -266,6 +293,7 @@ SCENARIOS = {
     "decode-deadline-predicted-miss": _decode_deadline_predicted_miss,
     "decode-classes-queue-limits": _decode_classes_queue_limits,
     "decode-explicit-token-limit": _decode_explicit_token_limit,
+    "decode-wide-tied": _decode_wide_tied,
     "encoder-plain": _encoder_plain,
     "encoder-slo": _encoder_slo,
     "encoder-classes": _encoder_classes,
@@ -281,6 +309,7 @@ EXPECTED = {
     "decode-deadline-predicted-miss": "3a285a3a2f1da6f2d89aa827",
     "decode-classes-queue-limits": "7bb6729f96dafd1c3cf36b7c",
     "decode-explicit-token-limit": "d4a81d81fd035e4307e6d5af",
+    "decode-wide-tied": "3e941d4376f88f719b831182",
     "encoder-plain": "2abec58c4dcf2f271546fa20",
     "encoder-slo": "d9f4b7cb162ae8277024c7d7",
     "encoder-classes": "f05361cce90b79f07ae8909f",

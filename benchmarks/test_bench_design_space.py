@@ -16,7 +16,7 @@ from repro.hardware.accelerator import build_sparse_accelerator
 from repro.hardware.roofline import accelerator_roofline, ctc_ratio, device_roofline
 from repro.scheduling.baselines import PaddedScheduler
 from repro.scheduling.design_space import explore_design_space
-from repro.serving import simulate_serving
+from repro.serving import ClosedLoopArrivals, FixedSizeBatcher, simulate_online
 from repro.transformer.configs import BERT_BASE, MRPC, RTE, SQUAD_V11
 
 
@@ -66,6 +66,12 @@ def test_bench_roofline_and_ctc(benchmark, write_report):
     assert all(point.compute_bound for point in points)
 
 
+#: ``OnlineServingReport.as_row()`` columns that describe a batch drain
+#: (the arrival, shedding and device-busy columns are constant here, and the
+#: per-run cache hit rate depends on what ran earlier in the process).
+_DRAIN_COLUMNS = ("requests", "sustained_qps", "p50_ms", "p99_ms")
+
+
 def test_bench_serving_throughput(benchmark, write_report):
     def serve_all():
         reports = []
@@ -73,21 +79,36 @@ def test_bench_serving_throughput(benchmark, write_report):
             accelerator = build_sparse_accelerator(
                 BERT_BASE, top_k=30, avg_seq=dataset.avg_length, max_seq=dataset.max_length
             )
-            reports.append(simulate_serving(accelerator, dataset, num_requests=128))
-            padded_report = simulate_serving(
-                accelerator, dataset, num_requests=128, scheduler=PaddedScheduler()
-            )
-            reports.append(padded_report)
+            for scheduler in (None, PaddedScheduler()):
+                report = simulate_online(
+                    accelerator,
+                    dataset,
+                    ClosedLoopArrivals(sort_by_length=True),
+                    num_requests=128,
+                    batch_policy=FixedSizeBatcher(batch_size=16),
+                    scheduler=scheduler,
+                )
+                reports.append(report)
         return reports
 
     reports = run_once(benchmark, serve_all)
+    rows = []
+    for report in reports:
+        row = report.as_row()
+        rows.append(
+            {
+                "dataset": report.dataset,
+                "scheduler": report.scheduler,
+                **{column: row[column] for column in _DRAIN_COLUMNS},
+                "stage_util": round(report.average_pipeline_utilization, 3),
+            }
+        )
     write_report(
         "serving_throughput",
         format_table(
-            [report.as_row() for report in reports],
-            title="Serving 128 synthetic requests per dataset (length-aware vs padded)",
+            rows, title="Serving 128 synthetic requests per dataset (length-aware vs padded)"
         ),
     )
     # Length-aware serving beats padded serving on every dataset.
     for ours, padded in zip(reports[0::2], reports[1::2]):
-        assert ours.throughput_sequences_per_second > padded.throughput_sequences_per_second
+        assert ours.sustained_qps > padded.sustained_qps

@@ -53,9 +53,7 @@ from .serving import (
     ClosedLoopArrivals,
     OnlineServingReport,
     PoissonArrivals,
-    ServingReport,
     simulate_online,
-    simulate_serving,
 )
 from .transformer import (
     BERT_BASE,
@@ -90,7 +88,6 @@ __all__ = [
     "PoissonArrivals",
     "ROBERTA",
     "SequentialScheduler",
-    "ServingReport",
     "SparseAttentionConfig",
     "TransformerModel",
     "allocate_stages",
@@ -106,7 +103,6 @@ __all__ = [
     "run_experiment",
     "run_report",
     "simulate_online",
-    "simulate_serving",
     "sparse_attention_head",
     "sparse_multi_head_attention",
     "__version__",

@@ -31,8 +31,6 @@ from .protocol import BatchExecution, Device
 from .schedule_cache import (
     GLOBAL_SCHEDULE_CACHE,
     ScheduleCache,
-    persist_schedule_cache,
-    persistent_cache_dir,
     schedule_cache_enabled,
 )
 
@@ -46,8 +44,6 @@ __all__ = [
     "ScheduleCache",
     "build_device",
     "build_fleet",
-    "persist_schedule_cache",
-    "persistent_cache_dir",
     "schedule_cache_enabled",
     "split_fleet_spec",
 ]

@@ -31,7 +31,6 @@ from .protocol import BatchExecution, Device
 from .schedule_cache import (
     GLOBAL_SCHEDULE_CACHE,
     ScheduleCache,
-    ensure_persistent_cache_loaded,
     quantize_lengths,
     schedule_cache_enabled,
 )
@@ -56,18 +55,6 @@ class _CanonicalSchedule:
     admit_seconds: float
     utilization: float
     key_digest: str = ""
-
-    def __getstate__(self) -> dict:
-        # ScheduleResult carries lazily-materialized timeline closures that
-        # do not pickle; disk snapshots (REPRO_SCHEDULE_CACHE_DIR) keep the
-        # scalar summary and drop the schedule object, exactly like the
-        # parallel sweep workers do before shipping results across processes.
-        state = self.__dict__.copy()
-        state["result"] = None
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
 
 
 def _key_digest(key: tuple) -> str:
@@ -264,10 +251,6 @@ class CycleAccurateDevice(Device):
         self.cache_probe_total = 0
         self.cache_probe_sequence: list[tuple[int, str]] = []
         self._cache_active = schedule_cache_enabled()
-        if self._cache_active and self._schedule_cache is GLOBAL_SCHEDULE_CACHE:
-            # Opt-in disk warm start (REPRO_SCHEDULE_CACHE_DIR); no-op once
-            # loaded, and never applied to privately injected caches.
-            ensure_persistent_cache_loaded()
 
     # ------------------------------------------------------------------
     # Cache plumbing

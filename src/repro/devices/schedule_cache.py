@@ -27,28 +27,15 @@ module replaces that with one process-wide LRU shared by all devices:
   :meth:`ScheduleCache.replay` instead of hashing the key again.  The
   counters and the LRU order come out as a full lookup leaves them.
 
-``REPRO_SCHEDULE_CACHE=off`` disables lookups entirely (every batch is
-re-simulated), which is the knob the cache-correctness tests and debugging
-sessions use.
-
-**Disk persistence (opt-in).**  ``REPRO_SCHEDULE_CACHE_DIR=<dir>`` makes the
-cache survive the process: on first use each process loads every snapshot in
-the directory into the shared cache, and at interpreter exit it writes its
-own entries to a per-pid snapshot file (atomic rename, so concurrent
-processes -- e.g. ``--jobs`` sweep workers or planner candidate evaluations
--- never clobber each other).  Cached entries drop their in-memory
-:class:`~repro.scheduling.pipeline.ScheduleResult` when snapshotted (its
-lazily-materialized timelines are closures and do not pickle), so a
-disk-warmed hit serves exact latencies/offsets but no schedule object --
-the same contract parallel sweep workers already have.
+The cache lives in memory for the life of the process; nothing is written
+to disk.  Its only switch is ``REPRO_SCHEDULE_CACHE=on|off``: ``off``
+disables lookups entirely (every batch is re-simulated), which is the knob
+the cache-correctness tests and debugging sessions use.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
 from typing import Any, Hashable, NamedTuple
@@ -57,9 +44,6 @@ __all__ = [
     "GLOBAL_SCHEDULE_CACHE",
     "CacheQuery",
     "ScheduleCache",
-    "ensure_persistent_cache_loaded",
-    "persist_schedule_cache",
-    "persistent_cache_dir",
     "quantize_lengths",
     "schedule_cache_enabled",
 ]
@@ -70,31 +54,12 @@ __all__ = [
 DEFAULT_MAX_ENTRIES = 4096
 
 _CACHE_ENV = "REPRO_SCHEDULE_CACHE"
-_CACHE_DIR_ENV = "REPRO_SCHEDULE_CACHE_DIR"
 _OFF_WORDS = frozenset({"off", "0", "false", "no", "disabled"})
-
-#: Snapshot files are per-pid so concurrent writers never race; loaders merge
-#: every file matching this prefix.
-_SNAPSHOT_PREFIX = "schedule-cache-"
-_SNAPSHOT_SUFFIX = ".pkl"
 
 
 def schedule_cache_enabled() -> bool:
     """Whether the shared cache is active (``REPRO_SCHEDULE_CACHE=off`` kills it)."""
     return os.environ.get(_CACHE_ENV, "on").strip().lower() not in _OFF_WORDS
-
-
-def persistent_cache_dir() -> str | None:
-    """The opt-in on-disk cache directory, or ``None`` when persistence is off.
-
-    Reads ``REPRO_SCHEDULE_CACHE_DIR``; the in-memory kill switch
-    (``REPRO_SCHEDULE_CACHE=off``) also disables persistence, since there is
-    nothing to snapshot when lookups are bypassed.
-    """
-    if not schedule_cache_enabled():
-        return None
-    value = os.environ.get(_CACHE_DIR_ENV, "").strip()
-    return value or None
 
 
 def quantize_lengths(lengths: tuple[int, ...], bucket: int) -> tuple[int, ...]:
@@ -215,115 +180,6 @@ class ScheduleCache:
                 "num_evictions": self.num_evictions,
             }
 
-    def save_dir(self, directory: str) -> int:
-        """Snapshot every entry into a per-pid pickle under ``directory``.
-
-        Writes to a temp file in the same directory and atomically renames
-        it over the snapshot, so a concurrent loader never sees a torn file.
-        Returns the number of entries written (0 skips the write).
-        """
-        with self._lock:
-            entries = list(self._entries.items())
-        if not entries:
-            return 0
-        os.makedirs(directory, exist_ok=True)
-        final = os.path.join(
-            directory, f"{_SNAPSHOT_PREFIX}{os.getpid()}{_SNAPSHOT_SUFFIX}"
-        )
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(entries, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, final)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return len(entries)
-
-    def load_dir(self, directory: str) -> int:
-        """Merge every snapshot under ``directory`` into this cache.
-
-        Unreadable or truncated snapshots (e.g. from a killed worker) are
-        skipped rather than fatal; loading counts neither hits nor misses.
-        Returns the number of entries merged.
-        """
-        try:
-            names = sorted(os.listdir(directory))
-        except OSError:
-            return 0
-        loaded = 0
-        for filename in names:
-            if not (
-                filename.startswith(_SNAPSHOT_PREFIX)
-                and filename.endswith(_SNAPSHOT_SUFFIX)
-            ):
-                continue
-            path = os.path.join(directory, filename)
-            try:
-                with open(path, "rb") as handle:
-                    entries = pickle.load(handle)
-            except Exception:
-                continue
-            if not isinstance(entries, list):
-                continue
-            with self._lock:
-                # Merged entries become the most recent ones.
-                self.last_query = None
-                for key, value in entries:
-                    if key in self._entries:
-                        continue
-                    self._entries[key] = value
-                    loaded += 1
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.num_evictions += 1
-        return loaded
-
 
 #: The process-wide cache every :class:`CycleAccurateDevice` shares by default.
 GLOBAL_SCHEDULE_CACHE = ScheduleCache()
-
-
-_PERSIST_LOCK = threading.Lock()
-_LOADED_DIRS: set[str] = set()
-_ATEXIT_REGISTERED = False
-
-
-def persist_schedule_cache() -> int:
-    """Write the shared cache to ``REPRO_SCHEDULE_CACHE_DIR`` right now.
-
-    Normally the atexit hook installed by
-    :func:`ensure_persistent_cache_loaded` does this at interpreter exit;
-    call it directly to hand a warm cache to a subprocess that is about to
-    start (the parallel planner does, so workers begin warm even on the very
-    first run).  No-op (returning 0) when persistence is off.
-    """
-    directory = persistent_cache_dir()
-    if directory is None:
-        return 0
-    return GLOBAL_SCHEDULE_CACHE.save_dir(directory)
-
-
-def ensure_persistent_cache_loaded() -> None:
-    """Warm the shared cache from disk once per configured directory.
-
-    Cycle-accurate devices call this from ``reset()``; the first call for a
-    given ``REPRO_SCHEDULE_CACHE_DIR`` value merges every snapshot in the
-    directory and registers an atexit hook that snapshots this process's
-    entries back.  Later calls (and unset/disabled environments) are no-ops.
-    """
-    directory = persistent_cache_dir()
-    if directory is None:
-        return
-    global _ATEXIT_REGISTERED
-    with _PERSIST_LOCK:
-        if directory in _LOADED_DIRS:
-            return
-        _LOADED_DIRS.add(directory)
-        if not _ATEXIT_REGISTERED:
-            atexit.register(persist_schedule_cache)
-            _ATEXIT_REGISTERED = True
-    GLOBAL_SCHEDULE_CACHE.load_dir(directory)

@@ -1,11 +1,9 @@
 """Propagate ``REPRO_*`` environment overrides into pool workers.
 
-The simulation stack reads a few debugging/validation switches from the
+The simulation stack reads two debugging/validation switches from the
 environment at *use* time: ``REPRO_PIPELINE_ENGINE`` (vectorized fast path
-vs. the pure-Python reference oracle), ``REPRO_SCHEDULE_CACHE`` (disable
-the process-wide schedule cache), and ``REPRO_SCHEDULE_CACHE_DIR`` (opt-in
-on-disk cache persistence, so workers start warm).  Serial runs honor
-whatever the caller
+vs. the pure-Python reference oracle) and ``REPRO_SCHEDULE_CACHE`` (disable
+the process-wide schedule cache).  Serial runs honor whatever the caller
 exported; parallel runs (``--jobs N``) execute in
 :class:`~concurrent.futures.ProcessPoolExecutor` workers whose environment
 is whatever the worker process happened to inherit *when it started* --
@@ -30,7 +28,6 @@ __all__ = ["ENV_OVERRIDE_VARS", "apply_env_overrides", "capture_env_overrides"]
 ENV_OVERRIDE_VARS = (
     "REPRO_PIPELINE_ENGINE",
     "REPRO_SCHEDULE_CACHE",
-    "REPRO_SCHEDULE_CACHE_DIR",
 )
 
 

@@ -138,6 +138,10 @@ class ServeConfig(ServingKnobs):
                 raise ValueError("arrival 'trace' needs trace_file")
             if not Path(self.trace_file).is_file():
                 raise ValueError(f"trace file {self.trace_file} does not exist")
+        elif self.trace_file is not None:
+            raise ValueError(
+                f"trace_file is only read by arrival 'trace', not '{self.arrival}'"
+            )
         rate_driven = self.is_rate_driven()
         if not rate_driven and self.qps is not None:
             raise ValueError(
@@ -157,6 +161,8 @@ class ServeConfig(ServingKnobs):
                 raise ValueError(
                     f"min_devices ({self.min_devices}) exceeds the {pool}-device pool"
                 )
+        elif self.min_devices != 1:
+            raise ValueError("min_devices sizes an elastic pool and needs an autoscaler")
         if self.class_queue_limits is not None:
             with _config_error("class_queue_limits"):
                 parse_class_queue_limits(self.class_queue_limits)

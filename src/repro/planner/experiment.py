@@ -181,6 +181,10 @@ class PlanConfig(ExperimentConfig):
                 "plan needs a finite workload: use 'trace' or a rate-driven "
                 "arrival process"
             )
+        if self.trace_file is not None and self.arrival.lower() != "trace":
+            raise ValueError(
+                f"trace_file is only read by arrival 'trace', not '{self.arrival}'"
+            )
         if self.compare_autoscaler is not None:
             resolve_component("autoscaler", self.compare_autoscaler)
         if self.provisioning_lag_s < 0:

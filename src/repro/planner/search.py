@@ -45,7 +45,6 @@ _MP_CONTEXT = None
 _WAVE_SIZE = 8
 
 from ..devices import Device, build_device, build_fleet, split_fleet_spec
-from ..devices.schedule_cache import persist_schedule_cache, persistent_cache_dir
 from ..evaluation.env_overrides import apply_env_overrides, capture_env_overrides
 from ..evaluation.serving_sweep import slo_spec_from_ms
 from ..serving.arrivals import TraceArrivals
@@ -336,11 +335,6 @@ def search_fleets(config: PlanConfig, trace: tuple) -> PlanSearchResult:
 
     executor = None
     if config.jobs > 1:
-        # Snapshot the warm parent cache first so spawned workers -- which
-        # load REPRO_SCHEDULE_CACHE_DIR on their first device reset -- start
-        # from it instead of recomputing every schedule.
-        if persistent_cache_dir() is not None:
-            persist_schedule_cache()
         env = capture_env_overrides()
         executor = ProcessPoolExecutor(max_workers=config.jobs, mp_context=_MP_CONTEXT)
     try:

@@ -16,21 +16,6 @@ from .stage_allocation import (
 )
 from .timeline import StageOccupancy, Timeline, TimelineEvent
 
-# ``ServingReport`` / ``simulate_serving`` moved to :mod:`repro.serving`
-# (closed-loop mode of the online engine).  They are re-exported lazily to
-# avoid a circular import: ``repro.serving`` builds on the scheduler modules
-# of this package.
-_SERVING_EXPORTS = ("ServingReport", "simulate_serving")
-
-
-def __getattr__(name: str):
-    if name in _SERVING_EXPORTS:
-        from ..serving.closed_loop import ServingReport, simulate_serving
-
-        return {"ServingReport": ServingReport, "simulate_serving": simulate_serving}[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "DesignPoint",
     "LengthAwareScheduler",
@@ -39,7 +24,6 @@ __all__ = [
     "PipelineJob",
     "ScheduleResult",
     "SequentialScheduler",
-    "ServingReport",
     "StageAssignment",
     "StageOccupancy",
     "StagePlan",
@@ -51,6 +35,5 @@ __all__ = [
     "explore_design_space",
     "plan_to_accelerator",
     "simulate_coarse_pipeline",
-    "simulate_serving",
     "sort_batch_by_length",
 ]

@@ -20,8 +20,6 @@ service simulator:
 * :mod:`~repro.serving.autoscaler` -- elastic-pool scaling policies
   (queue-depth threshold, attainment feedback) driven inside the engine
   with a provisioning lag and per-device billing.
-* :mod:`~repro.serving.closed_loop` -- the legacy batch-drain API
-  (``simulate_serving``) expressed as a special case of the engine.
 """
 
 from .arrivals import (
@@ -52,7 +50,6 @@ from .classes import (
     parse_class_queue_limits,
     register_request_class,
 )
-from .closed_loop import ServingReport, simulate_serving
 from .engine import BatchRecord, DeviceSummary, OnlineServingReport, simulate_online
 from .policies import (
     BatchPolicy,
@@ -101,7 +98,6 @@ __all__ = [
     "Router",
     "SLOSpec",
     "ScaleObservation",
-    "ServingReport",
     "TimeoutBatcher",
     "TraceArrivals",
     "assign_deadlines",
@@ -115,5 +111,4 @@ __all__ = [
     "parse_class_queue_limits",
     "register_request_class",
     "simulate_online",
-    "simulate_serving",
 ]

@@ -22,9 +22,9 @@ distribution:
   over-provision for the spike; reactive scaling pays the provisioning lag.
 * :class:`TraceArrivals` -- replay of an explicit (time, length) trace,
   e.g. recorded production traffic.
-* :class:`ClosedLoopArrivals` -- every request present at t=0; this reduces
-  the online engine to the legacy batch-drain simulation and is the mode
-  :func:`~repro.serving.closed_loop.simulate_serving` uses.
+* :class:`ClosedLoopArrivals` -- every request present at t=0; with a
+  :class:`~repro.serving.policies.FixedSizeBatcher` this is the paper's
+  batch-drain serving run, whose drain rate is the report's ``sustained_qps``.
 
 Lengths are always drawn with :func:`repro.datasets.length_distributions.sample_lengths`
 so the open-loop stream follows the exact same per-dataset distribution as the
@@ -389,13 +389,17 @@ def load_trace(path: str | Path) -> tuple:
 @register("arrival", "closed-loop", aliases=("closed",))
 @dataclass
 class ClosedLoopArrivals(ArrivalProcess):
-    """Every request is already queued at t=0 (the legacy batch-drain mode).
+    """Every request is already queued at t=0 (batch-drain serving).
 
     Config knobs: ``sort_by_length`` (bool).
     ``sort_by_length`` reproduces the serving-side global sort of
     :func:`repro.datasets.batching.sorted_batches`: requests enter the FIFO
-    queue in decreasing length order, so fixed-size batches match the legacy
-    bucketing exactly.
+    queue in decreasing length order, so fixed-size batches bucket
+    similar-length requests together.  Paired with a
+    :class:`~repro.serving.policies.FixedSizeBatcher`, the run drains the
+    stream back to back and ``sustained_qps`` is the drain rate (the
+    closed-batch throughput the paper compares length-aware and padded
+    scheduling on).
     """
 
     sort_by_length: bool = True

@@ -821,7 +821,8 @@ def simulate_online(
         ``provisioning_lag_s`` seconds after the decision; scale-downs stop
         routing immediately but bill until their in-flight work drains.
         ``initial_devices`` sets the starting pool (default
-        ``min_devices``).  Billing lands in each device's
+        ``min_devices``); both pool-size knobs are rejected without an
+        autoscaler.  Billing lands in each device's
         ``online_seconds`` and the report's ``cost_usd`` /
         ``scaling_timeline``.  ``None`` (default) keeps the fleet static.
         With a deadline-aware arrival gate (``shed_on_predicted_miss``),
@@ -886,6 +887,9 @@ def simulate_online(
             raise ValueError("initial_devices must be in [min_devices, pool size]")
         report.autoscaler = autoscaler.name
         report.provisioning_lag_s = provisioning_lag_s
+    elif initial_devices is not None or min_devices != 1:
+        knob = "initial_devices" if initial_devices is not None else "min_devices"
+        raise ValueError(f"{knob} sizes an elastic pool and needs an autoscaler")
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
     if not math.isfinite(retry_backoff_s) or retry_backoff_s < 0:

@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import pytest
@@ -173,30 +172,18 @@ def _replay_fleet(accelerators, fleet_id: str) -> tuple[list, ScheduleCache]:
     return fleet, cache
 
 
-@pytest.fixture(scope="module")
-def snapshot_dir(accelerator, accelerator_b, tmp_path_factory):
-    """Per-fleet disk snapshots of a few entries, for ``load_dir``."""
-    directory = tmp_path_factory.mktemp("replay-snapshot")
-    for fleet_id in _REPLAY_FLEETS:
-        fleet, cache = _replay_fleet({"a": accelerator, "b": accelerator_b}, fleet_id)
-        for device, batch in zip(itertools.cycle(fleet), _BATCH_POOL[::2]):
-            device.execute(batch)
-        cache.save_dir(str(directory / fleet_id))
-    return directory
-
-
 @st.composite
 def _replay_streams(draw) -> list[tuple]:
     """Queries on pooled batches, on one device, again on another, or on the
-    whole fleet in a row (as EDF asks it), with interleaved ``clear()`` and
-    ``load_dir()`` calls."""
+    whole fleet in a row (as EDF asks it), with interleaved ``clear()``
+    calls."""
     ops = []
     batch = list(_BATCH_POOL[0])
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(
-            st.sampled_from(["query"] * 4 + ["again"] * 3 + ["fleet"] * 2 + ["clear", "load"])
+            st.sampled_from(["query"] * 4 + ["again"] * 3 + ["fleet"] * 2 + ["clear"])
         )
-        if kind in ("clear", "load"):
+        if kind == "clear":
             ops.append((kind,))
             continue
         if kind != "again":
@@ -222,14 +209,12 @@ def _outcome(result) -> tuple:
     )
 
 
-def _run_stream(accelerators, fleet_id, ops, snapshot) -> tuple:
+def _run_stream(accelerators, fleet_id, ops) -> tuple:
     fleet, cache = _replay_fleet(accelerators, fleet_id)
     results = []
     for op in ops:
         if op[0] == "clear":
             cache.clear()
-        elif op[0] == "load":
-            cache.load_dir(snapshot)
         else:
             _, index, method, batch = op
             device = fleet[index % len(fleet)]
@@ -258,15 +243,12 @@ class TestProbeReplay:
     @pytest.mark.parametrize("fleet_id", sorted(_REPLAY_FLEETS))
     @given(ops=_replay_streams())
     @settings(max_examples=25, deadline=None)
-    def test_replay_equals_full_lookups(
-        self, accelerator, accelerator_b, snapshot_dir, fleet_id, ops
-    ):
+    def test_replay_equals_full_lookups(self, accelerator, accelerator_b, fleet_id, ops):
         accelerators = {"a": accelerator, "b": accelerator_b}
-        snapshot = str(snapshot_dir / fleet_id)
-        replayed = _run_stream(accelerators, fleet_id, ops, snapshot)
+        replayed = _run_stream(accelerators, fleet_id, ops)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ScheduleCache, "replay", _refuse_replay)
-            full = _run_stream(accelerators, fleet_id, ops, snapshot)
+            full = _run_stream(accelerators, fleet_id, ops)
         assert replayed == full
 
     def test_replicas_replay_and_other_designs_do_not(self, accelerator, accelerator_b):
@@ -305,7 +287,7 @@ class TestProbeReplay:
         }
         assert fleet[0]._signature is not fleet[1]._signature
 
-    def test_record_tracks_the_most_recent_entry(self, tmp_path):
+    def test_record_tracks_the_most_recent_entry(self):
         cache = ScheduleCache(max_entries=2)
         cache.store("a", 1, context="ctx-a")
         record = cache.last_query
@@ -317,10 +299,7 @@ class TestProbeReplay:
         assert cache.last_query is None  # no context: nothing to replay
         assert not cache.replay(record) and cache.hits == 1
         assert cache.lookup("a", "ctx-a2") == 1
-        cache.save_dir(str(tmp_path))
         assert cache.last_query.context == "ctx-a2"
-        cache.load_dir(str(tmp_path))
-        assert cache.last_query is None
         cache.store("c", 3, context="ctx-c")
         assert cache.num_evictions == 1 and cache.last_query.key == "c"
         cache.clear()

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import pickle
 import threading
 
 import numpy as np
 import pytest
 
 from repro.devices import CycleAccurateDevice, ScheduleCache
-from repro.devices.schedule_cache import quantize_lengths, schedule_cache_enabled
+from repro.devices.schedule_cache import (
+    GLOBAL_SCHEDULE_CACHE,
+    quantize_lengths,
+    schedule_cache_enabled,
+)
 from repro.hardware.accelerator import build_sparse_accelerator
 from repro.scheduling.baselines import PaddedScheduler
 from repro.scheduling.length_aware import LengthAwareScheduler
@@ -202,6 +207,41 @@ class TestCacheMechanics:
         assert len(cache) == 1  # shared entries survive across runs
         device.execute([80, 40])
         assert device.cache_hits == 1
+
+
+class TestInProcessOnly:
+    """The cache lives in one process: it reads and writes no files."""
+
+    def test_leftover_cache_dir_variable_is_ignored(self, accelerator, monkeypatch, tmp_path):
+        batches = [[64, 48, 128], [32], [128, 64, 48]]
+        monkeypatch.delenv("REPRO_SCHEDULE_CACHE_DIR", raising=False)
+        expected = [_execution_fields(_device(accelerator).execute(b)) for b in batches]
+
+        stale = tmp_path / "stale-cache"
+        monkeypatch.setenv("REPRO_SCHEDULE_CACHE_DIR", str(stale))
+        device = _device(accelerator)
+        device.reset()
+        assert [_execution_fields(device.execute(b)) for b in batches] == expected
+        assert (device.cache_hits, device.cache_misses) == (1, 2)
+        assert not stale.exists()
+
+    def test_reset_leaves_an_old_snapshot_unread(self, accelerator, monkeypatch, tmp_path):
+        snapshot = tmp_path / "schedule-cache-1.pkl"
+        snapshot.write_bytes(pickle.dumps([]))
+        monkeypatch.setenv("REPRO_SCHEDULE_CACHE_DIR", str(tmp_path))
+        before = len(GLOBAL_SCHEDULE_CACHE)
+        CycleAccurateDevice(accelerator, scheduler=LengthAwareScheduler()).reset()
+        assert len(GLOBAL_SCHEDULE_CACHE) == before
+        assert list(tmp_path.iterdir()) == [snapshot]
+        assert pickle.loads(snapshot.read_bytes()) == []
+
+    def test_every_hit_carries_the_schedule(self, accelerator):
+        device = _device(accelerator)
+        miss = device.execute([64, 48])
+        hit = device.execute([48, 64])
+        assert (device.cache_hits, device.cache_misses) == (1, 1)
+        assert miss.schedule is not None
+        assert hit.schedule is miss.schedule
 
 
 class TestEvictionAccounting:

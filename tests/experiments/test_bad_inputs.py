@@ -102,6 +102,16 @@ def test_bad_trace_file_is_a_value_error(experiment, kind, tmp_path):
         run_experiment(experiment, config)
 
 
+@pytest.mark.parametrize("experiment", ["serve", "plan"])
+def test_trace_file_without_trace_arrival_is_a_value_error(experiment, tmp_path):
+    path = tmp_path / "trace.json"
+    path.write_text("[0.0, 0.1, 0.2]")
+    config = {"arrival": "poisson", "qps": 300.0, "requests": 16, "trace_file": str(path)}
+    if experiment == "plan":
+        config |= {"devices": ("gpu-rtx6000",), "max_per_type": 1, "max_total": 1}
+    with deadline(), pytest.raises(ValueError, match="trace_file is only read by arrival 'trace'"):
+        run_experiment(experiment, config)
+
 
 #: Knobs a component rejects only when it is built, keyed by test id.  The
 #: config builds each one at validation time, so the CLI reports a config
@@ -125,6 +135,10 @@ COMPONENT_ARGV = {
         ["serve", "--qps", "300", "--requests", "16", "--autoscaler", "queue-depth",
          "--min-devices", "5"],
         "min_devices",
+    ),
+    "serve-min-devices-static": (
+        ["serve", "--qps", "300", "--requests", "16", "--min-devices", "5"],
+        "min_devices sizes an elastic pool and needs an autoscaler",
     ),
 }
 

@@ -237,6 +237,11 @@ class TestElasticPoolEngine:
             )
         with pytest.raises(KeyError):
             simulate_online(fleet, "mrpc", requests, autoscaler="no-such-policy")
+        # Pool-size knobs mean nothing to a static fleet.
+        static = build_fleet(["gpu-rtx6000"], dataset="mrpc", replicas=3)
+        for knobs in ({"initial_devices": 1}, {"min_devices": 2}):
+            with pytest.raises(ValueError, match=f"{next(iter(knobs))} .*needs an autoscaler"):
+                simulate_online(static, "mrpc", requests, **knobs)
         # Non-finite knobs would never decide, never bring capacity online,
         # or never re-offer a crashed request.
         for value in (math.nan, math.inf):

@@ -1,4 +1,4 @@
-"""Tests for the event-driven online serving engine and the closed-loop shim."""
+"""Tests for the event-driven online serving engine, open- and closed-loop."""
 
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ def warnings_none():
 from repro.datasets.batching import sorted_batches
 from repro.datasets.length_distributions import sample_lengths
 from repro.hardware.accelerator import build_sparse_accelerator
+from repro.scheduling.baselines import PaddedScheduler
 from repro.scheduling.length_aware import LengthAwareScheduler
 from repro.serving import (
     ClosedLoopArrivals,
@@ -32,10 +33,9 @@ from repro.serving import (
     TimeoutBatcher,
     TraceArrivals,
     simulate_online,
-    simulate_serving,
 )
 from repro.serving.core import ServingSession
-from repro.transformer.configs import DATASET_ZOO, MRPC, ModelConfig
+from repro.transformer.configs import DATASET_ZOO, MRPC, RTE, ModelConfig
 
 _SMALL_MODEL = ModelConfig(name="serve-2L", num_layers=2, hidden_dim=768, num_heads=12)
 
@@ -51,12 +51,22 @@ def accelerator():
     return _build(MRPC)
 
 
+def _drain(accelerator, dataset, num_requests, scheduler=None, sort_by_length=True):
+    """Closed-loop batch drain: every request queued at t=0, fixed batches of 16."""
+    return simulate_online(
+        accelerator,
+        dataset,
+        ClosedLoopArrivals(sort_by_length=sort_by_length),
+        num_requests=num_requests,
+        batch_policy=FixedSizeBatcher(batch_size=16),
+        scheduler=scheduler,
+    )
+
+
 @pytest.fixture(scope="module")
 def capacity_qps(accelerator):
     """Closed-loop drain rate of the single-device setup (sequences/second)."""
-    return simulate_serving(
-        accelerator, MRPC, num_requests=64, batch_size=16
-    ).throughput_sequences_per_second
+    return _drain(accelerator, MRPC, 64).sustained_qps
 
 
 class TestEngineBasics:
@@ -172,31 +182,58 @@ class TestClosedLoopEquivalence:
         )
         legacy_qps = 64 / legacy_seconds
 
-        online = simulate_online(
-            accelerator,
-            dataset,
-            ClosedLoopArrivals(sort_by_length=True),
-            num_requests=64,
-            batch_policy=FixedSizeBatcher(batch_size=16),
-        )
-        assert online.sustained_qps == pytest.approx(legacy_qps, rel=0.01)
-
-    def test_shim_delegates_to_the_engine(self, accelerator):
-        report = simulate_serving(accelerator, MRPC, num_requests=48, batch_size=16)
-        assert report.online_report is not None
-        assert report.online_report.batch_policy == "fixed-size"
-        assert len(report.batch_results) == len(report.online_report.batches) == 3
-        assert len(report.sequence_latencies_seconds) == 48
-        assert report.throughput_sequences_per_second == pytest.approx(
-            report.online_report.sustained_qps
+        assert _drain(accelerator, dataset, 64).sustained_qps == pytest.approx(
+            legacy_qps, rel=0.01
         )
 
-    def test_lazy_reexport_rejects_unknown_names(self):
-        import repro.scheduling
+    @pytest.mark.parametrize("num_requests, num_batches", [(48, 3), (50, 4)])
+    def test_drain_serves_every_request_once(self, accelerator, num_requests, num_batches):
+        report = _drain(accelerator, MRPC, num_requests)
+        assert sorted(r.request.request_id for r in report.records) == list(range(num_requests))
+        assert len(report.batches) == num_batches
+        assert report.sustained_qps > 0
+        assert report.latency_percentile(99) >= report.latency_percentile(50) > 0
 
-        assert repro.scheduling.simulate_serving is simulate_serving
-        with pytest.raises(AttributeError):
-            repro.scheduling.no_such_symbol
+    @pytest.mark.parametrize("dataset", [RTE, MRPC], ids=lambda d: d.name)
+    def test_length_aware_beats_padded_throughput(self, dataset):
+        accelerator = _build(dataset)
+        ours = _drain(accelerator, dataset, 64)
+        padded = _drain(accelerator, dataset, 64, scheduler=PaddedScheduler())
+        assert ours.sustained_qps > padded.sustained_qps
+
+    @pytest.mark.parametrize("scheduler", [None, PaddedScheduler()], ids=["ours", "padded"])
+    def test_global_length_sort_helps_or_ties(self, scheduler):
+        accelerator = _build(RTE)
+        bucketed = _drain(accelerator, RTE, 64, scheduler, sort_by_length=True)
+        unbucketed = _drain(accelerator, RTE, 64, scheduler, sort_by_length=False)
+        assert bucketed.sustained_qps >= 0.95 * unbucketed.sustained_qps
+
+    @pytest.mark.parametrize("dataset", [RTE, MRPC], ids=lambda d: d.name)
+    def test_stage_utilization_stays_high(self, dataset):
+        report = _drain(_build(dataset), dataset, 64)
+        assert report.average_pipeline_utilization > 0.9
+
+    @pytest.mark.parametrize("sort_by_length", [True, False])
+    def test_drain_rejects_zero_requests(self, accelerator, sort_by_length):
+        with pytest.raises(ValueError, match="num_requests"):
+            _drain(accelerator, MRPC, 0, sort_by_length=sort_by_length)
+
+    @pytest.mark.parametrize("scheduler", [None, PaddedScheduler()], ids=["ours", "padded"])
+    def test_throughput_and_latency_are_positive(self, accelerator, scheduler):
+        report = _drain(accelerator, MRPC, 32, scheduler)
+        assert report.sustained_qps > 0
+        assert report.latency_percentile(50) > 0
+        assert report.latency_percentile(99) >= report.latency_percentile(50)
+        # Every request is queued at t=0, so the slowest one ends the drain.
+        assert report.latency_percentile(100) == pytest.approx(report.makespan_seconds)
+
+    def test_summary_row_fields(self, accelerator):
+        report = _drain(accelerator, MRPC, 32)
+        row = report.as_row()
+        assert {"sustained_qps", "p50_ms", "p99_ms"} <= set(row)
+        assert row["requests"] == 32
+        assert row["sustained_qps"] == round(report.sustained_qps, 1)
+        assert row["p99_ms"] >= row["p50_ms"] > 0
 
 
 class TestOpenLoopBehaviour:

@@ -1,12 +1,15 @@
 """Docs stay wired to the code: link check + registry coverage.
 
-Two guarantees, both cheap enough for tier-1:
+Three guarantees, all cheap enough for tier-1:
 
 * every relative markdown link in README.md and docs/*.md resolves to a
   real file (broken cross-references fail the suite, and therefore CI);
 * every component name registered in :data:`repro.registry.REGISTRY`
   appears in ``docs/api-reference.md``, so the API reference cannot
-  silently fall behind ``python -m repro list``.
+  silently fall behind ``python -m repro list``;
+* the ``REPRO_*`` environment switches the docs name are exactly the ones
+  the code reads (:data:`repro.evaluation.env_overrides.ENV_OVERRIDE_VARS`),
+  so a switch cannot outlive its code in the docs.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ DOCS_DIR = REPO_ROOT / "docs"
 
 #: Markdown inline links: [text](target).  Images share the syntax.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: Environment switch names, e.g. ``REPRO_PIPELINE_ENGINE``.
+_ENV_VAR_RE = re.compile(r"\bREPRO_[A-Z0-9_]+\b")
 
 
 def _markdown_files() -> list[Path]:
@@ -98,3 +104,12 @@ def test_architecture_guide_matches_registry_kinds(registry_listing):
     guide = (DOCS_DIR / "architecture.md").read_text()
     for kind in registry_listing:
         assert f"`{kind}`" in guide, f"architecture.md registry table lacks kind {kind}"
+
+
+def test_documented_env_switches_match_the_code():
+    from repro.evaluation.env_overrides import ENV_OVERRIDE_VARS
+
+    documented = {
+        name for path in _markdown_files() for name in _ENV_VAR_RE.findall(path.read_text())
+    }
+    assert documented == set(ENV_OVERRIDE_VARS)

@@ -11,6 +11,8 @@ serving engine, routers, and evaluation harnesses run heterogeneous fleets
 * :mod:`~repro.devices.adapters` -- :class:`CycleAccurateDevice` (wraps an
   :class:`~repro.hardware.accelerator.Accelerator` + batch scheduler) and
   :class:`AnalyticalDevice` (wraps the roofline platform models).
+* :mod:`~repro.devices.fleet` -- :class:`~repro.devices.fleet.FleetCostOracle`:
+  a fleet's batch estimates for EDF and routing, twin replicas asked once.
 * :mod:`~repro.devices.catalog` -- the registered built-ins
   (``sparse-fpga``, ``baseline-fpga``, ``gpu-rtx6000``, ``gpu-jetson``,
   ``cpu-xeon``, ``gpu-v100-et``) plus :func:`build_device` /

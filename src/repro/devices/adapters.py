@@ -69,12 +69,6 @@ def _key_digest(key: tuple) -> str:
 #: Serial for schedulers whose repr is not value-based (see _scheduler_cache_key).
 _SCHEDULER_SERIAL = itertools.count()
 
-#: Interned device signatures: equal signatures are one object, so a replay
-#: check is an identity test (see CycleAccurateDevice._canonical_entry).
-#: One entry per distinct design a process builds (and per plug-in
-#: scheduler instance, whose key is a serial).
-_SIGNATURES: dict[tuple, tuple] = {}
-
 #: Process-wide monotonic stamp for schedule-cache probes.  Each ``execute``
 #: call takes one, so merging the per-device probe streams of one run by
 #: stamp recovers the exact order in which the shared LRU saw the lookups
@@ -165,17 +159,6 @@ class CycleAccurateDevice(Device):
         self._mode = getattr(self.scheduler, "cache_canonicalization", "exact")
         pad_to = getattr(self.scheduler, "pad_to", None)
         self._pad_to = None if pad_to is None else int(pad_to)
-        # Everything but the lengths and the stage rows that decides a
-        # query's cache key; replicas share one interned object.
-        signature = (
-            type(self),
-            self._structure_key,
-            self._scheduler_key,
-            cache_length_bucket,
-            self._mode,
-            self._pad_to,
-        )
-        self._signature = _SIGNATURES.setdefault(signature, signature)
         super().__init__(
             max_batch_size=max_batch_size,
             max_batch_tokens=max_batch_tokens,
@@ -247,9 +230,9 @@ class CycleAccurateDevice(Device):
         self.cache_misses = 0
         #: Probe accounting for deterministic replay: how many schedule
         #: lookups this run issued and the stamped lookup stream in issue
-        #: order.
+        #: order (plus :meth:`_count_twin_hits` runs for twin replicas).
         self.cache_probe_total = 0
-        self.cache_probe_sequence: list[tuple[int, str]] = []
+        self.cache_probe_sequence: list[tuple] = []
         self._cache_active = schedule_cache_enabled()
 
     # ------------------------------------------------------------------
@@ -270,13 +253,13 @@ class CycleAccurateDevice(Device):
             )
         return row
 
-    def _cache_key(self, canonical: tuple[int, ...]) -> tuple[tuple, tuple[int, ...]]:
-        """The cache key of a canonical batch, and the lengths of its rows."""
-        row_lengths = tuple(sorted(set(canonical)))
+    def _cache_key(self, canonical: tuple[int, ...]) -> tuple:
+        """The cache key of a canonical batch."""
+        row_lengths = sorted(set(canonical))
         if self._pad_to is not None:
-            row_lengths += (self._pad_to,)
+            row_lengths.append(self._pad_to)
         rows = tuple(map(self._key_row, row_lengths))
-        return (canonical, rows, self._structure_key, self._scheduler_key), row_lengths
+        return (canonical, rows, self._structure_key, self._scheduler_key)
 
     def _simulate_canonical(self, canonical: tuple[int, ...]) -> _CanonicalSchedule:
         result = self.scheduler.schedule(self.accelerator, list(canonical))
@@ -317,34 +300,8 @@ class CycleAccurateDevice(Device):
         is exactly one hit or miss on the device and the shared cache, and
         one stamped probe.  Returns the call's lengths, the billed
         (quantized) lengths, the canonicalization mode and the entry.
-
-        When the cache's :attr:`~ScheduleCache.last_query` was made by a
-        device with this one's signature, on the same lengths, and the stage
-        rows this device has memoized for the key's lengths equal the key's
-        rows, the key is provably the same (EDF asks every replica of a
-        fleet about one batch in a row): the query replays that record
-        instead of quantizing, sorting, building and hashing the key again.
-        A length this device has not memoized yet takes the full path.
         """
-        query = tuple(lengths)
-        if self._cache_active:
-            last = self._schedule_cache.last_query
-            if last is not None:
-                signature, call, billed, mode, row_lengths = last.context
-                if (
-                    signature is self._signature
-                    and query == call
-                    and tuple(map(self._key_rows.get, row_lengths)) == last.key[1]
-                    and self._schedule_cache.replay(last)
-                ):
-                    entry = last.entry
-                    self.cache_hits += 1
-                    self.cache_probe_total += 1
-                    self.cache_probe_sequence.append(
-                        (next(_PROBE_SERIAL), entry.key_digest)
-                    )
-                    return call, billed, mode, entry
-        call = tuple(map(int, query))
+        call = tuple(map(int, lengths))
         if not call:
             # Before the cache: an empty batch is no lookup, hit or miss.
             raise ValueError("a batch needs at least one request")
@@ -376,9 +333,8 @@ class CycleAccurateDevice(Device):
         # stats can never disagree about whether the cache was active.
         use_cache = self._cache_active
         if use_cache:
-            key, row_lengths = self._cache_key(canonical)
-            context = (self._signature, call, billed, mode, row_lengths)
-            entry = self._schedule_cache.lookup(key, context)
+            key = self._cache_key(canonical)
+            entry = self._schedule_cache.lookup(key)
             if entry is None:
                 self.cache_misses += 1
             else:
@@ -387,11 +343,30 @@ class CycleAccurateDevice(Device):
             entry = self._simulate_canonical(canonical)
             if use_cache:
                 entry.key_digest = _key_digest(key)
-                self._schedule_cache.store(key, entry, context)
+                self._schedule_cache.store(key, entry)
         if use_cache:
             self.cache_probe_total += 1
             self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))
         return call, billed, mode, entry
+
+    def _count_twin_hits(self, twins: list, entries: list[_CanonicalSchedule]) -> None:
+        """Count the hits ``twins`` would score repeating this device's lookups.
+
+        Twins with a live cache would hit the most recent keys (``entries``)
+        in order, moving nothing in the LRU; their probes go in this stream
+        as one ``(stamp, digests, repeats)`` run.
+        """
+        count = len(entries)
+        repeats = 0
+        for twin in twins:
+            if twin._cache_active:
+                twin.cache_hits += count
+                twin.cache_probe_total += count
+                repeats += 1
+        if repeats:
+            self._schedule_cache.count_hits(count * repeats)
+            digests = tuple([entry.key_digest for entry in entries])
+            self.cache_probe_sequence.append((next(_PROBE_SERIAL), digests, repeats))
 
     def execute(self, lengths: Sequence[int]) -> BatchExecution:
         call, billed, mode, entry = self._canonical_entry(lengths)

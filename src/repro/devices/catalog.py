@@ -20,6 +20,7 @@ become reachable from the CLI (``--devices my-device``) with no core edits.
 from __future__ import annotations
 
 import inspect
+from functools import lru_cache
 from typing import Iterable
 
 from .. import config as global_config
@@ -77,6 +78,12 @@ def _dataset(dataset: DatasetConfig | str) -> DatasetConfig:
     return get_dataset_config(dataset) if isinstance(dataset, str) else dataset
 
 
+# One immutable design per recent operating point, shared by its replicas:
+# the fleet cost oracle (repro.devices.fleet) proves twins by design identity.
+_sparse_design = lru_cache(maxsize=64)(build_sparse_accelerator)
+_baseline_design = lru_cache(maxsize=64)(build_baseline_accelerator)
+
+
 @register("device", "sparse-fpga", aliases=("fpga", "ours"))
 def sparse_fpga_device(
     model: ModelConfig | str = "bert-base",
@@ -103,7 +110,7 @@ def sparse_fpga_device(
     The design is balanced for the dataset's average/max length.
     """
     model_config, dataset_config = _model(model), _dataset(dataset)
-    accelerator = build_sparse_accelerator(
+    accelerator = _sparse_design(
         model_config,
         top_k=top_k,
         avg_seq=dataset_config.avg_length,
@@ -145,7 +152,7 @@ def baseline_fpga_device(
     dataset's max length, which is what makes this device padding-bound.
     """
     model_config, dataset_config = _model(model), _dataset(dataset)
-    accelerator = build_baseline_accelerator(
+    accelerator = _baseline_design(
         model_config,
         avg_seq=dataset_config.avg_length,
         max_seq=dataset_config.max_length,

@@ -21,11 +21,11 @@ module replaces that with one process-wide LRU shared by all devices:
   length up to the next multiple of ``Q`` before scheduling, trading a
   slightly conservative (never optimistic) latency for a much smaller key
   space and hit rates above 90% on Poisson traffic.  Default off (exact).
-* **Replayed probes** -- the cache remembers the query that last made an
-  entry the most recent (:attr:`ScheduleCache.last_query`); a device that
-  can prove its query has the same key counts a hit on it through
-  :meth:`ScheduleCache.replay` instead of hashing the key again.  The
-  counters and the LRU order come out as a full lookup leaves them.
+* **Twin runs asked once** -- when EDF or routing asks a run of replicas
+  about one batch, the fleet cost oracle (:mod:`~repro.devices.fleet`) looks
+  it up on the first only and counts the rest as hits
+  (:meth:`ScheduleCache.count_hits`): their keys are already the most
+  recent, so the counters and the LRU order end as full lookups leave them.
 
 The cache lives in memory for the life of the process; nothing is written
 to disk.  Its only switch is ``REPRO_SCHEDULE_CACHE=on|off``: ``off``
@@ -38,11 +38,10 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, NamedTuple
+from typing import Any, Hashable
 
 __all__ = [
     "GLOBAL_SCHEDULE_CACHE",
-    "CacheQuery",
     "ScheduleCache",
     "quantize_lengths",
     "schedule_cache_enabled",
@@ -75,19 +74,6 @@ def quantize_lengths(lengths: tuple[int, ...], bucket: int) -> tuple[int, ...]:
     return tuple([-(-length // bucket) * bucket for length in lengths])
 
 
-class CacheQuery(NamedTuple):
-    """The lookup hit or store that last made an entry the most recent one.
-
-    ``context`` is the caller's description of the query (opaque to the
-    cache); a caller that can prove its next query has the same ``key`` may
-    :meth:`ScheduleCache.replay` it instead of looking the key up again.
-    """
-
-    context: Any
-    key: Hashable
-    entry: Any
-
-
 class ScheduleCache:
     """A thread-safe LRU mapping schedule keys to canonical batch executions."""
 
@@ -100,19 +86,12 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
         self.num_evictions = 0
-        #: Immutable record of whatever made the most recent entry most
-        #: recent (``None`` once that is unknown); read without the lock.
-        self.last_query: CacheQuery | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def lookup(self, key: Hashable, context: Any = None) -> Any | None:
-        """Return the cached entry (and count a hit) or ``None`` (a miss).
-
-        A hit with a ``context`` becomes :attr:`last_query`; a miss leaves
-        the LRU order, and so the record, as it was.
-        """
+    def lookup(self, key: Hashable) -> Any | None:
+        """Return the cached entry (and count a hit) or ``None`` (a miss)."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
@@ -120,24 +99,14 @@ class ScheduleCache:
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            self.last_query = None if context is None else CacheQuery(context, key, entry)
             return entry
 
-    def replay(self, query: CacheQuery) -> bool:
-        """Count a hit on ``query``'s entry if it is still :attr:`last_query`.
-
-        The entry is then already the most recent, so a full lookup of its
-        key would count one hit and leave the LRU order as it is; this does
-        exactly that without hashing or comparing the key.  ``False`` (and
-        nothing counted) when another lookup or store got there first.
-        """
+    def count_hits(self, count: int) -> None:
+        """Count ``count`` hits on the most recent keys, in their order (no LRU move)."""
         with self._lock:
-            if self.last_query is not query:
-                return False
-            self.hits += 1
-            return True
+            self.hits += count
 
-    def store(self, key: Hashable, value: Any, context: Any = None) -> None:
+    def store(self, key: Hashable, value: Any) -> None:
         """Insert an entry, evicting least-recently-used ones past the cap."""
         with self._lock:
             self._entries[key] = value
@@ -145,7 +114,6 @@ class ScheduleCache:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.num_evictions += 1
-            self.last_query = None if context is None else CacheQuery(context, key, value)
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""
@@ -154,7 +122,6 @@ class ScheduleCache:
             self.hits = 0
             self.misses = 0
             self.num_evictions = 0
-            self.last_query = None
 
     @property
     def hit_rate(self) -> float:

@@ -737,11 +737,12 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
     devices over their merged busy intervals (continuous batching must not
     double-count overlap), and merges the per-device cache probe streams by
     their process-wide stamp so replayed hit accounting sees the exact order
-    the shared LRU did.  ``active[i]`` overrides "did device ``i`` do work"
-    for engines that run phases outside the batch path (decode steps).
+    the shared LRU did (a twin run ``(stamp, digests, repeats)`` expands).
+    ``active[i]`` overrides "did device ``i`` do work" for engines that run
+    phases outside the batch path (decode steps).
     """
     probe_total = 0
-    probe_sequence: list[tuple[int, str]] = []
+    probe_sequence: list[tuple] = []
     probes_seen = False
     for index, device in enumerate(fleet):
         summary = report.devices[index]
@@ -760,7 +761,7 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
         # Merging the per-device streams by their process-wide stamp
         # recovers the exact order the shared LRU saw the lookups.
         probe_sequence.sort(key=lambda item: item[0])
-        report.schedule_cache_probes = {
-            "total": probe_total,
-            "sequence": [digest for _, digest in probe_sequence],
-        }
+        sequence: list[str] = []
+        for record in probe_sequence:
+            sequence.extend(record[1:] if len(record) == 2 else record[1] * record[2])
+        report.schedule_cache_probes = {"total": probe_total, "sequence": sequence}

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from operator import is_
 
 from .. import config as global_config
+from ..devices.fleet import FleetCostOracle
 from ..registry import register
 from .policies import _TIME_EPS, BatchPolicy
 from .request import Request
@@ -285,6 +286,7 @@ class DeadlineBatcher(BatchPolicy):
     _estimates: dict = field(default_factory=dict, repr=False)
     _late: ProvablyLate | None = field(default=None, repr=False)
     _view: _EDFView | None = field(default=None, init=False, repr=False, compare=False)
+    _oracle: FleetCostOracle = field(default_factory=FleetCostOracle, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -319,10 +321,7 @@ class DeadlineBatcher(BatchPolicy):
             if not self._fleet:
                 cached = 0.0
             else:
-                cached = min(
-                    device.batch_latency_seconds(list(sorted_lengths))
-                    for device in self._fleet
-                )
+                cached = min(self._oracle.service_seconds(self._fleet, list(sorted_lengths)))
             self._estimates[key] = cached
         return cached
 
@@ -512,6 +511,8 @@ class CostModelRouter(Router):
     _probing: set = field(default_factory=set, repr=False)
     #: Closed breaker windows, accumulated seconds per device.
     _accumulated: dict = field(default_factory=dict, repr=False)
+    #: Scores each run of twin replicas with one schedule lookup.
+    _oracle: FleetCostOracle = field(default_factory=FleetCostOracle, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.blacklist_s < 0:
@@ -525,21 +526,6 @@ class CostModelRouter(Router):
         self._probing = set()
         self._accumulated = {}
 
-    @staticmethod
-    def _service_seconds(entry, lengths: list[int]) -> float:
-        """Predicted service time of ``lengths`` on ``entry`` (0 for floats)."""
-        estimator = getattr(entry, "batch_latency_seconds", None)
-        if estimator is None:
-            return 0.0
-        prefix = getattr(entry, "admissible_prefix", None)
-        total = 0.0
-        remaining = list(lengths)
-        while remaining:
-            take = len(remaining) if prefix is None else prefix(remaining)
-            total += estimator(remaining[:take])
-            remaining = remaining[take:]
-        return total
-
     def _routable(self, index: int, now: float) -> bool:
         until = self._until.get(index)
         if until is None:
@@ -552,19 +538,15 @@ class CostModelRouter(Router):
         lengths = [r.length for r in batch]
         if self.blacklist_s <= 0:
             # Fault-agnostic fast path: exactly the historical scorer.
-            scores = [
-                self.backlog_seconds(entry, now) + self._service_seconds(entry, lengths)
-                for entry in fleet
-            ]
+            service = self._oracle.service_seconds(fleet, lengths, split=True)
+            scores = [self.backlog_seconds(e, now) + s for e, s in zip(fleet, service)]
             return min(range(len(scores)), key=lambda i: (scores[i], i))
         candidates = [i for i in range(len(fleet)) if self._routable(i, now)]
         if not candidates:
             # Whole fleet blacklisted: degrade to pure cost scoring.
             candidates = list(range(len(fleet)))
-        scores = {
-            i: self.backlog_seconds(fleet[i], now) + self._service_seconds(fleet[i], lengths)
-            for i in candidates
-        }
+        service = self._oracle.service_seconds(fleet, lengths, candidates, split=True)
+        scores = {i: self.backlog_seconds(fleet[i], now) + s for i, s in zip(candidates, service)}
         index = min(candidates, key=lambda i: (scores[i], i))
         until = self._until.get(index)
         if until is not None and now + _TIME_EPS >= until:

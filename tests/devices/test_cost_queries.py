@@ -3,9 +3,6 @@
 * ``batch_latency_seconds`` / ``energy_joules`` on a cycle-accurate device
   read the cached canonical schedule without building a ``BatchExecution``;
   they must agree with ``execute`` and leave the same cache accounting.
-* A query whose key provably equals the cache's last hit or store replays
-  that record instead of looking the key up; results, counters, probe
-  stream and LRU order must equal those of the full lookups.
 * ``decode_step_latency_seconds`` uses per-device roofline constants; it must
   equal the step formula written out in full, bit for bit.
 """
@@ -135,175 +132,6 @@ class TestLatencyOnlyPath:
             getattr(device, query)([])
         assert _accounting(fleet, cache) == before
         assert device.cache_hits + device.cache_misses == device.cache_probe_total
-
-
-_TOP_K_B = 8
-
-
-@pytest.fixture(scope="module")
-def accelerator_b():
-    """Same stage structure as ``accelerator`` (one signature), other rows."""
-    return build_sparse_accelerator(_MODEL, top_k=_TOP_K_B, avg_seq=64, max_seq=_MAX_LENGTH)
-
-
-#: Fleets by id: ((design, length bucket) per device, cache size).
-_REPLAY_FLEETS = {
-    "replicated": ([("a", 16)] * 3, None),
-    "mixed-top-k": ([("a", None), ("b", None)] * 2, None),
-    "mixed-bucket": ([("a", 16), ("a", None)] * 2, None),
-    "evicting": ([("a", None)] * 3, 2),
-}
-
-#: ``[16, 112, 32]`` is ``[17, 100, 5]`` billed at a length bucket of 16.
-_BATCH_POOL = ([64, 32], [32, 64], [17, 100, 5], [128], [5, 100, 17, 64], [1], [16, 112, 32])
-
-
-def _replay_fleet(accelerators, fleet_id: str) -> tuple[list, ScheduleCache]:
-    devices, max_entries = _REPLAY_FLEETS[fleet_id]
-    cache = ScheduleCache() if max_entries is None else ScheduleCache(max_entries)
-    fleet = [
-        CycleAccurateDevice(
-            accelerators[design], cache_length_bucket=bucket, schedule_cache=cache
-        )
-        for design, bucket in devices
-    ]
-    for device in fleet:
-        device.reset()
-    return fleet, cache
-
-
-@st.composite
-def _replay_streams(draw) -> list[tuple]:
-    """Queries on pooled batches, on one device, again on another, or on the
-    whole fleet in a row (as EDF asks it), with interleaved ``clear()``
-    calls."""
-    ops = []
-    batch = list(_BATCH_POOL[0])
-    for _ in range(draw(st.integers(1, 12))):
-        kind = draw(
-            st.sampled_from(["query"] * 4 + ["again"] * 3 + ["fleet"] * 2 + ["clear"])
-        )
-        if kind == "clear":
-            ops.append((kind,))
-            continue
-        if kind != "again":
-            batch = list(draw(st.permutations(draw(st.sampled_from(_BATCH_POOL)))))
-        method = draw(st.sampled_from(["execute", "batch_latency_seconds", "energy_joules"]))
-        devices = range(4) if kind == "fleet" else [draw(st.integers(0, 3))]
-        ops.extend(("query", index, method, batch) for index in devices)
-    return ops
-
-
-def _outcome(result) -> tuple:
-    if not hasattr(result, "completion_offsets"):
-        return (result,)
-    return (
-        result.device,
-        result.lengths,
-        result.latency_seconds,
-        result.completion_offsets,
-        result.admit_seconds,
-        result.utilization,
-        result.energy_joules,
-        result.schedule is None,
-    )
-
-
-def _run_stream(accelerators, fleet_id, ops) -> tuple:
-    fleet, cache = _replay_fleet(accelerators, fleet_id)
-    results = []
-    for op in ops:
-        if op[0] == "clear":
-            cache.clear()
-        else:
-            _, index, method, batch = op
-            device = fleet[index % len(fleet)]
-            results.append(_outcome(getattr(device, method)(batch)))
-    probes = sorted(
-        probe for device in fleet for probe in device.cache_probe_sequence
-    )
-    return (
-        results,
-        [
-            (device.cache_hits, device.cache_misses, device.cache_probe_total)
-            for device in fleet
-        ],
-        # Stamps are process-wide serials; their order and digests replay.
-        [digest for _, digest in probes],
-        (cache.hits, cache.misses, cache.num_evictions, len(cache)),
-        list(cache._entries),
-    )
-
-
-def _refuse_replay(self, query) -> bool:
-    return False
-
-
-class TestProbeReplay:
-    @pytest.mark.parametrize("fleet_id", sorted(_REPLAY_FLEETS))
-    @given(ops=_replay_streams())
-    @settings(max_examples=25, deadline=None)
-    def test_replay_equals_full_lookups(self, accelerator, accelerator_b, fleet_id, ops):
-        accelerators = {"a": accelerator, "b": accelerator_b}
-        replayed = _run_stream(accelerators, fleet_id, ops)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ScheduleCache, "replay", _refuse_replay)
-            full = _run_stream(accelerators, fleet_id, ops)
-        assert replayed == full
-
-    def test_replicas_replay_and_other_designs_do_not(self, accelerator, accelerator_b):
-        """The fleets above do replay, and only where the key is the same."""
-        accelerators = {"a": accelerator, "b": accelerator_b}
-        counts = {}
-        for fleet_id in ("replicated", "mixed-top-k", "mixed-bucket"):
-            fleet, cache = _replay_fleet(accelerators, fleet_id)
-            # First pass: every device memoizes its rows for the billed
-            # lengths of both buckets (a device replays only against rows it
-            # has computed itself).
-            for device in fleet:
-                device.batch_latency_seconds([16, 112, 32])
-                device.batch_latency_seconds([100, 17, 5])
-            lookups = []
-            full_lookup = ScheduleCache.lookup
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(
-                    ScheduleCache,
-                    "lookup",
-                    lambda self, *args: lookups.append(1) or full_lookup(self, *args),
-                )
-                hits = cache.hits
-                latencies = [device.batch_latency_seconds([5, 100, 17]) for device in fleet]
-            counts[fleet_id] = (len(lookups), cache.hits - hits, len(set(latencies)))
-            assert [d.cache_probe_total for d in fleet] == [3] * len(fleet)
-        # Replicas: the first query permutes the recorded call, so it is a
-        # full lookup (and hit); the other two replay it.  The mixed fleets
-        # share one signature (top-k) or lengths and rows (bucket) across
-        # designs that bill the batch differently, so every query is a full
-        # lookup.
-        assert counts == {
-            "replicated": (1, 3, 1),
-            "mixed-top-k": (4, 4, 2),
-            "mixed-bucket": (4, 4, 2),
-        }
-        assert fleet[0]._signature is not fleet[1]._signature
-
-    def test_record_tracks_the_most_recent_entry(self):
-        cache = ScheduleCache(max_entries=2)
-        cache.store("a", 1, context="ctx-a")
-        record = cache.last_query
-        assert record == ("ctx-a", "a", 1)
-        assert cache.lookup("missing", "ctx") is None
-        assert cache.last_query is record  # a miss moves nothing
-        assert cache.replay(record) and cache.hits == 1
-        cache.store("b", 2)
-        assert cache.last_query is None  # no context: nothing to replay
-        assert not cache.replay(record) and cache.hits == 1
-        assert cache.lookup("a", "ctx-a2") == 1
-        assert cache.last_query.context == "ctx-a2"
-        cache.store("c", 3, context="ctx-c")
-        assert cache.num_evictions == 1 and cache.last_query.key == "c"
-        cache.clear()
-        assert cache.last_query is None and cache.stats()["entries"] == 0
 
 
 def _reference_step(device, contexts: list[int], top_k: int | None) -> float:

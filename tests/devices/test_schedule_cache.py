@@ -264,7 +264,7 @@ class TestEvictionAccounting:
         cache.store("a", 1)
         results = []
         readers = {"stats": cache.stats, "hit_rate": lambda: cache.hit_rate}
-        with cache._lock:  # a lookup, store or replay in flight
+        with cache._lock:  # a lookup, store or counted twin hit in flight
             reader = threading.Thread(target=lambda: results.append(readers[read]()))
             reader.start()
             reader.join(timeout=0.05)

@@ -7,7 +7,8 @@ in shed order and the queue-depth timeline.  The expected digests were
 captured from the engines before they shared one event loop (the
 attainment-autoscaler scenario's before its decisions counted their window
 incrementally, the wide tied-decode scenario's before the decode loop kept
-per-device wake times), so any change
+per-device wake times, the mixed-fleet scenario's before replicas shared one
+cost query), so any change
 to when a batch forms, where it routes, what it costs or when a decode step
 runs shows up here.
 
@@ -286,6 +287,35 @@ def _encoder_classes_chaos():
     )
 
 
+def _encoder_mixed_fleet_chaos():
+    # An interleaved sparse/baseline fleet: routing scores unlike designs in
+    # turn, batches above the devices' size limit split at dispatch, and a
+    # blacklisted device drops out of the candidates, so two replicas of one
+    # design are scored back to back with the other design's replica between
+    # them skipped.
+    return simulate_online(
+        build_fleet(
+            ("sparse-fpga", "baseline-fpga"),
+            model=BERT,
+            dataset=MRPC,
+            replicas=3,
+            max_batch_size=8,
+        ),
+        MRPC,
+        ClassMixArrivals(
+            base=PoissonArrivals(rate_qps=1500.0),
+            mix="interactive:0.5,batch:0.3,best-effort:0.2",
+        ),
+        num_requests=150,
+        batch_policy=PriorityDeadlineBatcher(batch_size=12),
+        router=CostModelRouter(blacklist_s=0.1),
+        faults=CrashRestartFaults(mtbf_s=0.1, downtime_s=0.01),
+        max_retries=2,
+        retry_backoff_s=0.005,
+        seed=15,
+    )
+
+
 SCENARIOS = {
     "decode-kv-iteration": _decode_kv_iteration,
     "decode-kv-gang": _decode_kv_gang,
@@ -300,6 +330,7 @@ SCENARIOS = {
     "encoder-elastic-chaos": _encoder_elastic_chaos,
     "encoder-elastic-attainment": _encoder_elastic_attainment,
     "encoder-classes-chaos": _encoder_classes_chaos,
+    "encoder-mixed-fleet-chaos": _encoder_mixed_fleet_chaos,
 }
 
 EXPECTED = {
@@ -316,6 +347,7 @@ EXPECTED = {
     "encoder-elastic-chaos": "52826496e2c827382b64532a",
     "encoder-elastic-attainment": "4811b8b365a903c4870acbae",
     "encoder-classes-chaos": "b30f4719f0465eecc84850a1",
+    "encoder-mixed-fleet-chaos": "f8ee2b60eefd9a0948046465",
 }
 
 

@@ -45,8 +45,9 @@ class _CanonicalSchedule:
     ``slot_completion_seconds[r]`` is the completion offset of the request at
     issue slot ``r`` of the canonical order; callers remap slots to their own
     request order through the scheduler's issue permutation.
-    ``key_digest`` is a process-independent fingerprint of the cache key, used
-    by the sweep harness to replay hit accounting deterministically.
+    ``key_digest`` is a process-independent fingerprint of the cache key
+    (``blake2b`` of its ``repr``, see :meth:`CycleAccurateDevice._key_digest`),
+    used by the sweep harness to replay hit accounting deterministically.
     """
 
     result: ScheduleResult
@@ -55,15 +56,6 @@ class _CanonicalSchedule:
     admit_seconds: float
     utilization: float
     key_digest: str = ""
-
-
-def _key_digest(key: tuple) -> str:
-    """Stable, process-independent fingerprint of a cache key.
-
-    ``repr`` of the (nested tuples of ints/floats/strs) key is deterministic,
-    unlike ``hash()``, which is salted per process for strings.
-    """
-    return hashlib.blake2b(repr(key).encode(), digest_size=12).hexdigest()
 
 
 #: Serial for schedulers whose repr is not value-based (see _scheduler_cache_key).
@@ -153,6 +145,10 @@ class CycleAccurateDevice(Device):
         )
         self._scheduler_key = _scheduler_cache_key(self.scheduler)
         self._key_rows: dict[int, tuple[int, tuple[int, ...]]] = {}
+        #: ``repr`` of each memoized key row, and of the key's constant tail,
+        #: so a miss's fingerprint is joined from pieces (see _key_digest).
+        self._key_row_reprs: dict[int, str] = {}
+        self._key_tail_repr = f"{self._structure_key!r}, {self._scheduler_key!r})"
         # How the scheduler canonicalizes a batch: built-in schedulers
         # advertise ``cache_canonicalization``; unknown ones fall back to
         # "exact" (order-sensitive keys, no cross-permutation sharing).
@@ -251,6 +247,7 @@ class CycleAccurateDevice(Device):
                 length,
                 self.accelerator.stage_latency_row(length),
             )
+            self._key_row_reprs[length] = repr(row)
         return row
 
     def _cache_key(self, canonical: tuple[int, ...]) -> tuple:
@@ -260,6 +257,23 @@ class CycleAccurateDevice(Device):
             row_lengths.append(self._pad_to)
         rows = tuple(map(self._key_row, row_lengths))
         return (canonical, rows, self._structure_key, self._scheduler_key)
+
+    def _key_digest(self, key: tuple) -> str:
+        """Stable, process-independent fingerprint of a cache key from :meth:`_cache_key`.
+
+        ``blake2b`` of ``repr(key)``: the repr of nested tuples of
+        ints/floats/strs is deterministic, unlike ``hash()``, which is salted
+        per process for strings.  The text is joined from the memoized row
+        reprs and the constant structure/scheduler tail, byte for byte the
+        key's ``repr`` (a one-row tuple keeps its trailing comma).
+        """
+        canonical, rows = key[0], key[1]
+        reprs = self._key_row_reprs
+        body = ", ".join([reprs[row[0]] for row in rows])
+        if len(rows) == 1:
+            body += ","
+        text = f"({canonical!r}, ({body}), {self._key_tail_repr}"
+        return hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
 
     def _simulate_canonical(self, canonical: tuple[int, ...]) -> _CanonicalSchedule:
         result = self.scheduler.schedule(self.accelerator, list(canonical))
@@ -342,7 +356,7 @@ class CycleAccurateDevice(Device):
         if entry is None:
             entry = self._simulate_canonical(canonical)
             if use_cache:
-                entry.key_digest = _key_digest(key)
+                entry.key_digest = self._key_digest(key)
                 self._schedule_cache.store(key, entry)
         if use_cache:
             self.cache_probe_total += 1

@@ -32,16 +32,27 @@ Small unreplicated layer-periodic workloads (the serving batches: at most
 ``_SMALL_PERIOD`` distinct sequences per layer) skip NumPy for a slot-major
 scalar solver: each slot carries its completion through every stage against
 the per-stage tails, and its last-stage completion gates its next-layer
-entry directly.  The extrapolation applies there too, but fires on small
-batches only (all MRPC batches of one or two sequences, nearly all of three,
-a few percent of four, none from five up): the entry stage's cycle time is
-shorter than the last stage's, so it drifts ahead and the layer-over-layer
-shift stays non-uniform.
+entry directly.  A uniform-shift test would seldom fire there from four
+sequences up: the entry stage's cycle time is shorter than the last
+stage's, so it drifts ahead and the coordinates grow at different rates per
+layer.  The scalar solver therefore tests each coordinate on its own.  The
+recurrence is max-plus linear, so a layer whose every ``max`` picks the
+same side as the previous layer's applies the same translation map; once
+the per-coordinate layer-over-layer step repeats and every winning side's
+lead, linear in the layer index, still holds at the last layer, each
+coordinate advances by its own step in every remaining layer.  That fires
+after three layers on every serving batch measured: all 3,125 ``plain``
+batches of 16 sequences (perfbench seed 4), and 300 random batches of each
+of 1, 2, 3, 4, 5, 8, 16 and 32 sequences on ``sparse-fpga`` for bert-base
+on MRPC and SQuAD and bert-large on SQuAD, except 20 two- and
+three-sequence MRPC batches that took four layers and one that walked all
+twelve.
 
 Exactness: every completion cycle equals the reference implementation's
 bit-for-bit (integer arithmetic throughout); the equivalence is pinned by
 ``tests/scheduling/test_fast_pipeline.py`` (the block path, the scalar path
-and the extrapolation on both).  Unsupported parameter
+and the extrapolation on both, plus the scalar test against a full layer
+walk on synthetic stage rows).  Unsupported parameter
 combinations (finite ``buffer_slots`` under pipelining) raise
 :class:`FastPathUnsupported` and the caller falls back to the reference.
 """
@@ -487,63 +498,80 @@ def _int_list(values: Sequence[int]) -> list[int]:
     return [int(v) for v in values]
 
 
-def _uniform_shift(state: list[int], prev: list[int]) -> int | None:
-    """The common step if ``state`` is ``prev`` shifted uniformly, else None.
+def _holds_to_horizon(margins: list[int], prev_margins: list[int], remaining: int) -> bool:
+    """Whether every step keeps its winning side for ``remaining`` more layers.
 
-    Compares from the tail first: the last stage's tail sets the step and
-    the stage tails sit at the end of the state, so a layer that has not
-    reached its periodic steady state fails within the first few elements.
+    ``margins[k]`` is step ``k``'s ``t - tail`` in the current layer and
+    ``prev_margins[k]`` the same step's in the previous one.  Oriented to the
+    side that wins now, the lead must have held in the previous layer too
+    and, growing by the same amount per layer, must not turn negative by the
+    last layer.
     """
-    step = state[-1] - prev[-1]
-    for k in range(len(state) - 2, -1, -1):
-        if state[k] - prev[k] != step:
-            return None
-    return step
+    for lead, prev_lead in zip(margins, prev_margins):
+        if lead < 0:
+            lead, prev_lead = -lead, -prev_lead
+        if prev_lead < 0 or lead + remaining * (lead - prev_lead) < 0:
+            return False
+    return True
 
 
 def _layered_small(
-    accelerator: "Accelerator",
-    billed: list[int],
+    rows: list[tuple[int, ...]],
     seq: list[int],
     num_layers: int,
     names: list[str],
 ) -> FastSchedule:
     """Slot-major scalar solver for small, unreplicated layer-periodic workloads.
 
-    Identical integer recurrence as the NumPy path (and the reference), but
-    with Python ints.  Each slot carries its completion through every stage
-    against the per-stage tails (the previous job's completion there).  Slot
-    ``i`` is the same sequence in every layer, so its last-stage completion
-    gates its next-layer entry directly, with no per-layer permutation.  The
-    same steady-state extrapolation applies (the module docstring says when
-    it fires); stage first starts are the prefix sums of slot 0's row.
+    ``rows[i]`` is slot ``i``'s stage latency row.  Identical integer
+    recurrence as the NumPy path (and the reference), but with Python ints.
+    Each slot carries its completion through every stage against the
+    per-stage tails (the previous job's completion there).  Slot ``i`` is
+    the same sequence in every layer, so its last-stage completion gates its
+    next-layer entry directly, with no per-layer permutation.
+
+    Every step ``t = max(t, tail) + lat`` records its margin ``t - tail``.
+    Once a layer's state delta ``x_L - x_(L-1)`` (``x = done + tails``)
+    repeats the previous layer's and every step's winning side held in both
+    layers and keeps holding to the last layer (:func:`_holds_to_horizon`),
+    both layers applied the same translation map, which fixes the delta, so
+    the final state is ``x_L + K * (x_L - x_(L-1))`` for the ``K`` layers
+    left.  The module docstring says how early that fires.  Stage first
+    starts are the prefix sums of slot 0's row.
     """
-    period = len(billed)
-    rows = [accelerator.stage_latency_row(length) for length in billed]
+    period = len(rows)
     done = [0] * period  # done[i]: slot i's completion at the last stage
     tails = [0] * len(names)  # tails[s]: the previous job's completion at s
     stages = range(len(names))
-    prev_state: list[int] | None = None
-    layer = 0
-    while layer < num_layers:
+    prev_state = done + tails  # the empty pipeline before layer 0
+    prev_delta: list[int] | None = None
+    prev_margins: list[int] = []
+    for layer in range(num_layers):
+        margins: list[int] = []
+        note = margins.append
         for i, row in enumerate(rows):
             t = done[i]
             for s in stages:
                 tail = tails[s]
-                t = (t if t > tail else tail) + row[s]
+                margin = t - tail
+                note(margin)
+                t = (t if margin > 0 else tail) + row[s]
                 tails[s] = t
             done[i] = t
-        if layer >= 1:
-            state = done + tails
-            if prev_state is not None:
-                step = _uniform_shift(state, prev_state)
-                if step is not None:
-                    shift = step * (num_layers - 1 - layer)
-                    done = [value + shift for value in done]
-                    tails = [value + shift for value in tails]
-                    break
-            prev_state = state
-        layer += 1
+        state = done + tails
+        delta = [now - before for now, before in zip(state, prev_state)]
+        remaining = num_layers - 1 - layer
+        if (
+            remaining
+            and delta == prev_delta
+            and _holds_to_horizon(margins, prev_margins, remaining)
+        ):
+            done = [value + remaining * step for value, step in zip(done, delta)]
+            tails = [
+                value + remaining * step for value, step in zip(tails, delta[period:])
+            ]
+            break
+        prev_state, prev_delta, prev_margins = state, delta, margins
 
     stage_first: dict[str, int] = {}
     start = 0
@@ -581,9 +609,11 @@ def simulate_fast_layered(
     batches) go to the slot-major scalar solver on plain lists; NumPy only
     runs on the block path below.  There, latency tables, block bounds, and
     chain busy sums are computed on one layer only.  Both paths extrapolate
-    the remaining layers in O(1) as soon as the layer-over-layer completion
-    delta becomes a uniform shift (the max-plus cycle time); that happens
-    for batches of one to three sequences, seldom from four up.  Falls back
+    the remaining layers in O(1): the scalar solver once each coordinate's
+    per-layer step repeats under the same side of every ``max`` (after three
+    layers on serving batches, see the module docstring), the block path
+    once the layer-over-layer delta is a uniform shift (the max-plus cycle
+    time; batches of one to three sequences, seldom from four up).  Falls back
     to the generic array entry when the structure is not layer-periodic
     (replication not dividing the batch, repeated sequences inside a layer).
     """
@@ -602,7 +632,8 @@ def simulate_fast_layered(
         and all(r == 1 for r in replication)
         and len(set(seq)) == period
     ):
-        return _layered_small(accelerator, billed, seq, num_layers, names)
+        rows = [accelerator.stage_latency_row(length) for length in billed]
+        return _layered_small(rows, seq, num_layers, names)
     billed_layer = np.asarray(billed, dtype=np.int64)
     seq_layer = np.asarray(seq, dtype=np.int64)
     seq_ids, seq_idx = np.unique(seq_layer, return_inverse=True)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import pickle
 import threading
 
 import numpy as np
 import pytest
 
-from repro.devices import CycleAccurateDevice, ScheduleCache
+from repro.devices import CycleAccurateDevice, ScheduleCache, build_device
 from repro.devices.schedule_cache import (
     GLOBAL_SCHEDULE_CACHE,
     quantize_lengths,
@@ -207,6 +208,44 @@ class TestCacheMechanics:
         assert len(cache) == 1  # shared entries survive across runs
         device.execute([80, 40])
         assert device.cache_hits == 1
+
+
+class TestKeyDigest:
+    """A miss's fingerprint, joined from memoized reprs, is ``blake2b(repr(key))``."""
+
+    BATCHES = ([57], [40, 40, 40], [100, 57, 57, 23], [23, 100, 57], [90, 31, 18, 64, 77])
+
+    @staticmethod
+    def _assert_digests_are_key_reprs(device) -> None:
+        for batch in TestKeyDigest.BATCHES:
+            device.execute(batch)
+        entries = list(device._schedule_cache._entries.items())
+        assert entries
+        for key, entry in entries:
+            expected = hashlib.blake2b(repr(key).encode(), digest_size=12).hexdigest()
+            assert entry.key_digest == expected, key
+
+    @pytest.mark.parametrize(
+        "spec, knobs",
+        [
+            ("sparse-fpga", {}),
+            ("sparse-fpga", {"cache_length_bucket": 16}),
+            ("baseline-fpga", {}),
+        ],
+    )
+    def test_registered_devices(self, spec, knobs):
+        device = build_device(spec, model="bert-base", dataset="mrpc", **knobs)
+        device._schedule_cache = ScheduleCache()
+        self._assert_digests_are_key_reprs(device)
+        # A one-length batch keys a single row, whose tuple repr ends in ",)".
+        assert any(len(key[1]) == 1 for key in device._schedule_cache._entries)
+
+    def test_fixed_padding_target_row(self, accelerator):
+        device = CycleAccurateDevice(
+            accelerator, scheduler=PaddedScheduler(pad_to=120), schedule_cache=ScheduleCache()
+        )
+        self._assert_digests_are_key_reprs(device)
+        assert all(key[1][-1][0] == 120 for key in device._schedule_cache._entries)
 
 
 class TestInProcessOnly:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.accelerator import build_sparse_accelerator
@@ -179,8 +179,8 @@ class TestScalarLayeredPath:
     """The slot-major scalar solver (small unreplicated batches) vs the oracle.
 
     Batches of up to ``_SMALL_PERIOD`` slots take the scalar path and larger
-    ones the NumPy block path; batches of one to three sequences reach the
-    periodic steady state, so their remaining layers are extrapolated.
+    ones the NumPy block path; the scalar path extrapolates the remaining
+    layers once each coordinate's per-layer step repeats.
     """
 
     @given(
@@ -229,6 +229,67 @@ class TestScalarLayeredPath:
                 LengthAwareScheduler(), accelerator, list(range(20, 20 + size)), monkeypatch
             )
         assert calls == [1, 3, 16, fast_pipeline._SMALL_PERIOD]
+
+
+def _full_layer_walk(rows, num_layers):
+    """Every layer of the slot-major recurrence, with no extrapolation."""
+    num_stages = len(rows[0])
+    done = [0] * len(rows)
+    tails = [0] * num_stages
+    for _ in range(num_layers):
+        for i, row in enumerate(rows):
+            t = done[i]
+            for s in range(num_stages):
+                t = max(t, tails[s]) + row[s]
+                tails[s] = t
+            done[i] = t
+    return done, tails
+
+
+@st.composite
+def _stage_rows(draw):
+    """1-8 slots of 1-4 stages with small latencies, so ties and late flips occur."""
+    num_stages = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(1, 8)] * num_stages)
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+class TestSteadyStateExtrapolation:
+    """The scalar solver's per-coordinate steady-state test vs a full walk."""
+
+    @given(rows=_stage_rows(), num_layers=st.integers(1, 200))
+    # A lead that shrinks every layer and changes sides before the last one.
+    @example(rows=[(2, 4, 2), (4, 2, 4)], num_layers=10)
+    # A step whose side changed between the two compared layers.
+    @example(rows=[(2, 2), (2, 2), (1, 2)], num_layers=34)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_layer_walk(self, rows, num_layers):
+        names = [f"stage{s}" for s in range(len(rows[0]))]
+        seq = list(range(len(rows)))
+        schedule = fast_pipeline._layered_small(rows, seq, num_layers, names)
+        done, tails = _full_layer_walk(rows, num_layers)
+        assert [schedule.sequence_completion[i] for i in seq] == done
+        assert list(schedule.stage_last_end.values()) == tails
+        assert schedule.makespan == tails[-1]
+        assert schedule.entry_admit_cycles == tails[0]
+
+    def test_serving_batch_extrapolates_after_three_layers(self, monkeypatch):
+        # A 16-sequence batch of the length-aware scheduler on a 12-layer
+        # design: the test holds at layer index 2, leaving 9 layers.
+        calls = []
+        holds = fast_pipeline._holds_to_horizon
+
+        def spy(margins, prev_margins, remaining):
+            result = holds(margins, prev_margins, remaining)
+            calls.append((remaining, result))
+            return result
+
+        monkeypatch.setattr(fast_pipeline, "_holds_to_horizon", spy)
+        lengths = [140, 100, 96, 82, 78, 72, 64, 60, 57, 51, 48, 44, 40, 33, 29, 21]
+        _assert_schedules_match(
+            LengthAwareScheduler(), _layered_accelerator(12), lengths, monkeypatch
+        )
+        assert calls[-1] == (9, True)
 
 
 def _jobs_for(scheduler, accelerator, lengths):

@@ -8,7 +8,8 @@ captured from the engines before they shared one event loop (the
 attainment-autoscaler scenario's before its decisions counted their window
 incrementally, the wide tied-decode scenario's before the decode loop kept
 per-device wake times, the mixed-fleet scenario's before replicas shared one
-cost query), so any change
+cost query, the long-model scenario's before the cycle solver's per-coordinate
+steady-state test), so any change
 to when a batch forms, where it routes, what it costs or when a decode step
 runs shows up here.
 
@@ -35,6 +36,7 @@ from repro.serving import (
     CostModelRouter,
     DeadlineBatcher,
     FixedSizeBatcher,
+    LeastLoadedRouter,
     PoissonArrivals,
     PredictedAttainmentAutoscaler,
     PriorityDeadlineBatcher,
@@ -46,6 +48,7 @@ from repro.serving.engine import simulate_online
 from repro.transformer.configs import MRPC, SQUAD_V11 as SQUAD, get_model_config
 
 BERT = get_model_config("bert-base")
+BERT_LARGE = get_model_config("bert-large")
 MIB = 2**20
 
 
@@ -316,6 +319,21 @@ def _encoder_mixed_fleet_chaos():
     )
 
 
+def _encoder_long_model():
+    # bert-large's 24 layers: the cycle solver reaches its steady state after
+    # a few layers and extrapolates over twenty or more, where every other
+    # pin's 12-layer model leaves fewer than ten.
+    return simulate_online(
+        build_fleet("sparse-fpga", model=BERT_LARGE, dataset=SQUAD, replicas=2),
+        SQUAD,
+        PoissonArrivals(rate_qps=140.0),
+        num_requests=400,
+        batch_policy=TimeoutBatcher(batch_size=16, timeout_s=0.05),
+        router=LeastLoadedRouter(),
+        seed=21,
+    )
+
+
 SCENARIOS = {
     "decode-kv-iteration": _decode_kv_iteration,
     "decode-kv-gang": _decode_kv_gang,
@@ -331,6 +349,7 @@ SCENARIOS = {
     "encoder-elastic-attainment": _encoder_elastic_attainment,
     "encoder-classes-chaos": _encoder_classes_chaos,
     "encoder-mixed-fleet-chaos": _encoder_mixed_fleet_chaos,
+    "encoder-long-model": _encoder_long_model,
 }
 
 EXPECTED = {
@@ -348,6 +367,7 @@ EXPECTED = {
     "encoder-elastic-attainment": "4811b8b365a903c4870acbae",
     "encoder-classes-chaos": "b30f4719f0465eecc84850a1",
     "encoder-mixed-fleet-chaos": "f8ee2b60eefd9a0948046465",
+    "encoder-long-model": "a4c352e8c1c93b2bf55347f5",
 }
 
 

@@ -1,4 +1,4 @@
-"""Fast-path simulation core benchmark: reference oracle vs vectorized path.
+"""Fast-path simulation core benchmark: reference oracle vs fast path.
 
 Runs the default ``serving-sweep`` experiment three ways:
 
@@ -7,10 +7,10 @@ Runs the default ``serving-sweep`` experiment three ways:
    wall-clock baseline the speedup is measured against;
 2. **reference / cache on** -- the oracle engine behind the shared schedule
    cache (the equality witness);
-3. **fast / cache on** -- the shipped configuration: vectorized recurrence,
+3. **fast / cache on** -- the shipped configuration: event-free recurrence,
    shared length-quantized schedule cache.
 
-The JSON payloads of (2) and (3) must be byte-identical -- the vectorized
+The JSON payloads of (2) and (3) must be byte-identical -- the fast
 engine reproduces the oracle cycle-for-cycle -- and (3) must not be slower
 than (1) (CI fails otherwise).  The measured speedup lands in
 ``bench_latest.json`` as the repo's headline perf-trajectory number.
@@ -50,7 +50,7 @@ def test_bench_fast_path_equivalence_and_speedup(benchmark, write_report, monkey
     fast_report = run_once(benchmark, run_report, "serving-sweep")
     fast_seconds = time.perf_counter() - start
 
-    # The vectorized engine must reproduce the reference oracle exactly:
+    # The fast engine must reproduce the reference oracle exactly:
     # byte-identical machine-readable output for a fixed seed.
     assert json.dumps(fast_report.payload, indent=2) == json.dumps(
         oracle_payload, indent=2

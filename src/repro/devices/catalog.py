@@ -141,15 +141,19 @@ def baseline_fpga_device(
     kv_cache_bytes: int | None = None,
     price_per_hour_usd: float = DEFAULT_DEVICE_PRICES_USD_PER_HOUR["baseline-fpga"],
 ) -> Device:
-    """The Fig. 7 FPGA baseline: dense attention, max-length padding.
+    """The Fig. 7 FPGA baseline: dense attention, per-batch max-length padding.
 
     Config knobs: ``cache_length_bucket`` (tokens; schedule-cache length
     quantization, None = exact), the per-device admission limits
     ``max_batch_size`` (requests per batch) / ``max_batch_tokens`` (total
     tokens per batch), ``kv_cache_bytes`` (decoder KV-cache capacity,
     None = uncapped), and ``price_per_hour_usd`` (rental price per
-    device-hour for cost reports).  Every sequence is billed at the
-    dataset's max length, which is what makes this device padding-bound.
+    device-hour for cost reports).  Every sequence of a batch is billed at
+    that batch's longest sequence (the paper's "zero-padded to the maximum
+    sentence length in the batch"), which is what makes this device
+    padding-bound.  The dataset's max length only sizes the design:
+    longer sequences are accepted, and a batch holding one is billed at
+    its length.
     """
     model_config, dataset_config = _model(model), _dataset(dataset)
     accelerator = _baseline_design(

@@ -1,8 +1,8 @@
 """Propagate ``REPRO_*`` environment overrides into pool workers.
 
 The simulation stack reads two debugging/validation switches from the
-environment at *use* time: ``REPRO_PIPELINE_ENGINE`` (vectorized fast path
-vs. the pure-Python reference oracle) and ``REPRO_SCHEDULE_CACHE`` (disable
+environment at *use* time: ``REPRO_PIPELINE_ENGINE`` (event-free fast path
+vs. the event-building reference oracle) and ``REPRO_SCHEDULE_CACHE`` (disable
 the process-wide schedule cache).  Serial runs honor whatever the caller
 exported; parallel runs (``--jobs N``) execute in
 :class:`~concurrent.futures.ProcessPoolExecutor` workers whose environment

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hardware.accelerator import Accelerator
-from .length_aware import build_layer_ordered_jobs, sort_batch_by_length
+from .length_aware import batch_lengths, build_layer_ordered_jobs, sort_batch_by_length
 from .pipeline import ScheduleResult, simulate_coarse_pipeline, simulate_layered
 
 __all__ = ["PaddedScheduler", "MicroBatchScheduler", "SequentialScheduler"]
@@ -42,9 +42,7 @@ class PaddedScheduler:
 
     def schedule(self, accelerator: Accelerator, lengths: list[int]) -> ScheduleResult:
         """Schedule the batch with every sequence billed at the padded length."""
-        lengths = [int(x) for x in lengths]
-        if not lengths:
-            raise ValueError("cannot schedule an empty batch")
+        lengths = batch_lengths(lengths)
         pad_target = self.pad_to if self.pad_to is not None else max(lengths)
         if pad_target < max(lengths):
             raise ValueError("pad_to is smaller than the longest sequence in the batch")
@@ -94,9 +92,7 @@ class MicroBatchScheduler:
 
     def schedule(self, accelerator: Accelerator, lengths: list[int]) -> ScheduleResult:
         """Schedule the batch as padded micro-batches with barriers between them."""
-        lengths = [int(x) for x in lengths]
-        if not lengths:
-            raise ValueError("cannot schedule an empty batch")
+        lengths = batch_lengths(lengths)
         order = sort_batch_by_length(lengths, descending=True)
         num_layers = accelerator.model_config.num_layers
 
@@ -143,9 +139,7 @@ class SequentialScheduler:
 
     def schedule(self, accelerator: Accelerator, lengths: list[int]) -> ScheduleResult:
         """Schedule the batch with stages running strictly back to back."""
-        lengths = [int(x) for x in lengths]
-        if not lengths:
-            raise ValueError("cannot schedule an empty batch")
+        lengths = batch_lengths(lengths)
         billed = [max(lengths)] * len(lengths) if self.padded else list(lengths)
         order = sort_batch_by_length(lengths, descending=True)
         num_layers = accelerator.model_config.num_layers

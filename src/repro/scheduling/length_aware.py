@@ -19,7 +19,25 @@ import numpy as np
 from ..hardware.accelerator import Accelerator
 from .pipeline import PipelineJob, ScheduleResult, simulate_layered
 
-__all__ = ["LengthAwareScheduler", "sort_batch_by_length", "build_layer_ordered_jobs"]
+__all__ = [
+    "LengthAwareScheduler",
+    "batch_lengths",
+    "build_layer_ordered_jobs",
+    "sort_batch_by_length",
+]
+
+
+def batch_lengths(lengths: list[int] | np.ndarray) -> list[int]:
+    """A batch's lengths as Python ints; every scheduler checks its batch here.
+
+    Raises ``ValueError`` for an empty batch or a length below 1.
+    """
+    lengths = [int(x) for x in lengths]
+    if not lengths:
+        raise ValueError("cannot schedule an empty batch")
+    if min(lengths) < 1:
+        raise ValueError("sequence lengths must be >= 1")
+    return lengths
 
 
 def sort_batch_by_length(lengths: list[int] | np.ndarray, descending: bool = True) -> list[int]:
@@ -92,11 +110,7 @@ class LengthAwareScheduler:
 
     def schedule(self, accelerator: Accelerator, lengths: list[int]) -> ScheduleResult:
         """Schedule a batch of sequences with the given actual lengths."""
-        lengths = [int(x) for x in lengths]
-        if not lengths:
-            raise ValueError("cannot schedule an empty batch")
-        if min(lengths) < 1:
-            raise ValueError("sequence lengths must be >= 1")
+        lengths = batch_lengths(lengths)
         order = sort_batch_by_length(lengths, descending=self.sort_descending)
         num_layers = accelerator.model_config.num_layers
         timeline = simulate_layered(

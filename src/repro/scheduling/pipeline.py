@@ -25,16 +25,8 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from ..hardware.accelerator import Accelerator
-from .fast_pipeline import (
-    FastSchedule,
-    fast_path_supported,
-    simulate_fast,
-    simulate_fast_arrays,
-    simulate_fast_layered,
-)
+from .fast_pipeline import FastSchedule, simulate_fast, simulate_fast_layered
 from .timeline import Timeline, TimelineEvent
 
 __all__ = [
@@ -48,8 +40,9 @@ __all__ = [
 ]
 
 #: Environment switch selecting the simulation engine: ``fast`` (default,
-#: vectorized with automatic fallback) or ``reference`` (the pure-Python
-#: oracle, useful to debug or cross-check the vectorized recurrence).
+#: the event-free solvers of :mod:`repro.scheduling.fast_pipeline`) or
+#: ``reference`` (the event-building oracle, useful to debug or cross-check
+#: the fast engine).
 _ENGINE_ENV = "REPRO_PIPELINE_ENGINE"
 
 
@@ -82,7 +75,7 @@ class PipelineJob:
 class LazyTimeline(Timeline):
     """A timeline whose per-event list materializes only on demand.
 
-    The vectorized engine produces a :class:`FastSchedule` summary; the hot
+    The fast engine produces a :class:`FastSchedule` summary; the hot
     aggregate queries (makespan, utilization, bubbles) answer from it in
     O(stages), and the full event list is rebuilt by the reference simulator
     only if someone actually iterates events (Fig. 5 rendering, tests).
@@ -168,7 +161,7 @@ class ScheduleResult:
         return other.makespan_cycles / self.makespan_cycles
 
     # ------------------------------------------------------------------
-    # Hot-path accessors (answered from the vectorized summary when the
+    # Hot-path accessors (answered from the FastSchedule summary when the
     # schedule was simulated by the fast engine; otherwise derived from the
     # event list).
     # ------------------------------------------------------------------
@@ -235,14 +228,13 @@ def simulate_coarse_pipeline(
         Job indices that must wait for every earlier job to fully drain
         before starting (micro-batch boundaries).
     engine:
-        ``"fast"`` answers through the vectorized NumPy recurrence
+        ``"fast"`` answers through the event-free recurrence
         (:mod:`repro.scheduling.fast_pipeline`) and returns a
         :class:`LazyTimeline` whose events materialize on demand;
-        ``"reference"`` forces the pure-Python oracle.  ``None`` (default)
-        reads ``REPRO_PIPELINE_ENGINE`` (default ``fast``).  The fast engine
-        falls back to the reference automatically for configurations it
-        cannot express (finite ``buffer_slots`` while pipelined).  Both
-        engines produce cycle-for-cycle identical schedules.
+        ``"reference"`` forces the event-building oracle.  ``None``
+        (default) reads ``REPRO_PIPELINE_ENGINE`` (default ``fast``).  Both
+        engines produce cycle-for-cycle identical schedules for every
+        parameter combination.
     """
     if engine is None:
         engine = pipeline_engine()
@@ -250,20 +242,23 @@ def simulate_coarse_pipeline(
         raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
     if not jobs:
         return Timeline()
-    if engine == "fast" and fast_path_supported(pipelined, buffer_slots):
-        fast = simulate_fast(
+
+    def reference() -> Timeline:
+        return simulate_coarse_pipeline_reference(
             accelerator, jobs, pipelined=pipelined, buffer_slots=buffer_slots, barriers=barriers
         )
 
-        def materialize() -> Timeline:
-            return simulate_coarse_pipeline_reference(
-                accelerator, jobs, pipelined=pipelined, buffer_slots=buffer_slots, barriers=barriers
-            )
-
-        return LazyTimeline(fast, materialize)
-    return simulate_coarse_pipeline_reference(
-        accelerator, jobs, pipelined=pipelined, buffer_slots=buffer_slots, barriers=barriers
+    if engine != "fast":
+        return reference()
+    fast = simulate_fast(
+        accelerator,
+        [job.billed_length for job in jobs],
+        [job.sequence_id for job in jobs],
+        pipelined=pipelined,
+        buffer_slots=buffer_slots,
+        barriers=barriers,
     )
+    return LazyTimeline(fast, reference)
 
 
 def simulate_layered(
@@ -281,10 +276,9 @@ def simulate_layered(
 
     ``slot_billed[i]`` / ``slot_sequences[i]`` describe slot ``i`` of one
     layer's issue order; the same pattern repeats for every encoder layer.
-    On the fast engine the job arrays are tiled directly and
-    ``jobs_factory`` is only invoked if the lazy timeline's events are
-    actually materialized; otherwise the factory's job list feeds the
-    reference simulator.
+    On the fast engine ``jobs_factory`` is only invoked if the lazy
+    timeline's events are actually materialized; otherwise the factory's
+    job list feeds the reference simulator.
     """
     if engine is None:
         engine = pipeline_engine()
@@ -300,27 +294,27 @@ def simulate_layered(
             barriers=barriers,
         )
 
-    if engine == "fast" and fast_path_supported(pipelined, buffer_slots):
-        if barriers:
-            fast = simulate_fast_arrays(
-                accelerator,
-                np.tile(np.asarray(slot_billed, dtype=np.int64), num_layers),
-                np.tile(np.asarray(slot_sequences, dtype=np.int64), num_layers),
-                pipelined=pipelined,
-                buffer_slots=buffer_slots,
-                barriers=barriers,
-            )
-        else:
-            fast = simulate_fast_layered(
-                accelerator,
-                slot_billed,
-                slot_sequences,
-                num_layers,
-                pipelined=pipelined,
-                buffer_slots=buffer_slots,
-            )
-        return LazyTimeline(fast, reference)
-    return reference()
+    if engine != "fast":
+        return reference()
+    if barriers:
+        fast = simulate_fast(
+            accelerator,
+            list(slot_billed) * num_layers,
+            list(slot_sequences) * num_layers,
+            pipelined=pipelined,
+            buffer_slots=buffer_slots,
+            barriers=barriers,
+        )
+    else:
+        fast = simulate_fast_layered(
+            accelerator,
+            slot_billed,
+            slot_sequences,
+            num_layers,
+            pipelined=pipelined,
+            buffer_slots=buffer_slots,
+        )
+    return LazyTimeline(fast, reference)
 
 
 def simulate_coarse_pipeline_reference(
@@ -330,10 +324,10 @@ def simulate_coarse_pipeline_reference(
     buffer_slots: int | None = 2,
     barriers: set[int] | None = None,
 ) -> Timeline:
-    """The pure-Python reference oracle (one event appended per job x stage).
+    """The reference oracle (one event appended per job x stage).
 
-    Kept verbatim as the ground truth the vectorized engine is verified
-    against; see ``tests/scheduling/test_fast_pipeline.py``.
+    Kept verbatim as the ground truth the fast engine is verified against;
+    see ``tests/scheduling/test_fast_pipeline.py``.
     """
     timeline = Timeline()
     if not jobs:

@@ -1,10 +1,10 @@
-"""Equivalence tests: the vectorized engine vs the pure-Python reference oracle.
+"""Equivalence tests: the fast engine vs the event-building reference oracle.
 
 The fast path must reproduce the reference simulator *cycle-for-cycle* for
-every configuration it claims to support: random length batches, replicated
-stages, micro-batch barriers, the non-pipelined (drain) mode, and every
-batch scheduler.  Where it cannot (finite buffer slots while pipelined), it
-must fall back to the reference transparently.
+every input the simulator accepts: random length batches, arbitrary job
+lists with repeated sequences inside a layer, replicated stages,
+micro-batch barriers, finite inter-stage buffers, the non-pipelined (drain)
+mode, and every batch scheduler.
 """
 
 from __future__ import annotations
@@ -22,11 +22,6 @@ from repro.scheduling.baselines import (
     SequentialScheduler,
 )
 from repro.scheduling import fast_pipeline
-from repro.scheduling.fast_pipeline import (
-    FastPathUnsupported,
-    fast_path_supported,
-    simulate_fast,
-)
 from repro.scheduling.length_aware import (
     LengthAwareScheduler,
     build_layer_ordered_jobs,
@@ -34,6 +29,8 @@ from repro.scheduling.length_aware import (
 )
 from repro.scheduling.pipeline import (
     LazyTimeline,
+    PipelineJob,
+    ScheduleResult,
     pipeline_engine,
     simulate_coarse_pipeline,
     simulate_coarse_pipeline_reference,
@@ -120,8 +117,9 @@ class TestVectorizedEquivalence:
 
     @pytest.mark.parametrize("device", ["accelerator", "replicated_accelerator"])
     def test_every_scheduler_matches_reference_engine(self, device, request, monkeypatch):
-        # The unreplicated design runs the layered schedulers through the
-        # scalar solver; the replicated one through the NumPy block path.
+        # The unreplicated design runs the pipelined layered schedulers
+        # through the slot-major solver; the replicated one through the
+        # job-major walk.
         replicated_accelerator = request.getfixturevalue(device)
         lengths = [150, 120, 90, 60, 33, 45, 100]
         schedulers = (
@@ -153,6 +151,81 @@ class TestVectorizedEquivalence:
 
 
 @functools.cache
+def _replicated_accelerator(replication):
+    return build_sparse_accelerator(
+        _MODEL, top_k=30, avg_seq=96, max_seq=160, replication=replication
+    )
+
+
+@st.composite
+def _job_lists(draw):
+    """Random issue orders: sequences repeat inside a layer, each job bills its own length."""
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, 5), st.integers(1, 160), st.integers(0, 8)),
+            min_size=1,
+            max_size=24,
+        )
+    )
+    layers: dict[int, int] = {}
+    jobs = []
+    for sequence_id, length, pad in picks:
+        layer = layers.get(sequence_id, 0)
+        jobs.append(PipelineJob(sequence_id, layer, length, length + pad))
+        layers[sequence_id] = layer + 1
+    return jobs
+
+
+def _as_result(accelerator, timeline):
+    return ScheduleResult(
+        scheduler="jobs",
+        accelerator_name=accelerator.name,
+        timeline=timeline,
+        lengths=[],
+        billed_lengths=[],
+        num_layers=1,
+        clock_hz=accelerator.clock_hz,
+    )
+
+
+class TestJobWalk:
+    """The job-major walk vs the oracle on arbitrary job lists."""
+
+    @given(
+        jobs=_job_lists(),
+        barriers=st.sets(st.integers(0, 23)),
+        replication=st.integers(1, 3),
+        buffer_slots=st.none() | st.integers(1, 3),
+        pipelined=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_job_lists_match_reference(
+        self, jobs, barriers, replication, buffer_slots, pipelined
+    ):
+        accelerator = _replicated_accelerator(replication)
+        kwargs = dict(pipelined=pipelined, buffer_slots=buffer_slots, barriers=barriers)
+        fast = simulate_coarse_pipeline(accelerator, jobs, engine="fast", **kwargs)
+        ref = simulate_coarse_pipeline_reference(accelerator, jobs, **kwargs)
+        assert isinstance(fast, LazyTimeline)
+        assert fast.makespan == ref.makespan
+        assert fast.average_utilization() == ref.average_utilization()
+        assert fast.total_bubble_cycles() == ref.total_bubble_cycles()
+        fast_result = _as_result(accelerator, fast)
+        ref_result = _as_result(accelerator, ref)
+        assert (
+            fast_result.sequence_completion_cycles() == ref_result.sequence_completion_cycles()
+        )
+        assert fast_result.entry_admit_cycles() == ref_result.entry_admit_cycles()
+        summary = fast.fast_schedule
+        occupancy = ref.stage_occupancy()
+        assert summary.stage_label_order == ref.stage_names()
+        assert summary.stage_busy == {k: o.busy_cycles for k, o in occupancy.items()}
+        assert summary.stage_first_start == {k: o.first_start for k, o in occupancy.items()}
+        assert summary.stage_last_end == {k: o.last_end for k, o in occupancy.items()}
+        assert fast.events == ref.events
+
+
+@functools.cache
 def _layered_accelerator(num_layers):
     model = ModelConfig(
         name=f"fastsim-{num_layers}L", num_layers=num_layers, hidden_dim=768, num_heads=12
@@ -176,11 +249,10 @@ def _assert_schedules_match(scheduler, accelerator, lengths, monkeypatch):
 
 
 class TestScalarLayeredPath:
-    """The slot-major scalar solver (small unreplicated batches) vs the oracle.
+    """The slot-major solver (unreplicated, unbuffered batches) vs the oracle.
 
-    Batches of up to ``_SMALL_PERIOD`` slots take the scalar path and larger
-    ones the NumPy block path; the scalar path extrapolates the remaining
-    layers once each coordinate's per-layer step repeats.
+    Batches of any size take the slot-major path, which extrapolates the
+    remaining layers once each coordinate's per-layer step repeats.
     """
 
     @given(
@@ -224,11 +296,12 @@ class TestScalarLayeredPath:
 
         monkeypatch.setattr(fast_pipeline, "_layered_small", spy)
         accelerator = _layered_accelerator(12)
-        for size in (1, 3, 16, fast_pipeline._SMALL_PERIOD, fast_pipeline._SMALL_PERIOD + 1):
+        sizes = (1, 3, 16, 32, 33, 64, 256)
+        for size in sizes:
             _assert_schedules_match(
                 LengthAwareScheduler(), accelerator, list(range(20, 20 + size)), monkeypatch
             )
-        assert calls == [1, 3, 16, fast_pipeline._SMALL_PERIOD]
+        assert calls == list(sizes)
 
 
 def _full_layer_walk(rows, num_layers):
@@ -342,21 +415,43 @@ class TestEngineSelection:
         with pytest.raises(ValueError, match="engine"):
             simulate_coarse_pipeline(accelerator, _jobs([100]), engine="warp-drive")
 
-    def test_finite_buffers_fall_back_to_reference(self, accelerator):
-        jobs = _jobs([150, 120, 90, 60])
-        assert not fast_path_supported(True, 2)
-        with pytest.raises(FastPathUnsupported):
-            simulate_fast(accelerator, jobs, pipelined=True, buffer_slots=2)
-        # The public entry silently falls back and still answers correctly.
-        fast = simulate_coarse_pipeline(accelerator, jobs, engine="fast", buffer_slots=2)
-        ref = simulate_coarse_pipeline_reference(accelerator, jobs, buffer_slots=2)
-        assert not isinstance(fast, LazyTimeline)
-        assert fast.events == ref.events
+    @pytest.mark.parametrize("buffer_slots", [1, 2, 3])
+    def test_finite_buffers_run_on_the_fast_engine(self, accelerator, buffer_slots):
+        jobs = _jobs([150, 120, 90, 60, 140, 30])
+        fast = simulate_coarse_pipeline(
+            accelerator, jobs, engine="fast", buffer_slots=buffer_slots
+        )
+        assert isinstance(fast, LazyTimeline)
+        _assert_equivalent(accelerator, jobs, pipelined=True, buffer_slots=buffer_slots)
 
     def test_non_pipelined_supported_for_any_buffers(self, accelerator):
         jobs = _jobs([150, 120, 90])
-        assert fast_path_supported(False, 2)
         _assert_equivalent(accelerator, jobs, pipelined=False, buffer_slots=2)
+
+
+class TestBatchValidation:
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
+    @pytest.mark.parametrize(
+        "lengths, message",
+        [
+            ([], "cannot schedule an empty batch"),
+            ([-3, 5], "sequence lengths must be >= 1"),
+            ([40, 0], "sequence lengths must be >= 1"),
+        ],
+    )
+    def test_every_scheduler_rejects_the_same_bad_batches(
+        self, accelerator, monkeypatch, engine, lengths, message
+    ):
+        monkeypatch.setenv("REPRO_PIPELINE_ENGINE", engine)
+        schedulers = (
+            LengthAwareScheduler(),
+            PaddedScheduler(),
+            MicroBatchScheduler(),
+            SequentialScheduler(),
+        )
+        for scheduler in schedulers:
+            with pytest.raises(ValueError, match=message):
+                scheduler.schedule(accelerator, lengths)
 
 
 class TestLazyTimeline:

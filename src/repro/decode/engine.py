@@ -161,21 +161,6 @@ class DecodeServingReport(OnlineServingReport):
             return 0.0
         return self.total_output_tokens / self.makespan_seconds
 
-    def steady_tokens_per_second(self, warmup_fraction: float = 0.0) -> float:
-        """Token throughput over the post-warm-up window."""
-        if warmup_fraction == 0.0:
-            return self.sustained_tokens_per_second
-        records = self.steady_records(warmup_fraction)
-        if not records:
-            return 0.0
-        cutoff = warmup_fraction * self.arrival_horizon_seconds
-        start = min(cutoff, min(r.request.arrival_time for r in records))
-        window = max(r.completion_time for r in records) - start
-        if window <= 0:
-            return 0.0
-        tokens = sum(getattr(r, "num_output_tokens", 1) for r in records)
-        return tokens / window
-
     # ------------------------------------------------------------------
     # TTFT / inter-token latency
     # ------------------------------------------------------------------

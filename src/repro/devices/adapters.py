@@ -15,7 +15,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +25,6 @@ from ..hardware.accelerator import Accelerator
 from ..hardware.hbm import HbmModel
 from ..platforms.base import AnalyticalPlatform, PlatformResult
 from ..scheduling.length_aware import LengthAwareScheduler, sort_batch_by_length
-from ..scheduling.pipeline import ScheduleResult
 from .protocol import BatchExecution, Device
 from .schedule_cache import (
     GLOBAL_SCHEDULE_CACHE,
@@ -44,28 +42,19 @@ class _CanonicalSchedule:
 
     ``slot_completion_seconds[r]`` is the completion offset of the request at
     issue slot ``r`` of the canonical order; callers remap slots to their own
-    request order through the scheduler's issue permutation.
-    ``key_digest`` is a process-independent fingerprint of the cache key
-    (``blake2b`` of its ``repr``, see :meth:`CycleAccurateDevice._key_digest`),
-    used by the sweep harness to replay hit accounting deterministically.
+    request order through the scheduler's issue permutation.  Per-batch
+    timelines are not kept: ``scheduler.schedule(accelerator, lengths)``
+    builds one where it is read.
     """
 
-    result: ScheduleResult
     slot_completion_seconds: list[float]
     latency_seconds: float
     admit_seconds: float
     utilization: float
-    key_digest: str = ""
 
 
 #: Serial for schedulers whose repr is not value-based (see _scheduler_cache_key).
 _SCHEDULER_SERIAL = itertools.count()
-
-#: Process-wide monotonic stamp for schedule-cache probes.  Each ``execute``
-#: call takes one, so merging the per-device probe streams of one run by
-#: stamp recovers the exact order in which the shared LRU saw the lookups
-#: (devices within a run execute in one process, so stamps are comparable).
-_PROBE_SERIAL = itertools.count()
 
 
 def _scheduler_cache_key(scheduler) -> str:
@@ -145,10 +134,6 @@ class CycleAccurateDevice(Device):
         )
         self._scheduler_key = _scheduler_cache_key(self.scheduler)
         self._key_rows: dict[int, tuple[int, tuple[int, ...]]] = {}
-        #: ``repr`` of each memoized key row, and of the key's constant tail,
-        #: so a miss's fingerprint is joined from pieces (see _key_digest).
-        self._key_row_reprs: dict[int, str] = {}
-        self._key_tail_repr = f"{self._structure_key!r}, {self._scheduler_key!r})"
         # How the scheduler canonicalizes a batch: built-in schedulers
         # advertise ``cache_canonicalization``; unknown ones fall back to
         # "exact" (order-sensitive keys, no cross-permutation sharing).
@@ -224,11 +209,6 @@ class CycleAccurateDevice(Device):
         #: its own process-lifetime totals).
         self.cache_hits = 0
         self.cache_misses = 0
-        #: Probe accounting for deterministic replay: how many schedule
-        #: lookups this run issued and the stamped lookup stream in issue
-        #: order (plus :meth:`_count_twin_hits` runs for twin replicas).
-        self.cache_probe_total = 0
-        self.cache_probe_sequence: list[tuple] = []
         self._cache_active = schedule_cache_enabled()
 
     # ------------------------------------------------------------------
@@ -247,7 +227,6 @@ class CycleAccurateDevice(Device):
                 length,
                 self.accelerator.stage_latency_row(length),
             )
-            self._key_row_reprs[length] = repr(row)
         return row
 
     def _cache_key(self, canonical: tuple[int, ...]) -> tuple:
@@ -258,30 +237,12 @@ class CycleAccurateDevice(Device):
         rows = tuple(map(self._key_row, row_lengths))
         return (canonical, rows, self._structure_key, self._scheduler_key)
 
-    def _key_digest(self, key: tuple) -> str:
-        """Stable, process-independent fingerprint of a cache key from :meth:`_cache_key`.
-
-        ``blake2b`` of ``repr(key)``: the repr of nested tuples of
-        ints/floats/strs is deterministic, unlike ``hash()``, which is salted
-        per process for strings.  The text is joined from the memoized row
-        reprs and the constant structure/scheduler tail, byte for byte the
-        key's ``repr`` (a one-row tuple keeps its trailing comma).
-        """
-        canonical, rows = key[0], key[1]
-        reprs = self._key_row_reprs
-        body = ", ".join([reprs[row[0]] for row in rows])
-        if len(rows) == 1:
-            body += ","
-        text = f"({canonical!r}, ({body}), {self._key_tail_repr}"
-        return hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
-
     def _simulate_canonical(self, canonical: tuple[int, ...]) -> _CanonicalSchedule:
         result = self.scheduler.schedule(self.accelerator, list(canonical))
         clock = self.accelerator.clock_hz
         completion = result.sequence_completion_cycles()
         latency = result.makespan_seconds
         return _CanonicalSchedule(
-            result=result,
             slot_completion_seconds=[
                 completion[i] / clock for i in range(len(canonical))
             ],
@@ -306,14 +267,15 @@ class CycleAccurateDevice(Device):
 
     def _canonical_entry(
         self, lengths: Sequence[int]
-    ) -> tuple[tuple[int, ...], tuple[int, ...], str, _CanonicalSchedule]:
+    ) -> tuple[tuple[int, ...], tuple[int, ...], str, tuple | None, _CanonicalSchedule]:
         """Canonicalize one batch and fetch (or simulate) its cached schedule.
 
         The one place a batch touches the schedule cache: :meth:`execute`
         and the latency-only queries all come through here, so each query
-        is exactly one hit or miss on the device and the shared cache, and
-        one stamped probe.  Returns the call's lengths, the billed
-        (quantized) lengths, the canonicalization mode and the entry.
+        is exactly one hit or miss on the device and the shared cache.
+        Returns the call's lengths, the billed (quantized) lengths, the
+        canonicalization mode, the cache key (``None`` with the cache off)
+        and the entry.
         """
         call = tuple(map(int, lengths))
         if not call:
@@ -341,7 +303,7 @@ class CycleAccurateDevice(Device):
             canonical = tuple(sorted(billed))
         else:
             canonical = billed
-        entry = None
+        key = entry = None
         # One source of truth per run: the reset()-time snapshot (the engine
         # resets every device at simulation start), so counters and reported
         # stats can never disagree about whether the cache was active.
@@ -356,34 +318,26 @@ class CycleAccurateDevice(Device):
         if entry is None:
             entry = self._simulate_canonical(canonical)
             if use_cache:
-                entry.key_digest = self._key_digest(key)
                 self._schedule_cache.store(key, entry)
-        if use_cache:
-            self.cache_probe_total += 1
-            self.cache_probe_sequence.append((next(_PROBE_SERIAL), entry.key_digest))
-        return call, billed, mode, entry
+        return call, billed, mode, key, entry
 
-    def _count_twin_hits(self, twins: list, entries: list[_CanonicalSchedule]) -> None:
+    def _count_twin_hits(self, twins: list, keys: list[tuple]) -> None:
         """Count the hits ``twins`` would score repeating this device's lookups.
 
-        Twins with a live cache would hit the most recent keys (``entries``)
-        in order, moving nothing in the LRU; their probes go in this stream
-        as one ``(stamp, digests, repeats)`` run.
+        Twins with a live cache would hit the most recent ``keys`` in order,
+        moving nothing in the LRU.
         """
-        count = len(entries)
+        count = len(keys)
         repeats = 0
         for twin in twins:
             if twin._cache_active:
                 twin.cache_hits += count
-                twin.cache_probe_total += count
                 repeats += 1
         if repeats:
-            self._schedule_cache.count_hits(count * repeats)
-            digests = tuple([entry.key_digest for entry in entries])
-            self.cache_probe_sequence.append((next(_PROBE_SERIAL), digests, repeats))
+            self._schedule_cache.count_hits(keys, repeats)
 
     def execute(self, lengths: Sequence[int]) -> BatchExecution:
-        call, billed, mode, entry = self._canonical_entry(lengths)
+        call, billed, mode, _, entry = self._canonical_entry(lengths)
         order = self._issue_order(billed, mode)
         if order is None:
             offsets = list(entry.slot_completion_seconds)
@@ -399,7 +353,6 @@ class CycleAccurateDevice(Device):
             admit_seconds=entry.admit_seconds,
             utilization=entry.utilization,
             energy_joules=entry.latency_seconds * self.power_watts,
-            schedule=entry.result,
         )
 
     def batch_latency_seconds(self, lengths: Sequence[int]) -> float:
@@ -408,11 +361,11 @@ class CycleAccurateDevice(Device):
         Same lookup and cache accounting as :meth:`execute`, without the
         issue order, the per-request offsets or a :class:`BatchExecution`.
         """
-        return self._canonical_entry(lengths)[3].latency_seconds
+        return self._canonical_entry(lengths)[4].latency_seconds
 
     def energy_joules(self, lengths: Sequence[int]) -> float:
         """``execute(lengths).energy_joules`` from the cached entry alone."""
-        return self._canonical_entry(lengths)[3].latency_seconds * self.power_watts
+        return self._canonical_entry(lengths)[4].latency_seconds * self.power_watts
 
     def schedule_cache_stats(self) -> dict | None:
         """Per-run hit/miss counters (reset with the serving clocks).
@@ -428,20 +381,6 @@ class CycleAccurateDevice(Device):
             "hits": self.cache_hits,
             "misses": self.cache_misses,
             "hit_rate": self.cache_hits / total if total else 0.0,
-        }
-
-    def schedule_cache_probes(self) -> dict | None:
-        """Per-run probe stream summary for deterministic replay.
-
-        The sweep harness unions these over its grid (in canonical order) to
-        report hit rates that are byte-identical regardless of how many
-        worker processes executed the runs.
-        """
-        if not self._cache_active:
-            return None
-        return {
-            "total": self.cache_probe_total,
-            "sequence": list(self.cache_probe_sequence),
         }
 
     def describe(self) -> dict:
@@ -585,7 +524,6 @@ class AnalyticalDevice(Device):
             admit_seconds=latency,
             utilization=None,
             energy_joules=result.energy_joules,
-            schedule=None,
         )
 
     def describe(self) -> dict:

@@ -92,10 +92,11 @@ class FleetCostOracle:
                 if device._cache_active and len(chunks) <= device._schedule_cache.max_entries:
                     while stop < end and twins[order[stop]] == twin:
                         stop += 1
-                entries = [device._canonical_entry(chunk)[3] for chunk in chunks]
-                latencies = [entry.latency_seconds for entry in entries]
+                looked_up = [device._canonical_entry(chunk) for chunk in chunks]
+                latencies = [item[4].latency_seconds for item in looked_up]
                 if stop > position + 1:
-                    device._count_twin_hits([fleet[i] for i in order[position + 1 : stop]], entries)
+                    twins_run = [fleet[i] for i in order[position + 1 : stop]]
+                    device._count_twin_hits(twins_run, [item[3] for item in looked_up])
             total = 0.0
             for latency in latencies:
                 total += latency

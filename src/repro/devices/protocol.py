@@ -35,10 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..scheduling.pipeline import ScheduleResult
+from typing import Sequence
 
 from ..config import DECODE_STEP_OVERHEAD_S as _DECODE_STEP_OVERHEAD_S
 
@@ -68,8 +65,6 @@ class BatchExecution:
     utilization: float | None = None
     #: Batch energy, when the backend has a power model.
     energy_joules: float | None = None
-    #: The underlying cycle-accurate schedule, when one was simulated.
-    schedule: "ScheduleResult | None" = None
 
     def __post_init__(self) -> None:
         if not self.lengths:
@@ -247,10 +242,6 @@ class Device:
         """Whether this backend models the decode phase at all."""
         return self.kv_bytes_per_token() is not None and self.kv_read_bandwidth() is not None
 
-    def prefill_latency_seconds(self, lengths: Sequence[int]) -> float:
-        """Service time of the prompt pass (reuses the encoder batch path)."""
-        return self.batch_latency_seconds(lengths)
-
     def decode_step_latency_seconds(self, context_lengths: Sequence[int]) -> float:
         """One iteration of the running batch: generate one token per request.
 
@@ -295,10 +286,6 @@ class Device:
         """Per-run schedule-cache counters, when the backend caches schedules."""
         return None
 
-    def schedule_cache_probes(self) -> dict | None:
-        """Per-run schedule-cache probe summary (replayable hit accounting)."""
-        return None
-
     # ------------------------------------------------------------------
     # Serving state (the engine resets, dispatches, and reads this)
     # ------------------------------------------------------------------
@@ -323,11 +310,6 @@ class Device:
         :meth:`reset` clears the binding (timelines are per-run state).
         """
         self._fault_timeline = timeline
-
-    @property
-    def fault_timeline(self):
-        """The bound fault timeline, or ``None`` on a healthy run."""
-        return self._fault_timeline
 
     @property
     def continuous_batching(self) -> bool:

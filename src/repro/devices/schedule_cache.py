@@ -26,6 +26,12 @@ module replaces that with one process-wide LRU shared by all devices:
   it up on the first only and counts the rest as hits
   (:meth:`ScheduleCache.count_hits`): their keys are already the most
   recent, so the counters and the LRU order end as full lookups leave them.
+* **An opt-in lookup journal** -- ``with cache.journal() as keys:`` records
+  every key the cache is asked for while it is open, in the order the LRU
+  sees them (a counted twin run's keys once per twin).  The sweep harness
+  opens one around each run and replays the keys to report hit rates that do
+  not depend on how many worker processes ran the grid; a closed journal
+  costs each lookup one ``None`` test.
 
 The cache lives in memory for the life of the process; nothing is written
 to disk.  Its only switch is ``REPRO_SCHEDULE_CACHE=on|off``: ``off``
@@ -38,7 +44,8 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from contextlib import contextmanager
+from typing import Any, Hashable, Iterator
 
 __all__ = [
     "GLOBAL_SCHEDULE_CACHE",
@@ -48,8 +55,8 @@ __all__ = [
 ]
 
 #: Retained canonical schedules across the whole process.  Entries are small
-#: (one ScheduleResult summary plus per-slot offsets), so this comfortably
-#: covers multi-dataset sweeps over heterogeneous fleets.
+#: (latency, admission time, utilization and per-slot offsets), so this
+#: comfortably covers multi-dataset sweeps over heterogeneous fleets.
 DEFAULT_MAX_ENTRIES = 4096
 
 _CACHE_ENV = "REPRO_SCHEDULE_CACHE"
@@ -86,6 +93,8 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
         self.num_evictions = 0
+        #: Keys looked up while a :meth:`journal` is open (``None``: closed).
+        self._journal: list | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -93,6 +102,8 @@ class ScheduleCache:
     def lookup(self, key: Hashable) -> Any | None:
         """Return the cached entry (and count a hit) or ``None`` (a miss)."""
         with self._lock:
+            if self._journal is not None:
+                self._journal.append(key)
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
@@ -101,10 +112,34 @@ class ScheduleCache:
             self.hits += 1
             return entry
 
-    def count_hits(self, count: int) -> None:
-        """Count ``count`` hits on the most recent keys, in their order (no LRU move)."""
+    def count_hits(self, keys: list, repeats: int) -> None:
+        """Count ``repeats`` runs of hits on ``keys``, the most recent keys, in order.
+
+        That is what ``repeats`` more passes of lookups over ``keys`` would
+        count, and they would move nothing in the LRU.
+        """
         with self._lock:
-            self.hits += count
+            self.hits += len(keys) * repeats
+            if self._journal is not None:
+                self._journal.extend(keys * repeats)
+
+    @contextmanager
+    def journal(self) -> Iterator[list]:
+        """Record every key looked up (or counted as a hit) while open.
+
+        Yields the list the keys are appended to, in the order the LRU sees
+        them.  One journal at a time.
+        """
+        keys: list = []
+        with self._lock:
+            if self._journal is not None:
+                raise RuntimeError("a schedule-cache journal is already open")
+            self._journal = keys
+        try:
+            yield keys
+        finally:
+            with self._lock:
+                self._journal = None
 
     def store(self, key: Hashable, value: Any) -> None:
         """Insert an entry, evicting least-recently-used ones past the cap."""

@@ -16,6 +16,7 @@ devices, empty queues) does not dilute the steady-state statistics.
 
 from __future__ import annotations
 
+import hashlib
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
@@ -699,35 +700,57 @@ def build_failure_aware_router(name: str, blacklist_s: float):
     return get_router(name)
 
 
+def _probe_digests(report: OnlineServingReport, keys: list) -> list[str] | None:
+    """A run's journaled schedule-cache keys as process-independent digests.
+
+    ``blake2b`` of each key's ``repr`` (the repr of nested tuples of ints,
+    floats and strs is the same in every process, unlike the salted
+    ``hash()`` of a str), computed once per distinct key.  ``None`` when the
+    run reports no cache statistics (cache off, or no cycle-accurate device).
+    """
+    if report.schedule_cache is None:
+        return None
+    memo: dict = {}
+    digests = []
+    for key in keys:
+        digest = memo.get(key)
+        if digest is None:
+            digest = memo[key] = hashlib.blake2b(repr(key).encode(), digest_size=12).hexdigest()
+        digests.append(digest)
+    return digests
+
+
 def _capacity_worker(
     config: ServingSweepConfig,
     dataset_name: str,
     fleet: list[Device] | None = None,
     env: dict[str, str | None] | None = None,
-) -> tuple[float, dict | None]:
+) -> tuple[float, list[str] | None]:
     """Closed-loop drain rate of the whole fleet (sequences/second).
 
     Every request is queued at t=0 in globally sorted order and drained in
     fixed batches -- the fleet generalization of the legacy single-device
     capacity measurement, valid for heterogeneous fleets too.  Returns the
-    drain rate plus the run's schedule-cache probe summary (for the sweep's
-    deterministic hit accounting).  Runs inline (``fleet`` provided) or in a
-    worker process (``fleet`` built here, submit-time ``env`` re-exported).
+    drain rate plus the run's schedule-cache lookups (see
+    :func:`_probe_digests`) for the sweep's deterministic hit accounting.
+    Runs inline (``fleet`` provided) or in a worker process (``fleet`` built
+    here, submit-time ``env`` re-exported).
     """
     apply_env_overrides(env)
     if fleet is None:
         fleet = config.fleet(dataset_name)
-    closed = simulate_online(
-        fleet,
-        dataset_name,
-        arrivals=ClosedLoopArrivals(sort_by_length=True),
-        num_requests=config.requests,
-        batch_policy=FixedSizeBatcher(batch_size=config.batch_size),
-        router=get_router(config.router),
-        continuous_batching=config.continuous_batching,
-        seed=config.seed,
-    )
-    return closed.sustained_qps, closed.schedule_cache_probes
+    with GLOBAL_SCHEDULE_CACHE.journal() as keys:
+        closed = simulate_online(
+            fleet,
+            dataset_name,
+            arrivals=ClosedLoopArrivals(sort_by_length=True),
+            num_requests=config.requests,
+            batch_policy=FixedSizeBatcher(batch_size=config.batch_size),
+            router=get_router(config.router),
+            continuous_batching=config.continuous_batching,
+            seed=config.seed,
+        )
+    return closed.sustained_qps, _probe_digests(closed, keys)
 
 
 def _point_worker(
@@ -741,7 +764,7 @@ def _point_worker(
     capacity: float,
     fleet: list[Device] | None = None,
     env: dict[str, str | None] | None = None,
-) -> SweepPoint:
+) -> tuple[SweepPoint, list[str] | None]:
     """One (dataset, policy+router, fault, classes, load) grid point.
 
     Runs inline (``fleet`` provided) or in a worker process (``fleet`` built
@@ -752,24 +775,19 @@ def _point_worker(
     here (schedules are cheap to construct and avoid pickling).
     ``mix_name`` works the same for the request-class axis: class tags ride
     on their own salted RNG stream, so a ``"none"`` (or axis-free) point is
-    byte-identical to a class-unaware run.
+    byte-identical to a class-unaware run.  Returns the point plus the
+    run's schedule-cache lookups (see :func:`_probe_digests`).
     """
     apply_env_overrides(env)
     offered = capacity * fraction
     arrivals = class_mix_arrivals(
         get_arrival_process(config.arrival, rate_qps=offered), mix_name
     )
-    report = config.simulate(
-        dataset_name, arrivals, policy_name, router_name, fault_name, fleet=fleet
-    )
-    if fleet is None:
-        # The embedded cycle-accurate schedules carry lazily-materialized
-        # timelines (closures), which do not pickle; the JSON payload never
-        # includes them, so parallel runs ship the reports without the
-        # in-memory schedule objects.
-        for batch in report.batches:
-            batch.execution.schedule = None
-    return SweepPoint(
+    with GLOBAL_SCHEDULE_CACHE.journal() as keys:
+        report = config.simulate(
+            dataset_name, arrivals, policy_name, router_name, fault_name, fleet=fleet
+        )
+    point = SweepPoint(
         dataset=report.dataset,
         batch_policy=report.batch_policy,
         router=report.router,
@@ -781,6 +799,7 @@ def _point_worker(
         report=report,
         warmup_fraction=config.warmup_fraction,
     )
+    return point, _probe_digests(report, keys)
 
 
 def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
@@ -816,10 +835,8 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     load) grid across a :class:`~concurrent.futures.ProcessPoolExecutor`.
     Workers receive the frozen config itself (it pickles as is).  Results
     are collected in grid order and every point is seeded independently,
-    so the sweep (and its JSON payload) is byte-identical to the serial run
-    for a fixed seed; the only observable difference is that parallel runs
-    drop the in-memory ``BatchRecord.execution.schedule`` objects (they
-    never appear in the payload).
+    so the sweep (its JSON payload and its in-memory reports) equals the
+    serial run for a fixed seed.
     """
     datasets = config.datasets
     pairs = list(
@@ -859,7 +876,7 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     ]
 
     capacities: dict[str, float] = {}
-    capacity_probes: list[dict | None] = []
+    capacity_probes: list[list[str] | None] = []
     if config.jobs > 1:
         # Captured at submit time and re-exported inside every worker, so
         # --jobs N honors REPRO_PIPELINE_ENGINE / REPRO_SCHEDULE_CACHE
@@ -881,7 +898,7 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
                 )
                 for dataset_name, policy_name, router_name, fault_name, mix_name, fraction in grid
             ]
-            points = [future.result() for future in point_futures]
+            runs = [future.result() for future in point_futures]
     else:
         fleets: dict[str, list[Device]] = {}
         for dataset_name in datasets:
@@ -890,7 +907,7 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
                 config, dataset_name, fleet=fleets[dataset_name]
             )
             capacity_probes.append(probes)
-        points = [
+        runs = [
             _point_worker(
                 config, dataset_name, policy_name, router_name, fault_name,
                 mix_name, fraction, capacities[dataset_name], fleet=fleets[dataset_name],
@@ -899,19 +916,21 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
         ]
     for dataset_name in datasets:
         result.capacity_qps[get_dataset_config(dataset_name).name] = capacities[dataset_name]
-    result.points = points
-    _replay_cache_accounting(result, capacity_probes)
+    result.points = [point for point, _ in runs]
+    _replay_cache_accounting(result, capacity_probes, [probes for _, probes in runs])
     return result
 
 
 def _replay_cache_accounting(
     result: ServingSweepResult,
-    capacity_probes: list[dict | None],
+    capacity_probes: list[list[str] | None],
+    point_probes: list[list[str] | None],
     max_entries: int | None = None,
 ) -> None:
     """Fill deterministic schedule-cache statistics for every sweep point.
 
-    Replays each run's ordered probe stream (``sequence`` of key digests)
+    Replays each run's journaled key digests (``point_probes[i]`` belongs to
+    ``result.points[i]``; ``None`` means the run had no cache statistics)
     against an LRU of the shared cache's capacity in canonical order --
     capacity runs first, then the (dataset, policy, load) grid -- which is
     exactly the shared cache's behavior in a fresh serial process,
@@ -926,7 +945,7 @@ def _replay_cache_accounting(
     total_evictions = 0
     any_probes = False
 
-    def account(probes: dict | None) -> dict | None:
+    def account(probes: list[str] | None) -> dict | None:
         nonlocal total_hits, total_probes, total_evictions, any_probes
         if probes is None:
             return None
@@ -934,10 +953,7 @@ def _replay_cache_accounting(
         hits = 0
         misses = 0
         evictions = 0
-        for item in probes["sequence"]:
-            # Fleet-merged streams carry bare digests; per-device streams
-            # still carry their (stamp, digest) merge keys.
-            digest = item[1] if isinstance(item, tuple) else item
+        for digest in probes:
             if digest in lru:
                 lru.move_to_end(digest)
                 hits += 1
@@ -948,12 +964,12 @@ def _replay_cache_accounting(
                     lru.popitem(last=False)
                     evictions += 1
         total_hits += hits
-        total_probes += probes["total"]
+        total_probes += len(probes)
         total_evictions += evictions
         stats = {
             "hits": hits,
             "misses": misses,
-            "hit_rate": hits / probes["total"] if probes["total"] else 0.0,
+            "hit_rate": hits / len(probes) if probes else 0.0,
         }
         if evictions:
             stats["num_evictions"] = evictions
@@ -961,8 +977,8 @@ def _replay_cache_accounting(
 
     for probes in capacity_probes:
         account(probes)
-    for point in result.points:
-        point.cache_stats = account(point.report.schedule_cache_probes)
+    for point, probes in zip(result.points, point_probes):
+        point.cache_stats = account(probes)
     if any_probes:
         result.schedule_cache = {
             "hits": total_hits,

@@ -179,10 +179,6 @@ class LiveGateway:
     def draining(self) -> bool:
         return self._draining
 
-    @property
-    def total_restarts(self) -> int:
-        return sum(actor.restarts for actor in self.actors)
-
     async def shutdown(self, abort_in_flight: bool = False) -> dict:
         """Drain and stop the gateway; returns the final :meth:`stats`.
 

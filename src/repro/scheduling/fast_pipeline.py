@@ -106,13 +106,13 @@ def _walk_jobs(
     stage ``s`` it then waits for each gate ``(back, at)``: the job ``back``
     positions earlier must have left stage ``at``.  The gates are the job
     ``R`` earlier at ``s`` (replica chains ``j mod R``), with finite buffers
-    the job ``buffer_slots`` earlier at ``s + 1`` (none below one slot: the
-    reference then reads a completion not yet set, 0), and in the
-    non-pipelined mode the previous job at the last stage.
+    the job ``buffer_slots`` earlier at ``s + 1`` (the pipeline entry points
+    accept only ``None`` or at least one slot), and in the non-pipelined
+    mode the previous job at the last stage.
     """
     last = len(names) - 1
     gates = [[(r, s)] for s, r in enumerate(replication)]
-    if buffer_slots is not None and buffer_slots > 0:
+    if buffer_slots is not None:
         for s in range(last):
             gates[s].append((buffer_slots, s + 1))
     if not pipelined:

@@ -56,6 +56,21 @@ def pipeline_engine() -> str:
     return engine
 
 
+def _checked_engine(engine: str | None, buffer_slots: int | None) -> str:
+    """Resolve ``engine`` and validate ``buffer_slots``: the entry both engines share.
+
+    ``buffer_slots`` is ``None`` (no backpressure) or an int >= 1; below one
+    slot the reference would read completions not yet simulated.
+    """
+    if buffer_slots is not None and (not isinstance(buffer_slots, int) or buffer_slots < 1):
+        raise ValueError(f"buffer_slots must be None or an int >= 1, got {buffer_slots!r}")
+    if engine is None:
+        return pipeline_engine()
+    if engine not in ("fast", "reference"):
+        raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
+    return engine
+
+
 @dataclass(frozen=True)
 class PipelineJob:
     """One unit of pipeline work: a sequence's pass through one encoder layer."""
@@ -222,8 +237,8 @@ def simulate_coarse_pipeline(
         ``False`` serializes jobs completely (used to measure the baseline of
         Fig. 5's "saved" annotation).
     buffer_slots:
-        Capacity of the inter-stage double buffers; ``None`` removes the
-        backpressure constraint.
+        Capacity of the inter-stage double buffers (an int >= 1); ``None``
+        removes the backpressure constraint.
     barriers:
         Job indices that must wait for every earlier job to fully drain
         before starting (micro-batch boundaries).
@@ -236,10 +251,7 @@ def simulate_coarse_pipeline(
         engines produce cycle-for-cycle identical schedules for every
         parameter combination.
     """
-    if engine is None:
-        engine = pipeline_engine()
-    elif engine not in ("fast", "reference"):
-        raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
+    engine = _checked_engine(engine, buffer_slots)
     if not jobs:
         return Timeline()
 
@@ -269,7 +281,6 @@ def simulate_layered(
     jobs_factory: Callable[[], "list[PipelineJob]"],
     pipelined: bool = True,
     buffer_slots: int | None = None,
-    barriers: set[int] | None = None,
     engine: str | None = None,
 ) -> Timeline:
     """Simulate a layer-ordered workload without materializing the job list.
@@ -280,40 +291,25 @@ def simulate_layered(
     timeline's events are actually materialized; otherwise the factory's
     job list feeds the reference simulator.
     """
-    if engine is None:
-        engine = pipeline_engine()
+    engine = _checked_engine(engine, buffer_slots)
     if num_layers < 1:
         raise ValueError("num_layers must be >= 1")
 
     def reference() -> Timeline:
         return simulate_coarse_pipeline_reference(
-            accelerator,
-            jobs_factory(),
-            pipelined=pipelined,
-            buffer_slots=buffer_slots,
-            barriers=barriers,
+            accelerator, jobs_factory(), pipelined=pipelined, buffer_slots=buffer_slots
         )
 
     if engine != "fast":
         return reference()
-    if barriers:
-        fast = simulate_fast(
-            accelerator,
-            list(slot_billed) * num_layers,
-            list(slot_sequences) * num_layers,
-            pipelined=pipelined,
-            buffer_slots=buffer_slots,
-            barriers=barriers,
-        )
-    else:
-        fast = simulate_fast_layered(
-            accelerator,
-            slot_billed,
-            slot_sequences,
-            num_layers,
-            pipelined=pipelined,
-            buffer_slots=buffer_slots,
-        )
+    fast = simulate_fast_layered(
+        accelerator,
+        slot_billed,
+        slot_sequences,
+        num_layers,
+        pipelined=pipelined,
+        buffer_slots=buffer_slots,
+    )
     return LazyTimeline(fast, reference)
 
 

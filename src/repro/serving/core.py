@@ -733,35 +733,17 @@ def collect_device_stats(report, fleet: list[Device], active=None) -> None:
     """Fold end-of-run device state into the report's summaries.
 
     Copies each device's merged busy time and schedule-cache counters into
-    its :class:`~repro.serving.engine.DeviceSummary`, charges power-modeled
-    devices over their merged busy intervals (continuous batching must not
-    double-count overlap), and merges the per-device cache probe streams by
-    their process-wide stamp so replayed hit accounting sees the exact order
-    the shared LRU did (a twin run ``(stamp, digests, repeats)`` expands).
-    ``active[i]`` overrides "did device ``i`` do work" for engines that run
-    phases outside the batch path (decode steps).
+    its :class:`~repro.serving.engine.DeviceSummary` and charges
+    power-modeled devices over their merged busy intervals (continuous
+    batching must not double-count overlap).  ``active[i]`` overrides "did
+    device ``i`` do work" for engines that run phases outside the batch path
+    (decode steps).
     """
-    probe_total = 0
-    probe_sequence: list[tuple] = []
-    probes_seen = False
     for index, device in enumerate(fleet):
         summary = report.devices[index]
         summary.busy_seconds = device.busy_seconds()
         summary.schedule_cache = device.schedule_cache_stats()
-        probes = device.schedule_cache_probes()
-        if probes is not None:
-            probes_seen = True
-            probe_total += probes["total"]
-            probe_sequence.extend(probes["sequence"])
         served_energy = device.served_energy_joules()
         did_work = active[index] if active is not None else summary.num_batches > 0
         if served_energy is not None and did_work:
             summary.energy_joules = served_energy
-    if probes_seen:
-        # Merging the per-device streams by their process-wide stamp
-        # recovers the exact order the shared LRU saw the lookups.
-        probe_sequence.sort(key=lambda item: item[0])
-        sequence: list[str] = []
-        for record in probe_sequence:
-            sequence.extend(record[1:] if len(record) == 2 else record[1] * record[2])
-        report.schedule_cache_probes = {"total": probe_total, "sequence": sequence}

@@ -84,21 +84,6 @@ class BatchRecord:
     def end_time(self) -> float:
         return self.start_time + self.execution.latency_seconds
 
-    @property
-    def result(self):
-        """Legacy accessor: the cycle-accurate :class:`ScheduleResult`.
-
-        Raises a pointed error for analytical batches instead of returning a
-        different type; backend-neutral fields live on :attr:`execution`.
-        """
-        if self.execution.schedule is None:
-            raise AttributeError(
-                f"batch {self.batch_id} ran on analytical device "
-                f"'{self.execution.device}', which simulates no schedule; "
-                "use .execution for backend-neutral fields"
-            )
-        return self.execution.schedule
-
 
 @dataclass
 class DeviceSummary:
@@ -187,10 +172,6 @@ class OnlineServingReport:
     devices: list[DeviceSummary] = field(default_factory=list)
     #: Stepwise (time, waiting-requests) samples of the central queue.
     queue_depth_timeline: list[tuple[float, int]] = field(default_factory=list)
-    #: Fleet-merged schedule-cache probe summary (``{"total", "sequence"}``)
-    #: for deterministic cross-run hit accounting (the ordered digest stream
-    #: enables exact LRU replay); not serialized.
-    schedule_cache_probes: dict | None = None
     #: Fault schedules injected into the run (``FaultInjector.describe()``
     #: form; None = no fault machinery attached).
     faults: list | None = None

@@ -89,11 +89,6 @@ class RequestRecord:
         return self.start_time - self.request.arrival_time
 
     @property
-    def service_time(self) -> float:
-        """Time spent inside the accelerator pipeline."""
-        return self.completion_time - self.start_time
-
-    @property
     def deadline(self) -> float | None:
         """The request's absolute deadline (None when it carried no SLO)."""
         return self.request.deadline
@@ -105,10 +100,3 @@ class RequestRecord:
         if self.request.deadline is None:
             return True
         return self.completion_time <= self.request.deadline + _DEADLINE_EPS
-
-    @property
-    def slack_seconds(self) -> float | None:
-        """Deadline minus completion time (negative = missed), or None."""
-        if self.request.deadline is None:
-            return None
-        return self.request.deadline - self.completion_time

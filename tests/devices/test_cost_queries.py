@@ -69,17 +69,9 @@ def _fleet(accelerator, mode: str, bucket: int | None) -> tuple[list, ScheduleCa
 
 def _accounting(fleet, cache) -> tuple:
     return (
-        [
-            (
-                device.cache_hits,
-                device.cache_misses,
-                device.cache_probe_total,
-                # Stamps are process-wide serials; the key digests replay.
-                [digest for _, digest in device.cache_probe_sequence],
-            )
-            for device in fleet
-        ],
+        [(device.cache_hits, device.cache_misses) for device in fleet],
         cache.stats(),
+        list(cache._entries),  # LRU order
     )
 
 
@@ -110,16 +102,18 @@ class TestLatencyOnlyPath:
     ):
         executed, executed_cache = _fleet(accelerator, mode, bucket)
         queried, queried_cache = _fleet(accelerator, mode, bucket)
-        for index, batch in queries:
-            execution = executed[index].execute(batch)
-            assert execution.latency_seconds == queried[index].batch_latency_seconds(batch)
-            # One more lookup on each fleet, so the accounting stays paired.
-            assert executed[index].execute(batch).energy_joules == queried[
-                index
-            ].energy_joules(batch)
+        with executed_cache.journal() as executed_keys, queried_cache.journal() as queried_keys:
+            for index, batch in queries:
+                execution = executed[index].execute(batch)
+                assert execution.latency_seconds == queried[index].batch_latency_seconds(batch)
+                # One more lookup on each fleet, so the accounting stays paired.
+                assert executed[index].execute(batch).energy_joules == queried[
+                    index
+                ].energy_joules(batch)
         assert _accounting(executed, executed_cache) == _accounting(
             queried, queried_cache
         )
+        assert executed_keys == queried_keys
 
     @pytest.mark.parametrize("query", ["execute", "batch_latency_seconds", "energy_joules"])
     def test_empty_batch_is_rejected_before_the_cache(self, accelerator, query):
@@ -128,10 +122,10 @@ class TestLatencyOnlyPath:
         device.execute([64, 32])
         device.execute([32, 64])
         before = _accounting(fleet, cache)
-        with pytest.raises(ValueError, match="at least one request"):
+        with cache.journal() as keys, pytest.raises(ValueError, match="at least one request"):
             getattr(device, query)([])
         assert _accounting(fleet, cache) == before
-        assert device.cache_hits + device.cache_misses == device.cache_probe_total
+        assert keys == []
 
 
 def _reference_step(device, contexts: list[int], top_k: int | None) -> float:

@@ -5,15 +5,13 @@ adjacent in query order once and counts the other replicas' hits
 arithmetically.  A Hypothesis test drives it side by side with the
 per-device loop it replaces -- ``[d.batch_latency_seconds(x) for d in
 fleet]``, chunked by each device's batch limits where routing splits -- and
-after every run compares the results, the per-device counters, the merged
-probe stream the report expands, the shared cache's counters and its LRU
-order.  The remaining tests pin which devices are twins and how many
+after every run compares the results, the per-device counters, the keys
+the shared cache's journal records (twin runs included), the cache's
+counters and its LRU order.  The remaining tests pin which devices are twins and how many
 schedule lookups a query costs.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +22,6 @@ from repro.devices.fleet import FleetCostOracle
 from repro.hardware.accelerator import build_sparse_accelerator
 from repro.platforms.devices import RTX_6000
 from repro.serving import CostModelRouter, DeadlineBatcher, Request
-from repro.serving.core import collect_device_stats
 from repro.transformer.configs import ModelConfig
 
 _MODEL = ModelConfig(name="oracle-2L", num_layers=2, hidden_dim=768, num_heads=12)
@@ -129,36 +126,32 @@ def _op_streams(draw) -> list[tuple]:
 def _run(designs, fleet_id: str, ops, oracle: FleetCostOracle | None) -> tuple:
     fleet, cache = _build(designs, fleet_id)
     results = []
-    for op in ops:
-        if op[0] == "clear":
-            cache.clear()
-        elif op[0] == "execute":
-            results.append(fleet[op[2] % len(fleet)].execute(op[1]).latency_seconds)
-        else:
-            split = op[0] == "route"
-            if split:
-                indices = sorted({i % len(fleet) for i in op[2]})
+    with cache.journal() as keys:
+        for op in ops:
+            if op[0] == "clear":
+                cache.clear()
+            elif op[0] == "execute":
+                results.append(fleet[op[2] % len(fleet)].execute(op[1]).latency_seconds)
             else:
-                indices = range(len(fleet))
-            if oracle is None:
-                results.append(_per_device(fleet, op[1], indices, split))
-            elif split:
-                results.append(oracle.service_seconds(fleet, op[1], indices, split=True))
-            else:
-                results.append(oracle.service_seconds(fleet, op[1]))
-    report = SimpleNamespace(
-        devices=[SimpleNamespace(num_batches=0) for _ in fleet], schedule_cache_probes=None
-    )
-    collect_device_stats(report, fleet)
+                split = op[0] == "route"
+                if split:
+                    indices = sorted({i % len(fleet) for i in op[2]})
+                else:
+                    indices = range(len(fleet))
+                if oracle is None:
+                    results.append(_per_device(fleet, op[1], indices, split))
+                elif split:
+                    results.append(oracle.service_seconds(fleet, op[1], indices, split=True))
+                else:
+                    results.append(oracle.service_seconds(fleet, op[1]))
     return (
         results,
         [
-            (device.cache_hits, device.cache_misses, device.cache_probe_total)
+            (device.cache_hits, device.cache_misses)
             for device in fleet
             if isinstance(device, CycleAccurateDevice)
         ],
-        # Stamps are process-wide serials; the merged digests replay.
-        report.schedule_cache_probes,
+        keys,
         cache.stats(),
         list(cache._entries),
     )
@@ -194,7 +187,7 @@ class TestTwins:
         seconds = FleetCostOracle().service_seconds(fleet, [40, 12, 90])
         assert calls == [fleet[0]]
         assert seconds == [fleet[0].batch_latency_seconds([40, 12, 90])] * 3
-        assert [d.cache_probe_total for d in fleet] == [2, 1, 1]
+        assert [d.cache_hits + d.cache_misses for d in fleet] == [2, 1, 1]
 
     @pytest.mark.parametrize(
         "knobs", [{"top_k": 8}, {"cache_length_bucket": 16}], ids=["top_k", "bucket"]
@@ -246,9 +239,11 @@ class TestQueryCost:
         batcher = DeadlineBatcher(batch_size=8)
         batcher.bind_fleet(fleet)
         calls = _counting(monkeypatch)
-        batcher._estimate((40, 12, 90))
+        with fleet[0]._schedule_cache.journal() as keys:
+            batcher._estimate((40, 12, 90))
         assert len(calls) == 1
-        assert [d.cache_probe_total for d in fleet] == [1] * 8
+        assert [d.cache_hits + d.cache_misses for d in fleet] == [1] * 8
+        assert len(keys) == 8 and len(set(keys)) == 1  # one key, once per replica
 
     def test_routing_costs_one_lookup_per_run_and_chunk(self, monkeypatch):
         fleet = build_fleet(

@@ -196,8 +196,6 @@ class TestCacheMechanics:
         description = device.describe()
         assert description["schedule_cache"]["hits"] == 1
         assert description["schedule_cache"]["shared"]["entries"] == 1
-        probes = device.schedule_cache_probes()
-        assert probes["total"] == 2
 
     def test_reset_clears_run_counters_not_shared_entries(self, accelerator):
         cache = ScheduleCache()
@@ -210,20 +208,39 @@ class TestCacheMechanics:
         assert device.cache_hits == 1
 
 
-class TestKeyDigest:
-    """A miss's fingerprint, joined from memoized reprs, is ``blake2b(repr(key))``."""
+class TestJournal:
+    """An open journal records every key the cache is asked for, in LRU order."""
 
-    BATCHES = ([57], [40, 40, 40], [100, 57, 57, 23], [23, 100, 57], [90, 31, 18, 64, 77])
+    def test_records_lookups_and_counted_twin_runs_in_order(self):
+        cache = ScheduleCache()
+        cache.store("a", 1)
+        with cache.journal() as keys:
+            cache.lookup("a")
+            cache.lookup("b")
+            cache.count_hits(["a", "b"], 2)
+            cache.lookup("a")
+        assert keys == ["a", "b", "a", "b", "a", "b", "a"]
+        assert (cache.hits, cache.misses) == (6, 1)
 
-    @staticmethod
-    def _assert_digests_are_key_reprs(device) -> None:
-        for batch in TestKeyDigest.BATCHES:
-            device.execute(batch)
-        entries = list(device._schedule_cache._entries.items())
-        assert entries
-        for key, entry in entries:
-            expected = hashlib.blake2b(repr(key).encode(), digest_size=12).hexdigest()
-            assert entry.key_digest == expected, key
+    def test_closed_journal_records_nothing(self):
+        cache = ScheduleCache()
+        with cache.journal() as keys:
+            cache.lookup("a")
+        cache.lookup("b")
+        cache.count_hits(["b"], 3)
+        assert keys == ["a"]
+        assert cache._journal is None
+
+    def test_one_journal_at_a_time_and_closed_on_error(self):
+        cache = ScheduleCache()
+        with pytest.raises(RuntimeError, match="already open"):
+            with cache.journal():
+                with cache.journal():
+                    pass
+        assert cache._journal is None
+        with cache.journal() as keys:
+            cache.lookup("a")
+        assert keys == ["a"]
 
     @pytest.mark.parametrize(
         "spec, knobs",
@@ -233,19 +250,25 @@ class TestKeyDigest:
             ("baseline-fpga", {}),
         ],
     )
-    def test_registered_devices(self, spec, knobs):
+    def test_digests_name_keys_one_to_one(self, spec, knobs):
+        """The sweep's digests are ``blake2b(repr(key))``, one per distinct key."""
+        from types import SimpleNamespace
+
+        from repro.evaluation.serving_sweep import _probe_digests
+
         device = build_device(spec, model="bert-base", dataset="mrpc", **knobs)
         device._schedule_cache = ScheduleCache()
-        self._assert_digests_are_key_reprs(device)
-        # A one-length batch keys a single row, whose tuple repr ends in ",)".
-        assert any(len(key[1]) == 1 for key in device._schedule_cache._entries)
-
-    def test_fixed_padding_target_row(self, accelerator):
-        device = CycleAccurateDevice(
-            accelerator, scheduler=PaddedScheduler(pad_to=120), schedule_cache=ScheduleCache()
-        )
-        self._assert_digests_are_key_reprs(device)
-        assert all(key[1][-1][0] == 120 for key in device._schedule_cache._entries)
+        batches = ([57], [40, 40, 40], [100, 57, 57, 23], [23, 100, 57], [90, 31, 18, 64, 77])
+        with device._schedule_cache.journal() as keys:
+            for batch in batches:
+                device.execute(batch)
+        report = SimpleNamespace(schedule_cache=device.schedule_cache_stats())
+        digests = _probe_digests(report, keys)
+        assert len(digests) == len(keys) == len(batches)
+        for key, digest in zip(keys, digests):
+            assert digest == hashlib.blake2b(repr(key).encode(), digest_size=12).hexdigest()
+        assert len(set(digests)) == len(set(keys)) == len(device._schedule_cache)
+        assert _probe_digests(SimpleNamespace(schedule_cache=None), keys) is None
 
 
 class TestInProcessOnly:
@@ -274,13 +297,13 @@ class TestInProcessOnly:
         assert list(tmp_path.iterdir()) == [snapshot]
         assert pickle.loads(snapshot.read_bytes()) == []
 
-    def test_every_hit_carries_the_schedule(self, accelerator):
+    def test_every_hit_carries_the_offsets(self, accelerator):
         device = _device(accelerator)
         miss = device.execute([64, 48])
         hit = device.execute([48, 64])
         assert (device.cache_hits, device.cache_misses) == (1, 1)
-        assert miss.schedule is not None
-        assert hit.schedule is miss.schedule
+        assert hit.latency_seconds == miss.latency_seconds
+        assert hit.completion_offsets == miss.completion_offsets[::-1]
 
 
 class TestEvictionAccounting:
@@ -312,18 +335,15 @@ class TestEvictionAccounting:
         reader.join()
         assert results == [{**cache.stats(), "hit_rate": 1.0} if read == "stats" else 1.0]
 
-    def test_probe_sequence_recorded_in_order(self, accelerator):
+    def test_journal_recorded_in_order(self, accelerator):
         cache = ScheduleCache()
         device = _device(accelerator, schedule_cache=cache)
-        device.execute([80, 40])
-        device.execute([40, 80])
-        device.execute([32])
-        probes = device.schedule_cache_probes()
-        assert len(probes["sequence"]) == probes["total"] == 3
-        stamps = [stamp for stamp, _ in probes["sequence"]]
-        assert stamps == sorted(stamps)
-        digests = [digest for _, digest in probes["sequence"]]
-        assert digests[0] == digests[1] != digests[2]  # permutation shares a key
+        with cache.journal() as keys:
+            device.execute([80, 40])
+            device.execute([40, 80])
+            device.execute([32])
+        assert len(keys) == device.cache_hits + device.cache_misses == 3
+        assert keys[0] == keys[1] != keys[2]  # permutation shares a key
 
     def test_replay_is_exact_past_capacity(self):
         """Sequence replay must count re-misses after eviction; set replay can't."""
@@ -333,15 +353,10 @@ class TestEvictionAccounting:
 
         # Stream A B C A against a 2-entry LRU: storing C evicts A, so the
         # second A probe is a miss again (4 misses, 2 evictions, 0 hits).
-        probes = {
-            "total": 4,
-            "sequence": ["A", "B", "C", "A"],
-        }
-        point = SimpleNamespace(
-            report=SimpleNamespace(schedule_cache_probes=probes), cache_stats=None
-        )
+        probes = ["A", "B", "C", "A"]
+        point = SimpleNamespace(cache_stats=None)
         result = SimpleNamespace(points=[point], schedule_cache=None)
-        _replay_cache_accounting(result, [], max_entries=2)
+        _replay_cache_accounting(result, [], [probes], max_entries=2)
         assert point.cache_stats == {
             "hits": 0,
             "misses": 4,
@@ -356,21 +371,20 @@ class TestEvictionAccounting:
         }
 
     def test_replay_matches_live_cache_counters(self, accelerator):
-        """Replaying a run's probe stream reproduces the live hit/miss split."""
+        """Replaying a run's journal reproduces the live hit/miss split."""
         from types import SimpleNamespace
 
-        from repro.evaluation.serving_sweep import _replay_cache_accounting
+        from repro.evaluation.serving_sweep import _probe_digests, _replay_cache_accounting
 
         cache = ScheduleCache(max_entries=2)
         device = _device(accelerator, schedule_cache=cache)
-        for batch in ([10], [20], [30], [10], [30], [20]):
-            device.execute(batch)
-        probes = device.schedule_cache_probes()
-        point = SimpleNamespace(
-            report=SimpleNamespace(schedule_cache_probes=probes), cache_stats=None
-        )
+        with cache.journal() as keys:
+            for batch in ([10], [20], [30], [10], [30], [20]):
+                device.execute(batch)
+        probes = _probe_digests(SimpleNamespace(schedule_cache=device.schedule_cache_stats()), keys)
+        point = SimpleNamespace(cache_stats=None)
         result = SimpleNamespace(points=[point], schedule_cache=None)
-        _replay_cache_accounting(result, [], max_entries=2)
+        _replay_cache_accounting(result, [], [probes], max_entries=2)
         assert point.cache_stats["hits"] == device.cache_hits
         assert point.cache_stats["misses"] == device.cache_misses
         assert point.cache_stats.get("num_evictions", 0) == cache.num_evictions

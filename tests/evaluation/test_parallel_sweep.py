@@ -57,6 +57,14 @@ def test_parallel_sweep_matches_serial_byte_for_byte(jobs):
         )
         assert serial.payload["config"]["jobs"] == 1
         assert parallel.payload["config"]["jobs"] == jobs
+        # Nothing is stripped before the reports cross the process boundary,
+        # so the in-memory batch executions match too.
+        assert len(serial.result.points) == len(parallel.result.points)
+        for serial_point, parallel_point in zip(serial.result.points, parallel.result.points):
+            assert serial_point.report.batches
+            assert [b.execution for b in serial_point.report.batches] == [
+                b.execution for b in parallel_point.report.batches
+            ]
     rows = serial.payload["result"]["points"]
     assert any(row["fault"] == "crash-restart" and row["crashes"] > 0 for row in rows)
     assert any("att[interactive]" in row for row in rows)
@@ -69,6 +77,22 @@ def test_sweep_reports_cache_hit_rate_and_bucket():
     assert result["schedule_cache"] is not None
     assert 0.0 <= result["schedule_cache"]["hit_rate"] <= 1.0
     assert all("cache_hit" in point for point in result["points"])
+
+
+def test_replayed_cache_stats_equal_live_counters_from_an_empty_cache(monkeypatch):
+    """The journal replay is what a fresh serial process's shared cache counts."""
+    from repro.devices import ScheduleCache, adapters
+
+    fresh = ScheduleCache()
+    monkeypatch.setattr(adapters, "GLOBAL_SCHEDULE_CACHE", fresh)
+    monkeypatch.setattr(serving_sweep, "GLOBAL_SCHEDULE_CACHE", fresh)
+    result = run_report("serving-sweep", {**_SMALL, "jobs": 1}).result
+    assert fresh.num_evictions == 0
+    for point in result.points:
+        assert point.cache_stats == point.report.schedule_cache
+    totals = result.schedule_cache
+    assert (totals["hits"], totals["misses"]) == (fresh.hits, fresh.misses)
+    assert fresh.hits > 0 and fresh._journal is None
 
 
 def test_exact_billing_opt_out():

@@ -453,6 +453,25 @@ class TestBatchValidation:
             with pytest.raises(ValueError, match=message):
                 scheduler.schedule(accelerator, lengths)
 
+    @pytest.mark.parametrize("buffer_slots", [-1, 0])
+    def test_both_engines_reject_the_same_buffer_slots(
+        self, accelerator, monkeypatch, buffer_slots
+    ):
+        """Below one slot is an error on either engine, not an IndexError or
+        a silent "unbuffered" (layered schedulers and the barrier path alike)."""
+        messages = set()
+        for engine in ("fast", "reference"):
+            monkeypatch.setenv("REPRO_PIPELINE_ENGINE", engine)
+            for scheduler in (
+                LengthAwareScheduler(buffer_slots=buffer_slots),
+                PaddedScheduler(buffer_slots=buffer_slots),
+                MicroBatchScheduler(buffer_slots=buffer_slots),
+            ):
+                with pytest.raises(ValueError) as raised:
+                    scheduler.schedule(accelerator, [40, 30, 20])
+                messages.add(str(raised.value))
+        assert messages == {f"buffer_slots must be None or an int >= 1, got {buffer_slots}"}
+
 
 class TestLazyTimeline:
     def test_hot_queries_answer_without_materializing(self, accelerator):

@@ -302,7 +302,7 @@ class TestOpenLoopBehaviour:
         full_batches = [b for b in report.batches if len(b.request_ids) == 16]
         band = (MRPC.max_length - MRPC.min_length) / 3
         for batch in full_batches:
-            lengths = batch.result.lengths
+            lengths = batch.execution.lengths
             assert max(lengths) - min(lengths) <= band + 1
 
 
@@ -360,8 +360,38 @@ class TestScheduleCacheReporting:
         assert payload["schedule_cache"] == cache
         assert all("schedule_cache" in device for device in payload["devices"])
         assert "cache_hit" in report.as_row()
-        probes = report.schedule_cache_probes
-        assert probes is not None and probes["total"] == cache["hits"] + cache["misses"]
+
+    def test_a_run_without_a_journal_keeps_no_per_lookup_record(self, accelerator):
+        """Only an open cache journal records lookups: after a plain run, no
+        container on the devices or the cache grows with the lookup count."""
+        from repro.devices import CycleAccurateDevice, ScheduleCache
+        from repro.serving import Request
+
+        cache = ScheduleCache()
+        fleet = [
+            CycleAccurateDevice(accelerator, name=f"dev-{i}", schedule_cache=cache)
+            for i in range(2)
+        ]
+        # One length, so one key and one stage row however many lookups.
+        requests = [Request(request_id=i, length=40, arrival_time=1e-3 * i) for i in range(128)]
+        report = simulate_online(
+            fleet, MRPC, requests, batch_policy=FixedSizeBatcher(batch_size=8)
+        )
+        lookups = report.schedule_cache["hits"] + report.schedule_cache["misses"]
+        assert lookups == 16 and cache._journal is None
+
+        def sized(obj) -> dict:
+            return {
+                name: len(value)
+                for name, value in vars(obj).items()
+                if isinstance(value, (list, tuple, dict, set))
+            }
+
+        assert all(size <= 1 for size in sized(cache).values()), sized(cache)
+        for device in fleet:
+            own = device.cache_hits + device.cache_misses
+            assert own == 8
+            assert all(size < own for size in sized(device).values()), sized(device)
 
     def test_cache_disabled_reports_none(self, accelerator, monkeypatch):
         monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "off")
@@ -373,7 +403,6 @@ class TestScheduleCacheReporting:
             batch_policy=FixedSizeBatcher(batch_size=8),
         )
         assert report.schedule_cache is None
-        assert report.schedule_cache_probes is None
         assert "cache_hit" not in report.as_row()
 
 

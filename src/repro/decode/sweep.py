@@ -211,7 +211,6 @@ class DecodeSweepConfig(ExperimentConfig):
         help="decode admission modes to compare (iteration, request)",
     )
     requests: int = cfg_field(160, help="requests per sweep point")
-    batch_size: int = global_config.DEFAULT_BATCH_SIZE
     device: str = cfg_field("sparse-fpga", help="registered device to sweep")
     kv_cache_mb: float | None = cfg_field(
         DEFAULT_KV_CACHE_MB,
@@ -283,8 +282,6 @@ class DecodeSweepConfig(ExperimentConfig):
             raise ValueError("modes must not repeat")
         if self.requests < 1:
             raise ValueError("requests must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.kv_cache_mb is not None and self.kv_cache_mb <= 0:
             raise ValueError("kv_cache_mb must be > 0 (or none for unbounded)")
         if self.mean_output_len < 1:

@@ -12,39 +12,12 @@ machine-readable ``payload`` (config + ``result.to_dict()``).
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ..experiments import ExperimentReport, list_experiments, run_report
-from .env_overrides import apply_env_overrides, capture_env_overrides
+from .fan_out import fan_out
 
 __all__ = ["ExperimentReport", "run_all_experiments"]
-
-#: Multiprocessing context for the worker pool (None = platform default).
-#: Tests point this at a spawn context to exercise submit-time env capture.
-_MP_CONTEXT = None
-
-
-def _report_worker(
-    name: str, config: dict | None, env: dict[str, str | None] | None = None
-) -> ExperimentReport:
-    """Run one experiment in a worker process.
-
-    The rendered text and the JSON payload travel back to the parent; the
-    in-memory ``result`` object stays in the worker (arbitrary result objects
-    are not guaranteed to pickle, and ``repro all`` only consumes text +
-    payload).  The submit-time ``env`` snapshot is re-exported first, so the
-    worker honors the same ``REPRO_*`` overrides as a serial run.
-    """
-    apply_env_overrides(env)
-    report = run_report(name, config)
-    return ExperimentReport(
-        name=report.name,
-        title=report.title,
-        result=None,
-        text=report.text,
-        payload=report.payload,
-    )
 
 
 def run_all_experiments(
@@ -68,13 +41,9 @@ def run_all_experiments(
         tens of seconds; it is opt-in.
     jobs:
         Worker processes to fan the experiments across (each experiment is
-        deterministic given its config, so reports and files are identical
-        to a serial run).  With ``jobs > 1`` the returned reports carry
-        ``result=None`` -- only the rendered text and JSON payload cross the
-        process boundary.
+        deterministic given its config, so the reports -- result objects
+        included -- and files are identical to a serial run).
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     # list_experiments() is sorted by spec.order, which already slots fig6
     # between fig5 and fig7a.
     names = [
@@ -91,19 +60,9 @@ def run_all_experiments(
         for name in names
     }
 
-    collected: dict[str, ExperimentReport] = {}
-    if jobs > 1:
-        env = capture_env_overrides()
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=_MP_CONTEXT) as pool:
-            futures = [
-                pool.submit(_report_worker, name, configs[name], env=env)
-                for name in names
-            ]
-            for name, future in zip(names, futures):
-                collected[name] = future.result()
-    else:
-        for name in names:
-            collected[name] = run_report(name, configs[name])
+    with fan_out(jobs) as run:
+        reports = run(run_report, [(name, configs[name]) for name in names])
+    collected = dict(zip(names, reports))
 
     if output_dir is not None:
         directory = Path(output_dir)

@@ -18,21 +18,14 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-#: Multiprocessing context for the sweep's worker pool (None = platform
-#: default).  Tests point this at a spawn context to prove the submit-time
-#: environment capture works without relying on fork inheritance.
-_MP_CONTEXT = None
 
 from ..devices import Device, build_fleet, split_fleet_spec
 from ..devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
 from ..faults import FaultSchedule, get_fault_schedule
-from .env_overrides import apply_env_overrides, capture_env_overrides
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.classes import ClassMixArrivals, parse_class_mix
 from ..serving.engine import OnlineServingReport, simulate_online
@@ -45,6 +38,7 @@ from ..transformer.configs import (
     get_dataset_config,
     get_model_config,
 )
+from .fan_out import fan_out
 from .report import format_key_values, format_table
 from .. import config as global_config
 
@@ -505,17 +499,15 @@ class ServingKnobs(ExperimentConfig):
         policy_name: str,
         router_name: str,
         fault_name: str | None,
-        fleet: list[Device] | None = None,
         **online_knobs,
     ) -> OnlineServingReport:
-        """One open-loop ``simulate_online`` run under these knobs.
+        """One open-loop ``simulate_online`` run on a fresh :meth:`fleet`.
 
-        ``fleet`` defaults to a fresh :meth:`fleet`; ``online_knobs`` are
-        engine keywords only a single ``serve`` run sets (autoscaler,
-        per-class queue limits, predicted-miss shedding).
+        ``online_knobs`` are engine keywords only a single ``serve`` run
+        sets (autoscaler, per-class queue limits, predicted-miss shedding).
         """
         return simulate_online(
-            self.fleet(dataset_name) if fleet is None else fleet,
+            self.fleet(dataset_name),
             dataset_name,
             arrivals=arrivals,
             num_requests=self.requests,
@@ -721,10 +713,7 @@ def _probe_digests(report: OnlineServingReport, keys: list) -> list[str] | None:
 
 
 def _capacity_worker(
-    config: ServingSweepConfig,
-    dataset_name: str,
-    fleet: list[Device] | None = None,
-    env: dict[str, str | None] | None = None,
+    config: ServingSweepConfig, dataset_name: str
 ) -> tuple[float, list[str] | None]:
     """Closed-loop drain rate of the whole fleet (sequences/second).
 
@@ -733,15 +722,10 @@ def _capacity_worker(
     capacity measurement, valid for heterogeneous fleets too.  Returns the
     drain rate plus the run's schedule-cache lookups (see
     :func:`_probe_digests`) for the sweep's deterministic hit accounting.
-    Runs inline (``fleet`` provided) or in a worker process (``fleet`` built
-    here, submit-time ``env`` re-exported).
     """
-    apply_env_overrides(env)
-    if fleet is None:
-        fleet = config.fleet(dataset_name)
     with GLOBAL_SCHEDULE_CACHE.journal() as keys:
         closed = simulate_online(
-            fleet,
+            config.fleet(dataset_name),
             dataset_name,
             arrivals=ClosedLoopArrivals(sort_by_length=True),
             num_requests=config.requests,
@@ -762,31 +746,25 @@ def _point_worker(
     mix_name: str | None,
     fraction: float,
     capacity: float,
-    fleet: list[Device] | None = None,
-    env: dict[str, str | None] | None = None,
 ) -> tuple[SweepPoint, list[str] | None]:
     """One (dataset, policy+router, fault, classes, load) grid point.
 
-    Runs inline (``fleet`` provided) or in a worker process (``fleet`` built
-    here, submit-time ``env`` re-exported).  Every point seeds its own
-    arrival process from the config seed, so results are identical
-    regardless of which process runs the point.  ``fault_name`` is None on
-    sweeps without a fault axis; faulty points build their injector spec
-    here (schedules are cheap to construct and avoid pickling).
+    Every point builds its own fleet and seeds its own arrival process from
+    the config seed, so results are identical regardless of which process
+    runs the point.  ``fault_name`` is None on sweeps without a fault axis;
+    faulty points build their injector spec here (schedules are cheap to
+    construct and avoid pickling).
     ``mix_name`` works the same for the request-class axis: class tags ride
     on their own salted RNG stream, so a ``"none"`` (or axis-free) point is
     byte-identical to a class-unaware run.  Returns the point plus the
     run's schedule-cache lookups (see :func:`_probe_digests`).
     """
-    apply_env_overrides(env)
     offered = capacity * fraction
     arrivals = class_mix_arrivals(
         get_arrival_process(config.arrival, rate_qps=offered), mix_name
     )
     with GLOBAL_SCHEDULE_CACHE.journal() as keys:
-        report = config.simulate(
-            dataset_name, arrivals, policy_name, router_name, fault_name, fleet=fleet
-        )
+        report = config.simulate(dataset_name, arrivals, policy_name, router_name, fault_name)
     point = SweepPoint(
         dataset=report.dataset,
         batch_policy=report.batch_policy,
@@ -831,12 +809,12 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     dedicated RNG stream, so the ``"none"`` rows -- and any sweep with an
     empty ``classes`` -- stay byte-identical to a class-unaware run.
 
-    ``jobs > 1`` fans the capacity measurements and the (dataset, policy,
-    load) grid across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+    ``jobs > 1`` fans the capacity measurements, then the (dataset, policy,
+    load) grid, across worker processes (:func:`~repro.evaluation.fan_out.fan_out`).
     Workers receive the frozen config itself (it pickles as is).  Results
-    are collected in grid order and every point is seeded independently,
-    so the sweep (its JSON payload and its in-memory reports) equals the
-    serial run for a fixed seed.
+    are collected in grid order and every call builds its own fleet and
+    seeds itself, so the sweep (its JSON payload and its in-memory reports)
+    equals the serial run for a fixed seed.
     """
     datasets = config.datasets
     pairs = list(
@@ -875,49 +853,16 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
         for fraction in config.load_fractions
     ]
 
-    capacities: dict[str, float] = {}
-    capacity_probes: list[list[str] | None] = []
-    if config.jobs > 1:
-        # Captured at submit time and re-exported inside every worker, so
-        # --jobs N honors REPRO_PIPELINE_ENGINE / REPRO_SCHEDULE_CACHE
-        # identically to a serial run regardless of what environment the
-        # worker processes started with.
-        env = capture_env_overrides()
-        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=_MP_CONTEXT) as pool:
-            capacity_futures = [
-                pool.submit(_capacity_worker, config, dataset_name, env=env)
-                for dataset_name in datasets
-            ]
-            for dataset_name, future in zip(datasets, capacity_futures):
-                capacities[dataset_name], probes = future.result()
-                capacity_probes.append(probes)
-            point_futures = [
-                pool.submit(
-                    _point_worker, config, dataset_name, policy_name, router_name,
-                    fault_name, mix_name, fraction, capacities[dataset_name], env=env,
-                )
-                for dataset_name, policy_name, router_name, fault_name, mix_name, fraction in grid
-            ]
-            runs = [future.result() for future in point_futures]
-    else:
-        fleets: dict[str, list[Device]] = {}
-        for dataset_name in datasets:
-            fleets[dataset_name] = config.fleet(dataset_name)
-            capacities[dataset_name], probes = _capacity_worker(
-                config, dataset_name, fleet=fleets[dataset_name]
-            )
-            capacity_probes.append(probes)
-        runs = [
-            _point_worker(
-                config, dataset_name, policy_name, router_name, fault_name,
-                mix_name, fraction, capacities[dataset_name], fleet=fleets[dataset_name],
-            )
-            for dataset_name, policy_name, router_name, fault_name, mix_name, fraction in grid
-        ]
+    with fan_out(config.jobs) as run:
+        capacity_runs = run(_capacity_worker, [(config, name) for name in datasets])
+        capacities = {name: qps for name, (qps, _) in zip(datasets, capacity_runs)}
+        runs = run(_point_worker, [(config, *cell, capacities[cell[0]]) for cell in grid])
     for dataset_name in datasets:
         result.capacity_qps[get_dataset_config(dataset_name).name] = capacities[dataset_name]
     result.points = [point for point, _ in runs]
-    _replay_cache_accounting(result, capacity_probes, [probes for _, probes in runs])
+    _replay_cache_accounting(
+        result, [probes for _, probes in capacity_runs], [probes for _, probes in runs]
+    )
     return result
 
 

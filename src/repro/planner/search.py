@@ -29,15 +29,9 @@ J/Mreq (minimize).
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
-
-#: Multiprocessing context for the search's worker pool (None = platform
-#: default).  Tests point this at a spawn context to prove the submit-time
-#: environment capture works without relying on fork inheritance.
-_MP_CONTEXT = None
 
 #: Candidates evaluated per wave.  Fixed (never derived from ``jobs``) so
 #: the pruning decisions -- taken at wave boundaries -- are identical
@@ -45,7 +39,7 @@ _MP_CONTEXT = None
 _WAVE_SIZE = 8
 
 from ..devices import Device, build_device, build_fleet, split_fleet_spec
-from ..evaluation.env_overrides import apply_env_overrides, capture_env_overrides
+from ..evaluation.fan_out import fan_out
 from ..evaluation.serving_sweep import slo_spec_from_ms
 from ..serving.arrivals import TraceArrivals
 from ..serving.engine import OnlineServingReport, simulate_online
@@ -231,14 +225,6 @@ def evaluate_composition(config: PlanConfig, trace: tuple, counts: tuple[int, ..
     }
 
 
-def _candidate_worker(
-    config: PlanConfig, trace: tuple, counts: tuple[int, ...], env: dict | None = None
-) -> dict:
-    """Process-pool entry point: re-apply env overrides, then evaluate."""
-    apply_env_overrides(env)
-    return evaluate_composition(config, trace, counts)
-
-
 def _catalog_prices(config: PlanConfig) -> tuple[float, ...]:
     """Per-hour price of each catalog entry, read off probe devices.
 
@@ -333,12 +319,8 @@ def search_fleets(config: PlanConfig, trace: tuple) -> PlanSearchResult:
             if result.chosen is None:
                 result.chosen = candidate
 
-    executor = None
-    if config.jobs > 1:
-        env = capture_env_overrides()
-        executor = ProcessPoolExecutor(max_workers=config.jobs, mp_context=_MP_CONTEXT)
-    try:
-        queue = list(ordered)
+    queue = list(ordered)
+    with fan_out(config.jobs) as run:
         while queue:
             wave, queue = queue[:_WAVE_SIZE], queue[_WAVE_SIZE:]
             kept: list[tuple[int, ...]] = []
@@ -353,21 +335,9 @@ def search_fleets(config: PlanConfig, trace: tuple) -> PlanSearchResult:
                     result.pruned.append(candidate)
                 else:
                     kept.append(counts)
-            if not kept:
-                continue
-            if executor is not None:
-                futures = [
-                    executor.submit(_candidate_worker, config, trace, counts, env)
-                    for counts in kept
-                ]
-                summaries = [future.result() for future in futures]
-            else:
-                summaries = [evaluate_composition(config, trace, counts) for counts in kept]
+            summaries = run(evaluate_composition, [(config, trace, counts) for counts in kept])
             for counts, summary in zip(kept, summaries):
                 record(make_candidate(counts), summary)
-    finally:
-        if executor is not None:
-            executor.shutdown()
 
     result.frontier = pareto_frontier(result.candidates)
     return result

@@ -116,6 +116,11 @@ class LazyTimeline(Timeline):
         """Drop the materialized event list (it rebuilds on next access)."""
         self._cache = None
 
+    def __reduce__(self):
+        # The materializer is a closure, which does not pickle: cross a
+        # process boundary as the plain Timeline of the materialized events.
+        return (Timeline, (), {"_events": self._events})
+
     def __len__(self) -> int:
         return self.fast_schedule.num_jobs * self.fast_schedule.num_stages
 

@@ -278,7 +278,7 @@ class PriorityDeadlineBatcher(DeadlineBatcher):
     #: Lower-tier batches deferred because dispatching them would have made
     #: a higher tier miss its latest feasible start.
     num_preemptions: int = field(default=0, init=False)
-    _priorities: dict = field(default_factory=dict, repr=False)
+    _priorities: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def bind_fleet(self, fleet: list) -> None:
         super().bind_fleet(fleet)

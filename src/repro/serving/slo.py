@@ -281,12 +281,14 @@ class DeadlineBatcher(BatchPolicy):
     margin_s: float = 0.0
     shed_late: bool = True
     name: str = "deadline"
-    _fleet: list = field(default_factory=list, repr=False)
-    _shed: list[Request] = field(default_factory=list, repr=False)
-    _estimates: dict = field(default_factory=dict, repr=False)
-    _late: ProvablyLate | None = field(default=None, repr=False)
+    _fleet: list = field(default_factory=list, init=False, repr=False, compare=False)
+    _shed: list[Request] = field(default_factory=list, init=False, repr=False, compare=False)
+    _estimates: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _late: ProvablyLate | None = field(default=None, init=False, repr=False, compare=False)
     _view: _EDFView | None = field(default=None, init=False, repr=False, compare=False)
-    _oracle: FleetCostOracle = field(default_factory=FleetCostOracle, repr=False, compare=False)
+    _oracle: FleetCostOracle = field(
+        default_factory=FleetCostOracle, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:
@@ -501,18 +503,20 @@ class CostModelRouter(Router):
     #: the historical cost-only scorer).
     blacklist_s: float = 0.0
     #: Blacklist expiry instant per device index (open breaker windows).
-    _until: dict = field(default_factory=dict, repr=False)
+    _until: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: Start of the currently-open breaker window (accounting).
-    _open_start: dict = field(default_factory=dict, repr=False)
+    _open_start: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: Next breaker duration per device (exponential backoff, base
     #: ``blacklist_s``).
-    _backoff: dict = field(default_factory=dict, repr=False)
+    _backoff: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: Devices whose half-open trial batch is outstanding.
-    _probing: set = field(default_factory=set, repr=False)
+    _probing: set = field(default_factory=set, init=False, repr=False, compare=False)
     #: Closed breaker windows, accumulated seconds per device.
-    _accumulated: dict = field(default_factory=dict, repr=False)
+    _accumulated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     #: Scores each run of twin replicas with one schedule lookup.
-    _oracle: FleetCostOracle = field(default_factory=FleetCostOracle, repr=False, compare=False)
+    _oracle: FleetCostOracle = field(
+        default_factory=FleetCostOracle, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.blacklist_s < 0:

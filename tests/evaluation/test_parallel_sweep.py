@@ -7,12 +7,8 @@ import multiprocessing
 
 import pytest
 
-from repro.evaluation import serving_sweep
-from repro.evaluation.env_overrides import (
-    ENV_OVERRIDE_VARS,
-    apply_env_overrides,
-    capture_env_overrides,
-)
+from repro.evaluation import fan_out, serving_sweep
+from repro.evaluation.fan_out import ENV_OVERRIDE_VARS
 from repro.experiments import run_report
 
 #: One dataset, two load points, few requests: enough to cross the process
@@ -109,17 +105,15 @@ def test_exact_billing_opt_out():
 def test_parallel_sweep_honors_env_overrides(monkeypatch, name, value):
     """--jobs N must honor REPRO_* overrides byte-for-byte like a serial run.
 
-    The pool is forced onto a spawn context so workers inherit *nothing*
-    through fork -- the submit-time capture / in-worker re-export is the only
-    channel that can carry the override across, which is exactly the
-    regression under test.  ``REPRO_SCHEDULE_CACHE=off`` is detectable in the
-    payload (``schedule_cache`` goes null); the byte-equality assertion then
-    pins both overrides.
+    The pool is forced onto a spawn context, so every worker imports the
+    package afresh and inherits no module state through fork.  Workers that
+    started before a switch changed are covered in ``test_fan_out.py``.
+    ``REPRO_SCHEDULE_CACHE=off`` is detectable in the payload
+    (``schedule_cache`` goes null); the byte-equality assertion then pins
+    both overrides.
     """
     monkeypatch.setenv(name, value)
-    monkeypatch.setattr(
-        serving_sweep, "_MP_CONTEXT", multiprocessing.get_context("spawn")
-    )
+    monkeypatch.setattr(fan_out, "_MP_CONTEXT", multiprocessing.get_context("spawn"))
     serial = run_report("serving-sweep", {**_SMALL, "jobs": 1})
     parallel = run_report("serving-sweep", {**_SMALL, "jobs": 2})
     assert json.dumps(serial.payload["result"], indent=2) == json.dumps(
@@ -135,13 +129,13 @@ def test_env_override_capture_roundtrip(monkeypatch):
     """Capture snapshots present *and* absent variables; apply restores both."""
     monkeypatch.setenv("REPRO_PIPELINE_ENGINE", "reference")
     monkeypatch.delenv("REPRO_SCHEDULE_CACHE", raising=False)
-    snapshot = capture_env_overrides()
+    snapshot = fan_out._capture_env()
     assert snapshot["REPRO_PIPELINE_ENGINE"] == "reference"
     assert snapshot["REPRO_SCHEDULE_CACHE"] is None
     # Emulate a worker whose environment drifted the other way.
     monkeypatch.delenv("REPRO_PIPELINE_ENGINE")
     monkeypatch.setenv("REPRO_SCHEDULE_CACHE", "off")
-    apply_env_overrides(snapshot)
+    fan_out._apply_env(snapshot)
     import os
 
     assert os.environ.get("REPRO_PIPELINE_ENGINE") == "reference"

@@ -20,6 +20,7 @@ from repro.serving import (
     FixedSizeBatcher,
     LeastLoadedRouter,
     PoissonArrivals,
+    PriorityDeadlineBatcher,
     Request,
     SLOSpec,
     TimeoutBatcher,
@@ -174,6 +175,25 @@ class TestAttainmentAccounting:
             report.num_completed + report.num_shed + report.num_shed_late
             == report.num_requests
         )
+
+
+_DEADLINE_KNOBS = {"batch_size", "timeout_s", "margin_s", "shed_late"}
+
+
+@pytest.mark.parametrize(
+    "cls, knobs",
+    [
+        (DeadlineBatcher, _DEADLINE_KNOBS),
+        (PriorityDeadlineBatcher, _DEADLINE_KNOBS),
+        (CostModelRouter, {"blacklist_s"}),
+    ],
+)
+def test_constructors_take_only_the_documented_knobs(cls, knobs):
+    fields = dataclasses.fields(cls)
+    assert {f.name for f in fields if f.init} == knobs | {"name"}
+    for private in (f.name for f in fields if f.name.startswith("_")):
+        with pytest.raises(TypeError):
+            cls(**{private: None})
 
 
 class TestDeadlineBatcher:

@@ -8,7 +8,7 @@ Three guarantees, all cheap enough for tier-1:
   appears in ``docs/api-reference.md``, so the API reference cannot
   silently fall behind ``python -m repro list``;
 * the ``REPRO_*`` environment switches the docs name are exactly the ones
-  the code reads (:data:`repro.evaluation.env_overrides.ENV_OVERRIDE_VARS`),
+  the code reads (:data:`repro.evaluation.fan_out.ENV_OVERRIDE_VARS`),
   so a switch cannot outlive its code in the docs.
 """
 
@@ -107,7 +107,7 @@ def test_architecture_guide_matches_registry_kinds(registry_listing):
 
 
 def test_documented_env_switches_match_the_code():
-    from repro.evaluation.env_overrides import ENV_OVERRIDE_VARS
+    from repro.evaluation.fan_out import ENV_OVERRIDE_VARS
 
     documented = {
         name for path in _markdown_files() for name in _ENV_VAR_RE.findall(path.read_text())

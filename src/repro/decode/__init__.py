@@ -1,15 +1,17 @@
 """Autoregressive decoder workloads: prefill/decode split, KV-cache as a
 device resource, iteration-level continuous batching.
 
-The encoder serving stack (:mod:`repro.serving`) models single-shot
-requests; this package extends it to generation:
+The serving simulator (:mod:`repro.serving`) models a request as a prompt
+plus ``output_len`` generated tokens, an encoder request being one that
+generates one; this package holds the generation side of it:
 
-* :class:`DecodeRequest` / :class:`DecodeRequestRecord` -- requests carrying
-  a sampled ``output_len`` and records carrying TTFT / inter-token latency.
+* :class:`DecodeRequestRecord` (from :mod:`repro.serving.request`) -- a
+  decode run's records, carrying TTFT and inter-token latency.
 * :mod:`~repro.decode.output_lengths` -- registered ``output-length``
   distributions (``fixed``, ``uniform``, ``geometric``).
-* :func:`simulate_decode_online` -- the two-phase engine: prefill through
-  the existing dispatch path, then iteration-level continuous batching over
+* :func:`simulate_decode_online` -- ``simulate_online`` with an output-length
+  distribution: prefill through the dispatch path, then iteration-level
+  continuous batching over
   :meth:`~repro.devices.Device.decode_step_latency_seconds`, with
   token-level KV-cache admission on devices built with ``kv_cache_bytes``.
 * The ``decode-sweep`` experiment (:mod:`~repro.decode.sweep`) -- TTFT /
@@ -18,17 +20,16 @@ requests; this package extends it to generation:
   accuracy-versus-KV-capacity operating point.
 """
 
+from ..serving.request import DecodeRequestRecord
 from .engine import DecodeServingReport, simulate_decode_online
 from .output_lengths import (
     FixedOutputLength,
     GeometricOutputLength,
     OutputLengthDistribution,
     UniformOutputLength,
-    as_decode_requests,
     generate_decode_requests,
     get_output_lengths,
 )
-from .request import DecodeRequest, DecodeRequestRecord
 from .sweep import (
     DecodeSweepConfig,
     DecodeSweepResult,
@@ -41,14 +42,12 @@ __all__ = [
     "DecodeSweepResult",
     "decode_concurrency_limit",
     "run_decode_sweep",
-    "DecodeRequest",
     "DecodeRequestRecord",
     "DecodeServingReport",
     "FixedOutputLength",
     "GeometricOutputLength",
     "OutputLengthDistribution",
     "UniformOutputLength",
-    "as_decode_requests",
     "generate_decode_requests",
     "get_output_lengths",
     "simulate_decode_online",

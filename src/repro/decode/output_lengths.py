@@ -21,7 +21,6 @@ arrival times byte-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from ..registry import REGISTRY, register
 from ..serving.arrivals import ArrivalProcess
 from ..serving.request import Request
 from ..transformer.configs import DatasetConfig
-from .request import DecodeRequest
 
 __all__ = [
     "OutputLengthDistribution",
@@ -38,7 +36,6 @@ __all__ = [
     "GeometricOutputLength",
     "get_output_lengths",
     "generate_decode_requests",
-    "as_decode_requests",
 ]
 
 #: Dedicated RNG stream key: output lengths never perturb arrival timing or
@@ -57,6 +54,14 @@ class OutputLengthDistribution:
 
     def _rng(self, seed: int) -> np.random.Generator:
         return np.random.default_rng([int(seed), _OUTPUT_STREAM])
+
+    def stamp(self, requests: list[Request], seed: int) -> list[Request]:
+        """``requests`` with output lengths sampled for stream ``seed``."""
+        outputs = self.sample(len(requests), seed).tolist()
+        return [
+            Request(r.request_id, r.length, r.arrival_time, r.deadline, r.request_class, n)
+            for r, n in zip(requests, outputs)
+        ]
 
 
 @register("output-length", "fixed")
@@ -151,50 +156,18 @@ def get_output_lengths(
     return REGISTRY.resolve("output-length", spec)(**kwargs)
 
 
-def as_decode_requests(requests: Sequence[Request]) -> list[DecodeRequest]:
-    """Coerce a request stream to :class:`DecodeRequest` (plain requests
-    become single-token generations, i.e. encoder requests)."""
-    coerced = []
-    for request in requests:
-        if isinstance(request, DecodeRequest):
-            coerced.append(request)
-        else:
-            coerced.append(
-                DecodeRequest(
-                    request_id=request.request_id,
-                    length=request.length,
-                    arrival_time=request.arrival_time,
-                    deadline=request.deadline,
-                    request_class=request.request_class,
-                )
-            )
-    return coerced
-
-
 def generate_decode_requests(
     dataset: DatasetConfig,
     arrivals: ArrivalProcess,
     num_requests: int | None,
     output_lengths: OutputLengthDistribution,
     seed: int,
-) -> list[DecodeRequest]:
+) -> list[Request]:
     """Generate a decode stream through the existing arrival machinery.
 
     The arrival process produces prompts and timestamps exactly as it would
-    for the encoder engine; the output-length distribution then stamps each
+    for an encoder run; the output-length distribution then stamps each
     request from its own RNG stream, so the prompt/timing halves of the
     stream are byte-identical across output-length choices.
     """
-    base = arrivals.generate(dataset, num_requests, seed=seed)
-    outputs = output_lengths.sample(len(base), seed)
-    return [
-        DecodeRequest(
-            request_id=request.request_id,
-            length=request.length,
-            arrival_time=request.arrival_time,
-            deadline=request.deadline,
-            request_class=request.request_class,
-            output_len=int(output),
-        )
-        for request, output in zip(base, outputs)
-    ]
+    return output_lengths.stamp(arrivals.generate(dataset, num_requests, seed=seed), seed)

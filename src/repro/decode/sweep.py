@@ -37,6 +37,7 @@ from ..evaluation.serving_sweep import (
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
+from ..serving.engine import DecodeServingReport, simulate_online
 from ..serving.slo import SLOSpec
 from ..transformer.configs import (
     DATASET_ZOO,
@@ -45,7 +46,6 @@ from ..transformer.configs import (
     get_model_config,
 )
 from ..transformer.model import TransformerModel
-from .engine import DecodeServingReport, simulate_decode_online
 from .output_lengths import get_output_lengths
 
 __all__ = [
@@ -459,7 +459,7 @@ def run_decode_sweep(config: DecodeSweepConfig | None = None) -> DecodeSweepResu
 
     # Capacity reference: drain a closed-loop decode stream through the
     # iteration-level engine; offered load is expressed as fractions of it.
-    capacity_report = simulate_decode_online(
+    capacity_report = simulate_online(
         _build_device(config),
         dataset,
         arrivals=ClosedLoopArrivals(sort_by_length=True),
@@ -488,7 +488,7 @@ def run_decode_sweep(config: DecodeSweepConfig | None = None) -> DecodeSweepResu
     for mode in config.modes:
         for fraction in config.load_fractions:
             offered = capacity * fraction
-            report = simulate_decode_online(
+            report = simulate_online(
                 _build_device(config),
                 dataset,
                 arrivals=get_arrival_process(config.arrival, rate_qps=offered),

@@ -528,7 +528,9 @@ class FaultInjector:
     schedules: tuple[FaultSchedule, ...]
     num_devices: int
     seed: int
-    _timelines: list[DeviceFaultTimeline] = field(default_factory=list, repr=False)
+    _timelines: list[DeviceFaultTimeline] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.schedules:

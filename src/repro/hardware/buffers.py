@@ -54,7 +54,7 @@ class DoubleBuffer:
 
     name: str = "buffer"
     num_slots: int = 2
-    _occupied: list = field(default_factory=list)
+    _occupied: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_slots < 1:

@@ -2,8 +2,8 @@
 
 The serving simulator (:mod:`repro.serving`) predicts what a deployment
 would do; this package *is* that deployment, shrunk to one process.  HTTP
-ingest parses requests into the same :class:`~repro.serving.Request` /
-:class:`~repro.decode.DecodeRequest` objects, the same registered batch
+ingest parses requests into the same :class:`~repro.serving.Request`
+objects, the same registered batch
 policies, routers, admission control, and SLO machinery form and place
 batches (through the shared :class:`~repro.serving.core.DispatchCore`), and
 an actor per device sleeps through the cost model's predicted latencies --

@@ -166,7 +166,7 @@ class DeviceActor:
     async def _decode_phase(self, planned: PlannedBatch) -> None:
         """Gang-decode the batch's autoregressive requests, one step at a time.
 
-        Mirrors the decode engine's iteration-level semantics in miniature:
+        Mirrors the simulator's iteration-level decode in miniature:
         every step generates one token for each still-running request at the
         cost model's ``decode_step_latency_seconds`` for the current context
         set.  Completion offsets are extended in place, so the finalized
@@ -177,7 +177,7 @@ class DeviceActor:
         running = {
             position: request
             for position, request in enumerate(planned.requests)
-            if getattr(request, "output_len", 1) > 1
+            if request.output_len > 1
         }
         if not running or not self.device.supports_decode():
             return

@@ -225,12 +225,11 @@ class LiveGateway:
     ) -> SubmitResult:
         """Offer one request to the dispatch core at the current wall time.
 
-        ``output_len > 1`` builds a :class:`~repro.decode.DecodeRequest`
-        (the device actor runs decode steps after prefill on decode-capable
-        backends); ``slo_ms`` stamps an explicit relative deadline, else the
-        request's class SLO (``request_class``, a registered
-        ``request-class`` name), else the gateway-level
-        :class:`~repro.serving.slo.SLOSpec` applies (if any).
+        ``output_len > 1`` makes it a decode request (the device actor runs
+        decode steps after prefill on decode-capable backends); ``slo_ms``
+        stamps an explicit relative deadline, else the request's class SLO
+        (``request_class``, a registered ``request-class`` name), else the
+        gateway-level :class:`~repro.serving.slo.SLOSpec` applies (if any).
         """
         cls = get_request_class(request_class) if request_class is not None else None
         if not self._started or self._draining:
@@ -246,23 +245,13 @@ class LiveGateway:
         now = self.clock.now()
         request_id = self._next_request_id
         self._next_request_id += 1
-        if output_len > 1:
-            from ..decode import DecodeRequest
-
-            request = DecodeRequest(
-                request_id=request_id,
-                length=length,
-                arrival_time=now,
-                request_class=cls.name if cls is not None else None,
-                output_len=output_len,
-            )
-        else:
-            request = Request(
-                request_id=request_id,
-                length=length,
-                arrival_time=now,
-                request_class=cls.name if cls is not None else None,
-            )
+        request = Request(
+            request_id=request_id,
+            length=length,
+            arrival_time=now,
+            request_class=cls.name if cls is not None else None,
+            output_len=output_len,
+        )
         if slo_ms is not None:
             request = request.restamped(now + slo_ms / 1e3, request.request_class)
         elif cls is not None and cls.slo is not None:
@@ -363,10 +352,7 @@ class LiveGateway:
         device = self.fleet[planned.device_index]
         if device.kv_cache_bytes is None:
             return
-        total_tokens = sum(
-            request.length + getattr(request, "output_len", 1)
-            for request in planned.requests
-        )
+        total_tokens = sum(request.total_tokens for request in planned.requests)
         reserved = device.kv_reservation_bytes(total_tokens)
         if reserved is None:
             return

@@ -19,7 +19,7 @@ which the trace closes with a full batch that both engines dispatch
 instantly).
 
 The trace is encoder-only by design: live decode steps happen *after* the
-prefill sleep inside the device actor, while the decode engine interleaves
+prefill sleep inside the device actor, while the simulator interleaves
 them at simulated instants, so record-for-record agreement is an
 encoder-path property.
 

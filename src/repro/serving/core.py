@@ -90,15 +90,21 @@ def prepare_stream(
     num_requests: int | None,
     seed: int,
     slo: SLOSpec | None,
+    output_lengths=None,
 ) -> tuple[list[Request], str, float | None]:
     """Materialize the request stream: (requests, arrival name, offered QPS).
 
     An :class:`~repro.serving.arrivals.ArrivalProcess` generates the stream
-    (deterministic in ``seed``); an explicit request list is sorted by
-    arrival.  ``slo`` stamps deadline-less requests afterwards either way.
+    (deterministic in ``seed``), and an ``output_lengths`` distribution
+    (:class:`~repro.decode.OutputLengthDistribution`) then stamps each
+    request's output length; an explicit request list is sorted by arrival
+    and keeps its own.  ``slo`` stamps deadline-less requests afterwards
+    either way.
     """
     if isinstance(arrivals, ArrivalProcess):
         requests = arrivals.generate(dataset, num_requests, seed=seed)
+        if output_lengths is not None:
+            requests = output_lengths.stamp(requests, seed)
         arrival_name = arrivals.name
         offered_qps = arrivals.rate_qps
     else:
@@ -450,14 +456,10 @@ class DispatchCore:
     def admit(self, index: int, batch: list[Request], now: float) -> int:
         """How many of ``batch`` (already limit-split) device ``index`` takes now.
 
-        All of it here; a subclass guarding a device resource (the decode
-        engine's KV cache) may take a prefix, or 0 to refuse the batch.
+        All of it here; a subclass guarding a device resource (the
+        simulator's KV cache) may take a prefix, or 0 to refuse the batch.
         """
         return len(batch)
-
-    def busy(self) -> bool:
-        """Whether requests past dispatch still need events (decode steps)."""
-        return False
 
     def dispatch(self, batch: list[Request], now: float) -> PlannedBatch | None:
         """Route, limit-split, admit and cost one formed batch.
@@ -643,7 +645,12 @@ class DispatchCore:
         return winner
 
     def finalize(self, planned: PlannedBatch) -> None:
-        """Land one planned batch's records and summaries in the report."""
+        """Land one planned batch's records (:meth:`land`) and summaries in the report."""
+        self.land(planned)
+        self.book_batch(planned)
+
+    def land(self, planned: PlannedBatch) -> None:
+        """Append one record per request, completing at its completion offset."""
         for position, request in enumerate(planned.requests):
             self.report.records.append(
                 RequestRecord(
@@ -656,7 +663,6 @@ class DispatchCore:
                     batch_id=planned.batch_id,
                 )
             )
-        self.book_batch(planned)
 
     def book_batch(self, planned: PlannedBatch) -> None:
         """Append the batch's :class:`BatchRecord` and charge its device summary."""

@@ -31,6 +31,11 @@ deadlines, turning on deadline-attainment / goodput accounting (and, with
 the :class:`~repro.serving.slo.DeadlineBatcher`, EDF formation and
 provably-late shedding).
 
+The same engine serves autoregressive decode runs (``output_lengths``): an
+encoder request is a request that generates one token, so one core lands
+every prefill, records one-token requests at once and decodes the rest one
+iteration at a time; a device's ``kv_cache_bytes`` gates every prefill.
+
 The report answers the deployment questions the closed-batch benchmarks
 cannot: per-request latency percentiles (p50/p95/p99) at a given offered
 QPS, the sustained throughput (with optional warm-up discarding), the
@@ -55,18 +60,32 @@ from ..transformer.configs import DatasetConfig
 from .arrivals import ArrivalProcess
 from .autoscaler import ScaleObservation, _DecisionWindow, get_autoscaler
 from .clock import SimClock
-from .core import _EPS, CrashLedger, DispatchCore, ServingSession, open_session, prepare_stream
+from .core import (
+    _EPS,
+    CrashLedger,
+    DispatchCore,
+    PlannedBatch,
+    ServingSession,
+    open_session,
+    prepare_stream,
+)
 
 # The end-of-run fold lives in ``ServingSession.finish``; these names stay
 # importable here because perfbench/tracing.py wraps them by module attribute.
 from .classes import collect_class_stats  # noqa: F401
 from .core import collect_device_stats  # noqa: F401
 from .policies import BatchPolicy
-from .request import Request, RequestRecord
+from .request import DecodeRequestRecord, Request, RequestRecord
 from .routing import Router
 from .slo import SLOSpec
 
-__all__ = ["BatchRecord", "DeviceSummary", "OnlineServingReport", "simulate_online"]
+__all__ = [
+    "BatchRecord",
+    "DecodeServingReport",
+    "DeviceSummary",
+    "OnlineServingReport",
+    "simulate_online",
+]
 
 
 @dataclass
@@ -204,6 +223,10 @@ class OnlineServingReport:
     #: Lower-tier batches the priority batcher deferred in favor of a
     #: pressured higher tier (None = the run's policy has no such notion).
     num_preemptions: int | None = None
+    #: Prefill dispatches deferred or split because KV reservations did not
+    #: fit the selected device's cache at that instant (serialized by
+    #: decode reports only).
+    num_kv_stalls: int = 0
 
     # ------------------------------------------------------------------
     # Latency / throughput
@@ -684,6 +707,102 @@ class OnlineServingReport:
         return row
 
 
+@dataclass
+class DecodeServingReport(OnlineServingReport):
+    """Results of one decode serving simulation.
+
+    Extends the encoder report with the decode phase's metrics: TTFT and
+    inter-token latency percentiles, token goodput, per-device decode-step
+    and KV-occupancy accounting, and the admission mode that produced them.
+    """
+
+    iteration_level: bool = True
+    output_lengths: str | None = None
+    #: Per-device decode accounting: steps, generated tokens, KV peak/cap.
+    decode_devices: list[dict] = field(default_factory=list)
+
+    @property
+    def total_output_tokens(self) -> int:
+        """Tokens generated across all completed requests."""
+        return int(sum(r.request.output_len for r in self.records))
+
+    @property
+    def sustained_tokens_per_second(self) -> float:
+        """Generated tokens per second of simulated time (token goodput)."""
+        if self.makespan_seconds <= 0:
+            return 0.0
+        return self.total_output_tokens / self.makespan_seconds
+
+    def ttft_percentile(self, percentile: float) -> float:
+        """Time-to-first-token percentile in seconds."""
+        if not self.records:
+            raise ValueError("no requests were served")
+        return float(np.percentile(self._metric_array("ttft"), percentile))
+
+    def inter_token_percentile(self, percentile: float) -> float | None:
+        """Per-token decode latency percentile in seconds (None when the
+        stream generated no tokens past prefill)."""
+        values = [
+            r.inter_token_latency for r in self.records if r.inter_token_latency is not None
+        ]
+        if not values:
+            return None
+        return float(np.percentile(np.array(values, dtype=np.float64), percentile))
+
+    def steady_ttft_percentile(
+        self, percentile: float, warmup_fraction: float = 0.0
+    ) -> float:
+        """TTFT percentile over the post-warm-up records."""
+        values = np.array(
+            [r.ttft for r in self.steady_records(warmup_fraction)], dtype=np.float64
+        )
+        if values.size == 0:
+            raise ValueError("no requests were served")
+        return float(np.percentile(values, percentile))
+
+    @property
+    def num_decode_steps(self) -> int:
+        """Decode iterations executed across the fleet."""
+        return sum(d["num_decode_steps"] for d in self.decode_devices)
+
+    def to_dict(self) -> dict:
+        payload = super().to_dict()
+        itl_p50 = self.inter_token_percentile(50)
+        itl_p95 = self.inter_token_percentile(95)
+        payload.update(
+            {
+                "iteration_level": self.iteration_level,
+                "output_lengths": self.output_lengths,
+                "num_kv_stalls": self.num_kv_stalls,
+                "num_decode_steps": self.num_decode_steps,
+                "total_output_tokens": self.total_output_tokens,
+                "sustained_tokens_per_second": self.sustained_tokens_per_second,
+                # Like latency_ms: an all-shed run renders None, not a raise.
+                "ttft_ms": {
+                    "p50": self.ttft_percentile(50) * 1e3 if self.records else None,
+                    "p95": self.ttft_percentile(95) * 1e3 if self.records else None,
+                },
+                "inter_token_ms": {
+                    "p50": itl_p50 * 1e3 if itl_p50 is not None else None,
+                    "p95": itl_p95 * 1e3 if itl_p95 is not None else None,
+                },
+                "decode_devices": list(self.decode_devices),
+            }
+        )
+        return payload
+
+    def as_row(self) -> dict:
+        row = super().as_row()
+        row["mode"] = "iteration" if self.iteration_level else "request"
+        row["ttft_p50_ms"] = (
+            round(self.ttft_percentile(50) * 1e3, 2) if self.records else None
+        )
+        itl = self.inter_token_percentile(50)
+        row["itl_p50_ms"] = round(itl * 1e3, 3) if itl is not None else None
+        row["tok_per_s"] = round(self.sustained_tokens_per_second, 1)
+        return row
+
+
 def _as_fault_injector(faults, num_devices: int, seed: int) -> FaultInjector | None:
     """Normalize the ``faults`` argument to a :class:`FaultInjector`.
 
@@ -711,6 +830,292 @@ def _as_fault_injector(faults, num_devices: int, seed: int) -> FaultInjector | N
     return FaultInjector(tuple(schedules), num_devices=num_devices, seed=seed)
 
 
+@dataclass
+class _RunningRequest:
+    """One request past prefill, decoding on (or waiting to join) a device."""
+
+    request: Request
+    #: The prefill batch that produced the first token.
+    prefill: PlannedBatch
+    #: When prefill finishes: the first token, and the earliest join instant.
+    ready_time: float
+    #: Tokens produced so far (prefill produces the first).
+    generated: int = 1
+
+    @property
+    def context_length(self) -> int:
+        """KV rows the next decode step attends over (prompt + generated)."""
+        return self.request.length + self.generated
+
+    @property
+    def done(self) -> bool:
+        return self.generated >= self.request.output_len
+
+    def record(self, completion_time: float) -> DecodeRequestRecord:
+        return DecodeRequestRecord(
+            request=self.request,
+            dispatch_time=self.prefill.dispatch_time,
+            start_time=self.prefill.start_time,
+            completion_time=completion_time,
+            device_index=self.prefill.device_index,
+            batch_id=self.prefill.batch_id,
+            first_token_time=self.ready_time,
+        )
+
+
+@dataclass
+class _DeviceDecodeState:
+    """Per-device decode bookkeeping the engine loop drives."""
+
+    running: list[_RunningRequest] = field(default_factory=list)
+    #: Prefilled requests waiting to join, in join order (ready time, id).
+    joiners: list[_RunningRequest] = field(default_factory=list)
+    #: Request-level (gang) mode: finished members whose KV stays reserved
+    #: until the whole gang drains.
+    gang_done: list[_RunningRequest] = field(default_factory=list)
+    #: Members of the in-flight decode step (at most one per device; empty
+    #: while the device is idle).
+    step_members: list[_RunningRequest] = field(default_factory=list)
+    #: Next decode event: the step's end while a step runs, else the first
+    #: joiner's ready time (inf when idle with no joiner).
+    wake: float = math.inf
+    #: KV-cache occupancy in reserved bytes, and its high-water mark.
+    reserved_bytes: int = 0
+    kv_peak_bytes: int = 0
+    #: Pending releases for requests that complete at prefill
+    #: (``output_len == 1``): (release_time, bytes) min-heap.
+    release_heap: list[tuple[float, int]] = field(default_factory=list)
+    num_steps: int = 0
+    decode_tokens: int = 0
+
+
+class _SimCore(DispatchCore):
+    """The simulator's dispatch core: KV admission, prefill landing, decode steps.
+
+    Batches land through ``DispatchCore.finalize``, whose :meth:`land` hook
+    records one-token requests at once and queues the rest to decode;
+    :meth:`admit` gates prefills on KV, :meth:`pump` wraps formation in the
+    decode steps, and :meth:`next_action_time` / :meth:`busy` feed decode
+    events to the event loop.  Devices are visited only while a request
+    decodes or a KV release is pending, so encoder runs pay nothing for
+    decode.  ``pool_size`` sizes the per-device state to the whole pool (an
+    autoscaled run grows ``fleet`` in place).
+    """
+
+    def __init__(self, *args, pool_size: int, iteration_level: bool, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.iteration_level = iteration_level
+        #: A decode run records every request with its first token's time.
+        self._record_type = (
+            DecodeRequestRecord if isinstance(self.report, DecodeServingReport) else RequestRecord
+        )
+        self.states = [_DeviceDecodeState() for _ in range(pool_size)]
+        #: A prefill was refused for KV at this instant: the policy timer
+        #: must not pull the loop back to ``now`` until something frees.
+        self._kv_blocked = False
+        #: Requests past prefill that are still generating (joiners and
+        #: running members), and KV releases pending across the devices.
+        self._decoding = 0
+        self._releases = 0
+
+    # ------------------------------------------------------------------
+    # KV cache
+    # ------------------------------------------------------------------
+
+    def _drain_kv_releases(self, index: int, now: float) -> None:
+        state = self.states[index]
+        while state.release_heap and state.release_heap[0][0] <= now + _EPS:
+            _, nbytes = heapq.heappop(state.release_heap)
+            state.reserved_bytes -= nbytes
+            self._releases -= 1
+
+    def admit(self, index: int, batch: list[Request], now: float) -> int:
+        """Requests to dispatch now: all-or-nothing up to a capacity chunk.
+
+        The target prefix is the longest that fits an *empty* cache (a
+        whole formed batch can exceed total capacity); it dispatches only
+        once the cache has room for all of it at once.  Admitting eagerly
+        whenever a single slot frees would fragment prefill into tiny
+        batches, which a weight-streaming accelerator pays for dearly --
+        deferring (return 0) keeps prefill batches capacity-sized.  Every
+        deferral or shortened batch counts one ``num_kv_stalls``.
+        """
+        device = self.fleet[index]
+        capacity = device.kv_cache_bytes
+        if capacity is None:
+            return len(batch)
+        self._drain_kv_releases(index, now)
+        free = capacity - self.states[index].reserved_bytes
+        target = 0
+        need_total = 0
+        for request in batch:
+            need = device.kv_reservation_bytes(request.total_tokens)
+            if need > capacity:
+                raise ValueError(
+                    f"request {request.request_id} needs {need} KV bytes "
+                    f"({request.length}+{request.output_len} tokens) but device "
+                    f"'{device.name}' caps its cache at {capacity}; "
+                    "raise kv_cache_bytes or bound the output-length distribution"
+                )
+            if need_total + need > capacity:
+                break
+            need_total += need
+            target += 1
+        taken = target if need_total <= free else 0
+        if taken < len(batch):
+            self.report.num_kv_stalls += 1
+        if taken == 0:
+            self._kv_blocked = True
+        return taken
+
+    def _release_kv(self, index: int, request: Request) -> None:
+        device = self.fleet[index]
+        if device.kv_cache_bytes is not None:
+            self.states[index].reserved_bytes -= device.kv_reservation_bytes(
+                request.total_tokens
+            )
+
+    # ------------------------------------------------------------------
+    # Prefill
+    # ------------------------------------------------------------------
+
+    def land(self, planned: PlannedBatch) -> None:
+        """Land one prefill: reserve KV, record one-token requests, queue joiners.
+
+        Runs inside :meth:`pump` for every batch, so the next batch's KV
+        admission sees this batch's reservation.
+        """
+        index, start = planned.device_index, planned.start_time
+        dispatch, batch_id = planned.dispatch_time, planned.batch_id
+        device, state = self.fleet[index], self.states[index]
+        capacity = device.kv_cache_bytes
+        records, record = self.report.records, self._record_type
+        joined = False
+        for request, offset in zip(planned.requests, planned.execution.completion_offsets):
+            first_token = start + offset
+            if capacity is not None:
+                nbytes = device.kv_reservation_bytes(request.total_tokens)
+                state.reserved_bytes += nbytes
+                state.kv_peak_bytes = max(state.kv_peak_bytes, state.reserved_bytes)
+            if request.output_len == 1:
+                # Prefill produced the only token: the request completes
+                # here, and its KV frees at completion.
+                records.append(record(request, dispatch, start, first_token, index, batch_id))
+                if capacity is not None:
+                    heapq.heappush(state.release_heap, (first_token, nbytes))
+                    self._releases += 1
+            else:
+                state.joiners.append(_RunningRequest(request, planned, ready_time=first_token))
+                self._decoding += 1
+                joined = True
+        if joined:
+            # Timsort keeps this cheap: only the new batch is out of order.
+            state.joiners.sort(key=lambda j: (j.ready_time, j.request.request_id))
+        if state.joiners and not state.step_members:
+            state.wake = state.joiners[0].ready_time
+
+    # ------------------------------------------------------------------
+    # Decode steps
+    # ------------------------------------------------------------------
+
+    def _finish_step(self, index: int, step_end: float) -> None:
+        state = self.states[index]
+        still_running: list[_RunningRequest] = []
+        for member in state.step_members:
+            member.generated += 1
+            state.decode_tokens += 1
+            if member.done:
+                self.report.records.append(member.record(step_end))
+                self._decoding -= 1
+                if self.iteration_level:
+                    self._release_kv(index, member.request)
+                else:
+                    state.gang_done.append(member)
+            else:
+                still_running.append(member)
+        state.running = still_running
+        state.step_members = []
+        if not self.iteration_level and not state.running and state.gang_done:
+            # Request-level batching: the gang's KV frees only once every
+            # member has finished.
+            for member in state.gang_done:
+                self._release_kv(index, member.request)
+            state.gang_done = []
+
+    def _start_step(self, index: int, now: float) -> None:
+        """Join due joiners and start a step on an idle device; refresh its wake."""
+        state = self.states[index]
+        device = self.fleet[index]
+        joiners = state.joiners
+        # Join: iteration-level admits at any step boundary; request-level
+        # only into an empty (fully drained) batch.
+        if joiners and (self.iteration_level or not state.running):
+            slots = len(joiners)
+            if device.max_batch_size is not None:
+                slots = min(slots, device.max_batch_size - len(state.running))
+            due = now + _EPS
+            joining = 0
+            while joining < slots and joiners[joining].ready_time <= due:
+                joining += 1
+            state.running.extend(joiners[:joining])
+            del joiners[:joining]
+        if not state.running:
+            state.wake = joiners[0].ready_time if joiners else math.inf
+            return
+        contexts = [member.context_length for member in state.running]
+        latency = device.decode_step_latency_seconds(contexts)
+        start = device.next_start(now)
+        # A step admits nothing until it ends: book the window directly.
+        device.book_interval(start, start + latency)
+        state.step_members = list(state.running)
+        state.wake = start + latency
+        state.num_steps += 1
+
+    # ------------------------------------------------------------------
+    # Event-loop hooks
+    # ------------------------------------------------------------------
+
+    def pump(self, now: float, draining: bool = False) -> list[PlannedBatch]:
+        due = now + _EPS
+        visit = self._decoding > 0 or self._releases > 0
+        if visit:
+            for index, state in enumerate(self.states):
+                if state.release_heap and state.release_heap[0][0] <= due:
+                    self._drain_kv_releases(index, now)
+                if state.step_members and state.wake <= due:
+                    self._finish_step(index, state.wake)
+        self._kv_blocked = False
+        planned = DispatchCore.pump(self, now, draining)
+        if visit or self._decoding:
+            for index, state in enumerate(self.states):
+                # Only an idle device with members or a due joiner can start
+                # a step.  A step that just ended left its due end as the
+                # wake (a prefill landing since sets the idle wake itself),
+                # so that device restarts or refreshes its wake here.
+                if not state.step_members and (state.running or state.wake <= due):
+                    self._start_step(index, now)
+        return planned
+
+    def next_action_time(self, now: float) -> float | None:
+        timer = self.batch_policy.next_action_time(self.queue, now)
+        if not (self._decoding or self._releases):
+            return timer
+        # While a prefill waits for KV, a due policy timer would only
+        # re-form the refused batch: wait for a decode event instead.
+        if timer is None or (self._kv_blocked and timer <= now + _EPS):
+            timer = math.inf
+        for state in self.states:
+            if state.wake < timer:
+                timer = state.wake
+            if state.release_heap and state.release_heap[0][0] < timer:
+                timer = state.release_heap[0][0]
+        return None if math.isinf(timer) else timer
+
+    def busy(self) -> bool:
+        """Whether requests past prefill still need decode events."""
+        return self._decoding > 0
+
+
 def simulate_online(
     devices: Accelerator | Device | Sequence[Accelerator | Device],
     dataset: DatasetConfig | str,
@@ -734,6 +1139,8 @@ def simulate_online(
     hedging: bool = False,
     max_retries: int = 0,
     retry_backoff_s: float = 0.05,
+    output_lengths=None,
+    iteration_level: bool = True,
 ) -> OnlineServingReport:
     """Run the event-driven serving simulation.
 
@@ -824,7 +1231,8 @@ def simulate_online(
         Cross-device request hedging: every batch is mirrored on the best
         other device; the first completion wins and the loser's device time
         is released at the winner's completion.  A no-op on single-device
-        fleets.
+        fleets; refused on a fleet with a KV-capped device, because a hedge
+        copy would skip KV admission.
     max_retries:
         Crash-retry budget per request *after* the free replay (exponential
         backoff, base ``retry_backoff_s``).  ``0`` (default) sheds on the
@@ -832,6 +1240,22 @@ def simulate_online(
     retry_backoff_s:
         Base backoff before a crash retry; retry ``k`` waits
         ``retry_backoff_s * 2**(k-1)`` after the crash.
+    output_lengths:
+        Make this a decode run (see :mod:`repro.decode.engine`), returning a
+        :class:`DecodeServingReport`: a registered ``output-length``
+        distribution name, a distribution instance or an int (a fixed
+        length) stamps each generated request's ``output_len``; an explicit
+        request list keeps its own.  Every device must carry a decode cost
+        model, and ``autoscaler``, ``faults`` and ``hedging`` are refused.
+        ``None`` (default) is an encoder run: every request generates one
+        token.
+    iteration_level:
+        Decode runs: requests join the running batch at any decode step
+        (``True``, default) or only once the whole batch has drained
+        (``False``, request-level gang admission).
+
+    A device built with ``kv_cache_bytes`` gates every prefill on its
+    cache: a request reserves its ``total_tokens`` until it completes.
 
     Per-device admission limits (``Device.max_batch_size`` /
     ``Device.max_batch_tokens``) are enforced here: a batch routed to a
@@ -839,20 +1263,54 @@ def simulate_online(
     prefix and the remainder returns to the front of the formation queue
     (counted in ``num_limit_splits``).
     """
+    decoding = output_lengths is not None
+    header, distribution = {}, None
+    if decoding:
+        # What a crash, a hedge or a scale-down means mid-decode is not modelled yet.
+        for knob, given in (
+            ("autoscaler", autoscaler is not None),
+            ("faults", faults is not None),
+            ("hedging", hedging),
+        ):
+            if given:
+                raise ValueError(f"{knob} is not modelled for decode runs (output_lengths)")
+        if not isinstance(iteration_level, bool):
+            raise TypeError(f"iteration_level must be a bool, got {iteration_level!r}")
+        if isinstance(arrivals, ArrivalProcess):
+            from ..decode.output_lengths import get_output_lengths
+
+            distribution = get_output_lengths(output_lengths)
+        header = {
+            "iteration_level": iteration_level,
+            "output_lengths": distribution.name if distribution is not None else "explicit",
+        }
     session = open_session(
-        OnlineServingReport,
+        DecodeServingReport if decoding else OnlineServingReport,
         devices,
         dataset,
-        lambda dataset: prepare_stream(dataset, arrivals, num_requests, seed, slo),
+        lambda dataset: prepare_stream(dataset, arrivals, num_requests, seed, slo, distribution),
         scheduler=scheduler,
         batch_policy=batch_policy,
         router=router,
         continuous_batching=continuous_batching,
         max_queue_depth=max_queue_depth,
         slo=slo,
+        **header,
     )
     fleet, report, requests = session.fleet, session.report, session.requests
     batch_policy, router = session.batch_policy, session.router
+    if decoding:
+        for device in fleet:
+            if not device.supports_decode():
+                raise ValueError(
+                    f"device '{device.name}' ({device.backend}) has no decode cost "
+                    "model (kv_bytes_per_token / kv_read_bandwidth); it cannot "
+                    "serve decoder workloads"
+                )
+    elif not isinstance(arrivals, ArrivalProcess) and any(r.output_len > 1 for r in requests):
+        raise ValueError("a request generates several tokens: pass output_lengths")
+    if hedging and any(device.kv_cache_bytes is not None for device in fleet):
+        raise ValueError("hedging is refused on a KV-capped fleet: a hedge copy skips KV admission")
     if isinstance(autoscaler, str):
         autoscaler = get_autoscaler(autoscaler)
     autoscaling = autoscaler is not None
@@ -894,7 +1352,7 @@ def simulate_online(
     # gateway in repro.live is the other): it feeds arrivals from the
     # pre-generated stream and finalizes batches at dispatch time
     # (auto_finalize) because completion offsets are fully determined there.
-    core = DispatchCore(
+    core = _SimCore(
         active,
         report,
         batch_policy,
@@ -905,6 +1363,8 @@ def simulate_online(
         fault_injector=injector,
         hedging=hedging,
         class_queue_limits=class_queue_limits,
+        pool_size=len(fleet),
+        iteration_level=iteration_level,
     )
     _run_events(
         session,
@@ -915,27 +1375,45 @@ def simulate_online(
         autoscale_interval_s=autoscale_interval_s,
         min_devices=min_devices,
     )
-    session.finish()
+    if decoding:
+        report.decode_devices = [
+            {
+                "device": index,
+                "num_decode_steps": state.num_steps,
+                "decode_tokens": state.decode_tokens,
+                "kv_cache_bytes": device.kv_cache_bytes,
+                "kv_peak_bytes": (
+                    state.kv_peak_bytes if device.kv_cache_bytes is not None else None
+                ),
+            }
+            for index, (device, state) in enumerate(zip(fleet, core.states))
+        ]
+    session.finish(
+        active=[
+            summary.num_batches > 0 or state.num_steps > 0
+            for summary, state in zip(report.devices, core.states)
+        ]
+    )
     return report
 
 
 def _run_events(
     session: ServingSession,
-    core: DispatchCore,
+    core: _SimCore,
     crashes: CrashLedger | None = None,
     autoscaler=None,
     provisioning_lag_s: float = 0.0,
     autoscale_interval_s: float = 1.0,
     min_devices: int = 1,
 ) -> None:
-    """The one event loop of both simulators: drive ``core`` on a :class:`SimClock`.
+    """The simulator's event loop: drive ``core`` on a :class:`SimClock`.
 
     Owns the requeue heap for crashed requests (``crashes`` decides their
     fate) and the autoscaled pool (``core.fleet``, a prefix of
     ``session.fleet`` grown and shrunk in place), and folds pool billing,
-    fault downtime and blacklist time into the report at the end.  A core
-    subclass adds its own events through ``next_action_time`` and stays
-    alive past the last dispatch through ``busy``.
+    fault downtime and blacklist time into the report at the end.  The core
+    adds its decode events through ``next_action_time`` and stays alive past
+    the last dispatch through ``busy``.
     """
     fleet, report, requests = session.fleet, session.report, session.requests
     batch_policy, active = core.batch_policy, core.fleet

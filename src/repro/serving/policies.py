@@ -168,7 +168,7 @@ class LengthBucketedBatcher(BatchPolicy):
     bucket_width: float | None = None
     bucket_edges: tuple[float, ...] | None = None
     name: str = "length-bucketed"
-    _edges: list[float] = field(default_factory=list, repr=False)
+    _edges: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.batch_size < 1:

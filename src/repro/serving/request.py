@@ -2,25 +2,29 @@
 
 A :class:`Request` is one inference call: a sequence of a given length that
 arrives at a given wall-clock time, optionally carrying an absolute
-**deadline** (its service-level objective).  Once the engine has dispatched
-and finished it, the request is wrapped in a :class:`RequestRecord` that pins
-down every timestamp of its life cycle -- arrival, batch formation
-(dispatch), execution start on the device, and completion -- so that queueing
-delay, service time, end-to-end latency, and deadline attainment can all be
-reported separately.
+**deadline** (its service-level objective) and an ``output_len`` -- how many
+tokens it generates (one for an encoder request).  Once the engine has
+dispatched and finished it, the request is wrapped in a
+:class:`RequestRecord` that pins down every timestamp of its life cycle --
+arrival, batch formation (dispatch), execution start on the device, and
+completion -- so that queueing delay, service time, end-to-end latency, and
+deadline attainment can all be reported separately; a decode run's
+:class:`DecodeRequestRecord` adds the first token's time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["Request", "RequestRecord"]
+__all__ = ["DecodeRequestRecord", "Request", "RequestRecord"]
 
 #: Tolerance when comparing completion times against deadlines.
 _DEADLINE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
+# Slotted: a stream holds one per offered request, and stamping deadlines
+# builds each one twice.
+@dataclass(frozen=True, slots=True)
 class Request:
     """One inference request in the open-loop stream.
 
@@ -40,10 +44,14 @@ class Request:
     #: belongs to (``None`` = untagged single-tenant traffic; the report then
     #: keeps its historical class-free shape).
     request_class: str | None = None
+    #: Tokens the request generates; prefill produces the first.
+    output_len: int = 1
 
     def __post_init__(self) -> None:
         if self.length < 1:
             raise ValueError("request length must be >= 1")
+        if self.output_len < 1:
+            raise ValueError("output_len must be >= 1")
         if self.arrival_time < 0:
             raise ValueError("arrival_time must be >= 0")
         if self.deadline is not None and self.deadline < self.arrival_time:
@@ -54,10 +62,21 @@ class Request:
 
         One constructor call instead of :func:`dataclasses.replace` (whose
         field introspection dominated stamping large streams);
-        ``__post_init__`` validation still runs.  Subclasses with extra
-        fields override it to carry them over.
+        ``__post_init__`` validation still runs.
         """
-        return Request(self.request_id, self.length, self.arrival_time, deadline, request_class)
+        return Request(
+            self.request_id,
+            self.length,
+            self.arrival_time,
+            deadline,
+            request_class,
+            self.output_len,
+        )
+
+    @property
+    def total_tokens(self) -> int:
+        """Prompt plus every generated token: the KV-cache reservation."""
+        return self.length + self.output_len
 
     @property
     def slo_seconds(self) -> float | None:
@@ -100,3 +119,37 @@ class RequestRecord:
         if self.request.deadline is None:
             return True
         return self.completion_time <= self.request.deadline + _DEADLINE_EPS
+
+
+@dataclass(frozen=True)
+class DecodeRequestRecord(RequestRecord):
+    """A completed request of a decode run, with its first token's time.
+
+    ``completion_time`` is when the *last* token was produced;
+    ``first_token_time`` is when prefill finished (= the first token) and
+    defaults to ``completion_time``: a one-token request's only token.
+    """
+
+    first_token_time: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.first_token_time is None:
+            object.__setattr__(self, "first_token_time", self.completion_time)
+
+    @property
+    def num_output_tokens(self) -> int:
+        """Tokens this request generated."""
+        return self.request.output_len
+
+    @property
+    def ttft(self) -> float:
+        """Time to first token: arrival to the end of prefill."""
+        return self.first_token_time - self.request.arrival_time
+
+    @property
+    def inter_token_latency(self) -> float | None:
+        """Mean seconds per generated token after the first (None if none)."""
+        extra = self.request.output_len - 1
+        if extra <= 0:
+            return None
+        return (self.completion_time - self.first_token_time) / extra

@@ -107,7 +107,7 @@ class RoundRobinRouter(Router):
     """
 
     name: str = "round-robin"
-    _next: int = field(default=0, repr=False)
+    _next: int = field(default=0, init=False, repr=False, compare=False)
 
     def prepare(self, num_devices: int, dataset: DatasetConfig) -> None:
         # Reset the cursor so a reused router gives identical runs.
@@ -150,7 +150,7 @@ class LengthShardedRouter(Router):
 
     edges: tuple[float, ...] | None = None
     name: str = "length-sharded"
-    _edges: list[float] = field(default_factory=list, repr=False)
+    _edges: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def prepare(self, num_devices: int, dataset: DatasetConfig) -> None:
         if self.edges is not None:

@@ -72,8 +72,7 @@ class SLOSpec:
     per_token_s: float = 0.0
     #: Decoder workloads: extra budget per *generated* token, so a request
     #: sampling a long output earns a proportionally later deadline (an
-    #: inter-token-latency SLO).  Encoder requests have no ``output_len``
-    #: and are treated as generating one token.
+    #: inter-token-latency SLO).  Encoder requests generate one token.
     per_output_token_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -93,8 +92,7 @@ class SLOSpec:
 
     def deadline_for(self, request: Request) -> float:
         """The absolute deadline this spec assigns to ``request``."""
-        output_len = int(getattr(request, "output_len", 1))
-        return request.arrival_time + self.budget_seconds(request.length, output_len)
+        return request.arrival_time + self.budget_seconds(request.length, request.output_len)
 
     def to_dict(self) -> dict:
         """JSON-ready form (reports).

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.decode import (
-    DecodeRequest,
-    GeometricOutputLength,
-    simulate_decode_online,
-)
+from repro.decode import GeometricOutputLength, simulate_decode_online
 from repro.devices import Device, build_device
+from repro.devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
+from repro.serving import ClassMixArrivals, DeadlineBatcher, get_batch_policy, get_router
+from repro.serving import engine as serving_engine
 from repro.serving.arrivals import PoissonArrivals
-from repro.serving.engine import simulate_online
+from repro.serving.engine import OnlineServingReport, simulate_online
+from repro.serving.request import Request
 from repro.serving.slo import SLOSpec
 from repro.transformer.configs import MRPC, SQUAD_V11 as SQUAD, get_model_config
 
@@ -72,6 +74,81 @@ class TestEncoderReduction:
         assert [r.completion_time for r in decode.records] == [
             r.completion_time for r in encoder.records
         ]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        designs=st.lists(st.sampled_from(["sparse-fpga", "baseline-fpga"]), min_size=1, max_size=4),
+        max_batch_size=st.sampled_from([None, 3, 8]),
+        policy=st.sampled_from(["fixed", "timeout", "bucketed", "deadline", "priority-deadline"]),
+        router=st.sampled_from(["round-robin", "least-loaded", "cost-model"]),
+        continuous_batching=st.booleans(),
+        slo_s=st.sampled_from([None, 0.02, 0.08]),
+        class_mix=st.booleans(),
+        max_queue_depth=st.sampled_from([None, 4, 12]),
+        shed_on_predicted_miss=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_single_token_run_equals_encoder_run(
+        self, designs, max_batch_size, policy, router, continuous_batching, slo_s, class_mix,
+        max_queue_depth, shed_on_predicted_miss, seed,
+    ):
+        """``output_lengths=1`` reproduces ``simulate_online`` over the serving knobs."""
+
+        def run(engine, **extra):
+            GLOBAL_SCHEDULE_CACHE.clear()
+            fleet = [
+                build_device(design, model=BERT, dataset=MRPC, max_batch_size=max_batch_size)
+                for design in designs
+            ]
+            arrivals = PoissonArrivals(rate_qps=150.0 * len(designs))
+            if class_mix:
+                arrivals = ClassMixArrivals(
+                    base=arrivals, mix="interactive:0.5,batch:0.3,best-effort:0.2"
+                )
+            return engine(
+                fleet,
+                MRPC,
+                arrivals,
+                num_requests=40,
+                batch_policy=get_batch_policy(policy, batch_size=6, timeout_s=0.01),
+                router=get_router(router),
+                continuous_batching=continuous_batching,
+                max_queue_depth=max_queue_depth,
+                slo=SLOSpec(base_s=slo_s) if slo_s is not None else None,
+                shed_on_predicted_miss=shed_on_predicted_miss,
+                seed=seed,
+                **extra,
+            )
+
+        def trajectory(report, keys):
+            # The encoder half of the report; a decode report adds its own keys.
+            summary = OnlineServingReport.to_dict(report)
+            return {
+                "summary": {key: summary[key] for key in keys},
+                "records": [
+                    (
+                        r.request.request_id,
+                        r.dispatch_time,
+                        r.start_time,
+                        r.completion_time,
+                        r.device_index,
+                        r.batch_id,
+                    )
+                    for r in report.records
+                ],
+                "batches": [
+                    (b.batch_id, b.device_index, b.dispatch_time, b.start_time,
+                     b.execution.latency_seconds, b.request_ids)
+                    for b in report.batches
+                ],
+                "shed": list(report.shed_causes.items()),
+                "queue_depth": report.queue_depth_timeline,
+            }
+
+        encoder = run(simulate_online)
+        keys = [key for key in encoder.to_dict() if key != "schedule_cache"]
+        decode = run(simulate_decode_online, output_lengths=1)
+        assert trajectory(decode, keys) == trajectory(encoder, keys)
 
 
 class TestKvAdmission:
@@ -222,9 +299,112 @@ class TestEngineValidation:
 
     def test_explicit_request_list_keeps_output_lens(self):
         requests = [
-            DecodeRequest(request_id=i, length=32, arrival_time=0.05 * i, output_len=3)
+            Request(request_id=i, length=32, arrival_time=0.05 * i, output_len=3)
             for i in range(8)
         ]
         report = simulate_decode_online(_decode_device(), MRPC, requests)
         assert report.total_output_tokens == 24
         assert report.output_lengths == "explicit"
+
+    def test_all_shed_run_renders_its_report(self):
+        """A decode run that completes nothing still renders to_dict and as_row."""
+        report = simulate_decode_online(
+            _decode_device(),
+            MRPC,
+            PoissonArrivals(rate_qps=20.0),
+            num_requests=16,
+            output_lengths=4,
+            batch_policy=DeadlineBatcher(batch_size=8),
+            slo=SLOSpec(base_s=0.0, per_token_s=0.0),
+        )
+        assert report.num_completed == 0 and report.num_shed_late == 16
+        payload = report.to_dict()
+        assert payload["ttft_ms"] == {"p50": None, "p95": None}
+        assert payload["inter_token_ms"] == {"p50": None, "p95": None}
+        assert report.as_row()["ttft_p50_ms"] is None
+
+
+class TestOneCore:
+    """The rules of the one simulator core that encoder and decode runs share."""
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("autoscaler", "queue-depth"),
+            ("faults", "crash-restart"),
+            ("hedging", True),
+        ],
+    )
+    def test_decode_runs_refuse_unmodelled_knobs(self, knob, value):
+        with pytest.raises(ValueError, match=knob):
+            simulate_decode_online(
+                [_decode_device(), _decode_device()],
+                MRPC,
+                PoissonArrivals(rate_qps=20.0),
+                num_requests=8,
+                output_lengths=4,
+                **{knob: value},
+            )
+
+    def test_hedging_refused_on_kv_capped_fleet(self):
+        with pytest.raises(ValueError, match="hedging"):
+            simulate_online(
+                [_decode_device(kv_mb=64.0), _decode_device()],
+                MRPC,
+                PoissonArrivals(rate_qps=20.0),
+                num_requests=8,
+                hedging=True,
+            )
+
+    def test_kv_cap_gates_encoder_prefills(self):
+        """An encoder run on a KV-capped device is a one-token decode run."""
+        arrivals = PoissonArrivals(rate_qps=300.0)
+        encoder = simulate_online(
+            _decode_device(kv_mb=4.0), MRPC, arrivals, num_requests=60, seed=3
+        )
+        decode = simulate_decode_online(
+            _decode_device(kv_mb=4.0), MRPC, arrivals, num_requests=60, output_lengths=1, seed=3
+        )
+        assert [r.completion_time for r in encoder.records] == [
+            r.completion_time for r in decode.records
+        ]
+        assert decode.num_kv_stalls > 0
+        uncapped = simulate_online(_decode_device(), MRPC, arrivals, num_requests=60, seed=3)
+        assert uncapped.makespan_seconds < encoder.makespan_seconds
+
+    def test_explicit_multi_token_stream_needs_output_lengths(self):
+        requests = [Request(request_id=0, length=16, arrival_time=0.0, output_len=2)]
+        with pytest.raises(ValueError, match="output_lengths"):
+            simulate_online(_decode_device(), MRPC, requests)
+
+    @pytest.mark.parametrize("output_lengths", [None, 1])
+    def test_one_token_run_does_no_decode_work(self, monkeypatch, output_lengths):
+        steps, members = [], []
+        device = _decode_device()
+        costed = device.decode_step_latency_seconds
+
+        def count_steps(contexts):
+            steps.append(contexts)
+            return costed(contexts)
+
+        class CountedRunningRequest(serving_engine._RunningRequest):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                members.append(self)
+
+        monkeypatch.setattr(device, "decode_step_latency_seconds", count_steps)
+        monkeypatch.setattr(serving_engine, "_RunningRequest", CountedRunningRequest)
+        report = simulate_online(
+            device,
+            MRPC,
+            PoissonArrivals(rate_qps=40.0),
+            num_requests=48,
+            output_lengths=output_lengths,
+        )
+        assert report.num_completed == 48
+        assert steps == [] and members == []
+        # The spies are live: a multi-token run goes through both.
+        simulate_online(
+            device, MRPC, PoissonArrivals(rate_qps=40.0), num_requests=8, output_lengths=3
+        )
+        assert steps and len(members) == 8

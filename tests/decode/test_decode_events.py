@@ -1,6 +1,6 @@
 """The decode loop's per-device wake times against a scan of every device.
 
-:class:`_DecodeCore` keeps each device's next decode event -- its step end
+:class:`_SimCore` keeps each device's next decode event -- its step end
 while a step runs, else its first joiner's ready time -- and its ``pump``,
 ``next_action_time`` and ``busy`` read those instead of visiting every
 device and every joiner.  This state machine drives it side by side with an
@@ -19,11 +19,10 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.decode import DecodeRequest
-from repro.decode.engine import DecodeServingReport, _DecodeCore
 from repro.devices import BatchExecution, Device
-from repro.serving import FixedSizeBatcher, TimeoutBatcher
+from repro.serving import FixedSizeBatcher, Request, TimeoutBatcher
 from repro.serving.core import _EPS, open_session
+from repro.serving.engine import DecodeServingReport, _SimCore
 
 #: Every cost is a multiple of this dyadic tick, so sums stay exact and
 #: identical devices reach identical instants.
@@ -57,7 +56,7 @@ class _GridDevice(Device):
         return _TICK * (1 + sum(context_lengths) % 3)
 
 
-class _ScanEveryDevice(_DecodeCore):
+class _ScanEveryDevice(_SimCore):
     """The decode loop that visited every device and joiner on every call."""
 
     def _start_step(self, index, now):
@@ -96,7 +95,7 @@ class _ScanEveryDevice(_DecodeCore):
             if state.step_members and state.wake <= now + _EPS:
                 self._finish_step(index, state.wake)
         self._kv_blocked = False
-        planned = super(_DecodeCore, self).pump(now, draining)
+        planned = super(_SimCore, self).pump(now, draining)
         for index in range(len(self.fleet)):
             self._start_step(index, now)
         return planned
@@ -155,10 +154,11 @@ class DecodeEventsMachine(RuleBasedStateMachine):
                 session.report,
                 session.batch_policy,
                 session.router,
+                pool_size=num_devices,
                 iteration_level=iteration_level,
             )
 
-        self.system, self.oracle = core(_DecodeCore), core(_ScanEveryDevice)
+        self.system, self.oracle = core(_SimCore), core(_ScanEveryDevice)
         self.now = 0.0
         self.next_id = 0
 
@@ -171,7 +171,7 @@ class DecodeEventsMachine(RuleBasedStateMachine):
     )
     def arrive(self, requests):
         for length, output_len in requests:
-            request = DecodeRequest(self.next_id, length, self.now, output_len=output_len)
+            request = Request(self.next_id, length, self.now, output_len=output_len)
             self.next_id += 1
             self.system.offer(request, self.now)
             self.oracle.offer(request, self.now)

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.decode import (
-    DecodeRequest,
     FixedOutputLength,
     GeometricOutputLength,
     UniformOutputLength,
-    as_decode_requests,
     generate_decode_requests,
     get_output_lengths,
 )
@@ -86,15 +84,9 @@ class TestRequestGeneration:
         assert [r.arrival_time for r in fixed] == [r.arrival_time for r in geo]
         assert [r.output_len for r in fixed] != [r.output_len for r in geo]
 
-    def test_as_decode_requests_coerces_plain_requests(self):
-        plain = Request(request_id=3, length=17, arrival_time=1.5)
-        coerced = as_decode_requests([plain])[0]
-        assert isinstance(coerced, DecodeRequest)
-        assert coerced.output_len == 1
-        assert coerced.length == 17 and coerced.arrival_time == 1.5
-
     def test_decode_request_invariants(self):
-        request = DecodeRequest(request_id=0, length=10, arrival_time=0.0, output_len=5)
+        request = Request(request_id=0, length=10, arrival_time=0.0, output_len=5)
         assert request.total_tokens == 15
+        assert Request(request_id=1, length=10, arrival_time=0.0).output_len == 1
         with pytest.raises(ValueError):
-            DecodeRequest(request_id=0, length=10, arrival_time=0.0, output_len=0)
+            Request(request_id=0, length=10, arrival_time=0.0, output_len=0)

@@ -8,20 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.decode import DecodeRequest
 from repro.devices import AnalyticalDevice, CycleAccurateDevice, ScheduleCache, build_fleet
 from repro.faults import CrashRestartFaults, FaultInjector, StragglerFaults
 from repro.hardware.accelerator import build_sparse_accelerator
+from repro.hardware.buffers import DoubleBuffer
 from repro.platforms.devices import RTX_6000
 from repro.serving import (
     ClosedLoopArrivals,
     CostModelRouter,
     DeadlineBatcher,
     FixedSizeBatcher,
-    LeastLoadedRouter,
+    LengthBucketedBatcher,
+    LengthShardedRouter,
     PoissonArrivals,
     PriorityDeadlineBatcher,
     Request,
+    RoundRobinRouter,
     SLOSpec,
     TimeoutBatcher,
     assign_deadlines,
@@ -73,7 +75,7 @@ class TestRequestDeadlines:
         "request_",
         [
             Request(request_id=3, length=50, arrival_time=2.0, request_class="batch"),
-            DecodeRequest(request_id=4, length=50, arrival_time=2.0, output_len=7),
+            Request(request_id=4, length=50, arrival_time=2.0, output_len=7),
         ],
     )
     def test_stamping_matches_dataclasses_replace(self, request_):
@@ -177,7 +179,8 @@ class TestAttainmentAccounting:
         )
 
 
-_DEADLINE_KNOBS = {"batch_size", "timeout_s", "margin_s", "shed_late"}
+_DEADLINE_KNOBS = {"batch_size", "timeout_s", "margin_s", "shed_late", "name"}
+_BUCKET_KNOBS = {"batch_size", "timeout_s", "num_buckets", "bucket_width", "bucket_edges", "name"}
 
 
 @pytest.mark.parametrize(
@@ -185,14 +188,20 @@ _DEADLINE_KNOBS = {"batch_size", "timeout_s", "margin_s", "shed_late"}
     [
         (DeadlineBatcher, _DEADLINE_KNOBS),
         (PriorityDeadlineBatcher, _DEADLINE_KNOBS),
-        (CostModelRouter, {"blacklist_s"}),
+        (CostModelRouter, {"blacklist_s", "name"}),
+        (RoundRobinRouter, {"name"}),
+        (LengthShardedRouter, {"edges", "name"}),
+        (LengthBucketedBatcher, _BUCKET_KNOBS),
+        (FaultInjector, {"schedules", "num_devices", "seed"}),
+        (DoubleBuffer, {"num_slots", "name"}),
     ],
 )
 def test_constructors_take_only_the_documented_knobs(cls, knobs):
     fields = dataclasses.fields(cls)
-    assert {f.name for f in fields if f.init} == knobs | {"name"}
+    assert {f.name for f in fields if f.init} == knobs
     for private in (f.name for f in fields if f.name.startswith("_")):
-        with pytest.raises(TypeError):
+        assert not any(f.repr or f.compare for f in fields if f.name == private)
+        with pytest.raises(TypeError, match="unexpected keyword"):
             cls(**{private: None})
 
 

@@ -27,7 +27,7 @@ import json
 
 import pytest
 
-from repro.decode import DecodeRequest, GeometricOutputLength, simulate_decode_online
+from repro.decode import GeometricOutputLength, simulate_decode_online
 from repro.devices import build_device, build_fleet
 from repro.devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
 from repro.faults import CrashRestartFaults, StragglerFaults
@@ -41,6 +41,7 @@ from repro.serving import (
     PredictedAttainmentAutoscaler,
     PriorityDeadlineBatcher,
     QueueDepthAutoscaler,
+    Request,
     SLOSpec,
     TimeoutBatcher,
 )
@@ -130,7 +131,7 @@ def _decode_explicit_token_limit():
     # limit splits and KV stalls in the same dispatch.
     lengths = [40, 12, 90, 33, 64, 18, 120, 7, 55, 80] * 4
     requests = [
-        DecodeRequest(
+        Request(
             request_id=i,
             arrival_time=0.004 * i,
             length=length,
@@ -160,7 +161,7 @@ def _decode_wide_tied(iteration_level: bool = True):
     prompts = [32, 64, 48, 96]
     outputs = [1, 3, 6, 12]
     requests = [
-        DecodeRequest(
+        Request(
             request_id=24 * burst + slot,
             length=prompts[slot % 4],
             arrival_time=0.01 * burst,

@@ -55,14 +55,6 @@ class OutputLengthDistribution:
     def _rng(self, seed: int) -> np.random.Generator:
         return np.random.default_rng([int(seed), _OUTPUT_STREAM])
 
-    def stamp(self, requests: list[Request], seed: int) -> list[Request]:
-        """``requests`` with output lengths sampled for stream ``seed``."""
-        outputs = self.sample(len(requests), seed).tolist()
-        return [
-            Request(r.request_id, r.length, r.arrival_time, r.deadline, r.request_class, n)
-            for r, n in zip(requests, outputs)
-        ]
-
 
 @register("output-length", "fixed")
 @dataclass(frozen=True)
@@ -166,8 +158,8 @@ def generate_decode_requests(
     """Generate a decode stream through the existing arrival machinery.
 
     The arrival process produces prompts and timestamps exactly as it would
-    for an encoder run; the output-length distribution then stamps each
-    request from its own RNG stream, so the prompt/timing halves of the
-    stream are byte-identical across output-length choices.
+    for an encoder run; the output-length distribution samples from its own
+    RNG stream, so the prompt/timing halves of the stream are byte-identical
+    across output-length choices.
     """
-    return output_lengths.stamp(arrivals.generate(dataset, num_requests, seed=seed), seed)
+    return arrivals.generate(dataset, num_requests, seed=seed, output_lengths=output_lengths)

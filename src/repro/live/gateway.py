@@ -245,19 +245,21 @@ class LiveGateway:
         now = self.clock.now()
         request_id = self._next_request_id
         self._next_request_id += 1
+        spec = cls.slo if cls is not None and cls.slo is not None else self.slo
+        if slo_ms is not None:
+            deadline = now + slo_ms / 1e3
+        elif spec is not None:
+            deadline = now + spec.budget_seconds(length, output_len)
+        else:
+            deadline = None
         request = Request(
             request_id=request_id,
             length=length,
             arrival_time=now,
+            deadline=deadline,
             request_class=cls.name if cls is not None else None,
             output_len=output_len,
         )
-        if slo_ms is not None:
-            request = request.restamped(now + slo_ms / 1e3, request.request_class)
-        elif cls is not None and cls.slo is not None:
-            request = request.restamped(cls.slo.deadline_for(request), request.request_class)
-        elif self.slo is not None:
-            request = request.restamped(self.slo.deadline_for(request), request.request_class)
         self.report.num_requests += 1
         status = self.core.offer(request, now)
         self.core.note_queue_depth(now)

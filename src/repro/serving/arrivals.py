@@ -38,6 +38,7 @@ import inspect
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -45,7 +46,7 @@ import numpy as np
 from .. import config as global_config
 from ..datasets.length_distributions import sample_lengths
 from ..registry import REGISTRY, register
-from ..transformer.configs import DatasetConfig, get_dataset_config
+from ..transformer.configs import DatasetConfig
 from .request import Request
 
 __all__ = [
@@ -61,16 +62,48 @@ __all__ = [
 ]
 
 
-def _dataset_lengths(
-    dataset: DatasetConfig | str, num_requests: int, seed: int
-) -> list[int]:
-    if isinstance(dataset, str):
-        dataset = get_dataset_config(dataset)
-    return [int(x) for x in sample_lengths(dataset, num_requests, seed=seed)]
+def _check_count(process: "ArrivalProcess", num_requests: int | None) -> int:
+    if num_requests is None:
+        raise ValueError(f"arrival process '{process.name}' needs num_requests")
+    if num_requests < 1:
+        raise ValueError("num_requests must be >= 1")
+    return num_requests
+
+
+def _deadlines(lengths, times, outputs, classes, slo) -> list:
+    """Every request's deadline (``None`` = no SLO), as one vector expression.
+
+    A class's SLO stamps its members and ``slo`` stamps everyone else.  The
+    operands associate exactly as in :meth:`SLOSpec.deadline_for`, so every
+    deadline is the float that method returns.
+    """
+    specs, pick = [slo], 0
+    if classes is not None:
+        from .classes import get_request_class
+
+        rows = {name: row for row, name in enumerate(dict.fromkeys(classes))}
+        specs = [get_request_class(name).slo or slo for name in rows]
+        pick = np.fromiter(map(rows.__getitem__, classes), np.intp, len(classes))
+    if not any(specs):
+        return [None] * len(lengths)
+    table = np.array([
+        (s.base_s, s.per_token_s, s.per_output_token_s) if s else (np.nan,) * 3 for s in specs
+    ])
+    base, per_token, per_output = table[pick].T
+    stamped = times + (base + per_token * lengths + per_output * np.asarray(outputs))
+    deadlines = stamped.tolist()
+    if np.isnan(stamped).any():
+        deadlines = [None if d != d else d for d in deadlines]
+    return deadlines
 
 
 class ArrivalProcess:
-    """Base class: generate a deterministic request stream for a dataset."""
+    """Base class: generate a deterministic request stream for a dataset.
+
+    A process supplies the stream as columns -- usually by overriding
+    :meth:`arrival_times`, or :meth:`columns` when it also picks lengths or
+    classes -- and :meth:`generate` builds each request from them once.
+    """
 
     name: str = "arrivals"
 
@@ -81,29 +114,51 @@ class ArrivalProcess:
         """Return ``num_requests`` non-decreasing arrival times (seconds)."""
         raise NotImplementedError
 
-    def generate(
-        self,
-        dataset: DatasetConfig | str,
-        num_requests: int | None,
-        seed: int = global_config.DEFAULT_SEED,
-    ) -> list[Request]:
-        """Materialize the request stream (sorted by arrival time, then id)."""
-        if num_requests is None:
-            raise ValueError(f"arrival process '{self.name}' needs num_requests")
-        if num_requests < 1:
-            raise ValueError("num_requests must be >= 1")
-        lengths = _dataset_lengths(dataset, num_requests, seed)
+    def columns(
+        self, dataset: DatasetConfig | str, num_requests: int | None, seed: int
+    ) -> tuple[np.ndarray, np.ndarray, list[str] | None]:
+        """The stream in arrival order: lengths, arrival times, class names.
+
+        The class column is ``None`` for untagged traffic.
+        """
+        num_requests = _check_count(self, num_requests)
+        lengths = sample_lengths(dataset, num_requests, seed=seed)
         # A distinct stream for timing keeps arrival times independent of the
         # length sample (and identical to the closed-batch sample for a seed).
         rng = np.random.default_rng([seed, 0x5E12])
         times = np.asarray(self.arrival_times(num_requests, rng), dtype=np.float64)
         if len(times) != num_requests:
             raise ValueError("arrival process returned the wrong number of times")
-        times = np.maximum.accumulate(np.maximum(times, 0.0))
-        return [
-            Request(request_id=i, length=lengths[i], arrival_time=float(times[i]))
-            for i in range(num_requests)
-        ]
+        return lengths, np.maximum.accumulate(np.maximum(times, 0.0)), None
+
+    def generate(
+        self,
+        dataset: DatasetConfig | str,
+        num_requests: int | None = None,
+        seed: int = global_config.DEFAULT_SEED,
+        *,
+        slo=None,
+        output_lengths=None,
+    ) -> list[Request]:
+        """Materialize the request stream (sorted by arrival time, then id).
+
+        ``output_lengths`` (an
+        :class:`~repro.decode.OutputLengthDistribution`) samples every
+        request's ``output_len`` for stream ``seed`` (default: one token).
+        A member of a class with an SLO gets that class's deadline; every
+        other request gets the deadline ``slo`` (an
+        :class:`~repro.serving.slo.SLOSpec`) assigns, or none.
+        """
+        lengths, times, classes = self.columns(dataset, num_requests, seed)
+        count = len(lengths)
+        outputs = [1] * count
+        if output_lengths is not None:
+            outputs = output_lengths.sample(count, seed).tolist()
+        deadlines = _deadlines(lengths, times, outputs, classes, slo)
+        tags = repeat(None) if classes is None else classes
+        return list(
+            map(Request, range(count), lengths.tolist(), times.tolist(), deadlines, tags, outputs)
+        )
 
 
 @register("arrival", "poisson")
@@ -336,32 +391,22 @@ class TraceArrivals(ArrivalProcess):
             if not finite:
                 raise ValueError(f"trace entry {index} ({entry!r}) must hold finite numbers")
 
-    def _entries(self) -> tuple[list[float], list[int] | None]:
+    def columns(self, dataset, num_requests, seed):
         first = self.trace[0]
         if isinstance(first, (tuple, list)):
             times = [float(t) for t, _ in self.trace]
             lengths = [int(n) for _, n in self.trace]
-            return times, lengths
-        return [float(t) for t in self.trace], None
-
-    def generate(
-        self,
-        dataset: DatasetConfig | str,
-        num_requests: int | None = None,
-        seed: int = global_config.DEFAULT_SEED,
-    ) -> list[Request]:
-        times, lengths = self._entries()
-        count = len(times) if num_requests is None else min(num_requests, len(times))
-        times = times[:count]
-        if lengths is None:
-            lengths = _dataset_lengths(dataset, count, seed)
         else:
-            lengths = lengths[:count]
+            times, lengths = [float(t) for t in self.trace], None
+        count = len(times) if num_requests is None else min(num_requests, len(times))
+        if lengths is None:
+            lengths = sample_lengths(dataset, count, seed=seed).tolist()
         order = sorted(range(count), key=lambda i: (times[i], i))
-        return [
-            Request(request_id=rank, length=lengths[i], arrival_time=max(times[i], 0.0))
-            for rank, i in enumerate(order)
-        ]
+        return (
+            np.array([lengths[i] for i in order], dtype=np.int64),
+            np.array([max(times[i], 0.0) for i in order], dtype=np.float64),
+            None,
+        )
 
 
 def load_trace(path: str | Path) -> tuple:
@@ -406,23 +451,11 @@ class ClosedLoopArrivals(ArrivalProcess):
     name: str = "closed-loop"
     rate_qps: float | None = field(default=None, init=False)
 
-    def generate(
-        self,
-        dataset: DatasetConfig | str,
-        num_requests: int | None,
-        seed: int = global_config.DEFAULT_SEED,
-    ) -> list[Request]:
-        if num_requests is None:
-            raise ValueError(f"arrival process '{self.name}' needs num_requests")
-        if num_requests < 1:
-            raise ValueError("num_requests must be >= 1")
-        lengths = _dataset_lengths(dataset, num_requests, seed)
+    def columns(self, dataset, num_requests, seed):
+        lengths = sample_lengths(dataset, _check_count(self, num_requests), seed=seed)
         if self.sort_by_length:
-            lengths = sorted(lengths, reverse=True)
-        return [
-            Request(request_id=i, length=length, arrival_time=0.0)
-            for i, length in enumerate(lengths)
-        ]
+            lengths = np.sort(lengths)[::-1]
+        return lengths, np.zeros(len(lengths)), None
 
 
 def _is_rate_driven(factory) -> bool:

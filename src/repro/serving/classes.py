@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import config as global_config
 from ..registry import REGISTRY, register
 from .arrivals import ArrivalProcess
 from .policies import _TIME_EPS
@@ -178,33 +177,6 @@ def parse_class_queue_limits(spec: str) -> dict[str, int]:
     return limits
 
 
-def tag_requests(
-    requests: list[Request],
-    mix: tuple[tuple[str, float], ...],
-    seed: int,
-) -> list[Request]:
-    """Tag a request stream with classes sampled from ``mix``.
-
-    Sampling runs on its own salted RNG stream, keyed by ``seed`` alone, so
-    the tags are independent of the stream's timing/length draws and stable
-    under any change to the wrapped arrival process.  Members of a class
-    with an SLO that arrive deadline-less are stamped with the class
-    deadline; existing deadlines always win.
-    """
-    rng = np.random.default_rng([seed, _CLASS_SALT])
-    classes = [get_request_class(name) for name, _ in mix]
-    shares = np.asarray([share for _, share in mix], dtype=np.float64)
-    picks = rng.choice(len(classes), size=len(requests), p=shares / shares.sum())
-    tagged = []
-    for request, pick in zip(requests, picks.tolist()):
-        cls = classes[pick]
-        deadline = request.deadline
-        if deadline is None and cls.slo is not None:
-            deadline = cls.slo.deadline_for(request)
-        tagged.append(request.restamped(deadline, cls.name))
-    return tagged
-
-
 @dataclass
 class ClassMixArrivals(ArrivalProcess):
     """Tag any arrival process's stream with sampled request classes.
@@ -238,8 +210,18 @@ class ClassMixArrivals(ArrivalProcess):
     def rate_qps(self) -> float | None:  # type: ignore[override]
         return self.base.rate_qps
 
-    def generate(self, dataset, num_requests, seed=global_config.DEFAULT_SEED):
-        return tag_requests(self.base.generate(dataset, num_requests, seed=seed), self.mix, seed)
+    def columns(self, dataset, num_requests, seed):
+        """The wrapped stream's columns plus a class column.
+
+        Sampling runs on its own salted RNG stream, keyed by ``seed`` alone,
+        so the tags are independent of the stream's timing/length draws.
+        """
+        lengths, times, _ = self.base.columns(dataset, num_requests, seed)
+        rng = np.random.default_rng([seed, _CLASS_SALT])
+        names = [get_request_class(name).name for name, _ in self.mix]
+        shares = np.asarray([share for _, share in self.mix], dtype=np.float64)
+        picks = rng.choice(len(names), size=len(lengths), p=shares / shares.sum())
+        return lengths, times, [names[pick] for pick in picks.tolist()]
 
 
 # ----------------------------------------------------------------------

@@ -95,27 +95,28 @@ def prepare_stream(
     """Materialize the request stream: (requests, arrival name, offered QPS).
 
     An :class:`~repro.serving.arrivals.ArrivalProcess` generates the stream
-    (deterministic in ``seed``), and an ``output_lengths`` distribution
-    (:class:`~repro.decode.OutputLengthDistribution`) then stamps each
-    request's output length; an explicit request list is sorted by arrival
-    and keeps its own.  ``slo`` stamps deadline-less requests afterwards
-    either way.
+    (deterministic in ``seed``) with its output lengths (an
+    ``output_lengths`` distribution,
+    :class:`~repro.decode.OutputLengthDistribution`) and deadlines (class
+    SLOs, then ``slo``) already stamped.  An explicit request list is sorted
+    by arrival and keeps its own output lengths and deadlines; ``slo``
+    stamps the deadline-less ones.
     """
     if isinstance(arrivals, ArrivalProcess):
-        requests = arrivals.generate(dataset, num_requests, seed=seed)
-        if output_lengths is not None:
-            requests = output_lengths.stamp(requests, seed)
+        requests = arrivals.generate(
+            dataset, num_requests, seed=seed, slo=slo, output_lengths=output_lengths
+        )
         arrival_name = arrivals.name
         offered_qps = arrivals.rate_qps
     else:
         requests = sorted(arrivals, key=lambda r: (r.arrival_time, r.request_id))
+        if slo is not None:
+            requests = assign_deadlines(requests, slo)
         arrival_name = "explicit"
         last = requests[-1].arrival_time if requests else 0.0
         offered_qps = len(requests) / last if last > 0 else None
     if not requests:
         raise ValueError("the arrival stream is empty")
-    if slo is not None:
-        requests = assign_deadlines(requests, slo)
     return requests, arrival_name, offered_qps
 
 

@@ -22,8 +22,7 @@ __all__ = ["DecodeRequestRecord", "Request", "RequestRecord"]
 _DEADLINE_EPS = 1e-9
 
 
-# Slotted: a stream holds one per offered request, and stamping deadlines
-# builds each one twice.
+# Slotted, like the records: a run holds one of each per offered request.
 @dataclass(frozen=True, slots=True)
 class Request:
     """One inference request in the open-loop stream.
@@ -57,22 +56,6 @@ class Request:
         if self.deadline is not None and self.deadline < self.arrival_time:
             raise ValueError("deadline must be at or after arrival_time")
 
-    def restamped(self, deadline: float | None, request_class: str | None) -> "Request":
-        """This request with its deadline and class replaced.
-
-        One constructor call instead of :func:`dataclasses.replace` (whose
-        field introspection dominated stamping large streams);
-        ``__post_init__`` validation still runs.
-        """
-        return Request(
-            self.request_id,
-            self.length,
-            self.arrival_time,
-            deadline,
-            request_class,
-            self.output_len,
-        )
-
     @property
     def total_tokens(self) -> int:
         """Prompt plus every generated token: the KV-cache reservation."""
@@ -86,7 +69,7 @@ class Request:
         return self.deadline - self.arrival_time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RequestRecord:
     """A completed request with its full timing breakdown (seconds)."""
 
@@ -121,7 +104,7 @@ class RequestRecord:
         return self.completion_time <= self.request.deadline + _DEADLINE_EPS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DecodeRequestRecord(RequestRecord):
     """A completed request of a decode run, with its first token's time.
 

@@ -114,7 +114,11 @@ def assign_deadlines(requests: list[Request], slo: SLOSpec) -> list[Request]:
     """
     deadline_for = slo.deadline_for
     return [
-        r if r.deadline is not None else r.restamped(deadline_for(r), r.request_class)
+        r
+        if r.deadline is not None
+        else Request(
+            r.request_id, r.length, r.arrival_time, deadline_for(r), r.request_class, r.output_len
+        )
         for r in requests
     ]
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import asyncio
 
-import pytest
-
-from repro.devices import BatchExecution, Device
+from repro.decode import GeometricOutputLength
+from repro.devices import BatchExecution, Device, build_fleet
 from repro.live import (
     LiveGateway,
     LiveServer,
@@ -25,7 +24,9 @@ from repro.live import (
     simulate_trace,
     validation_gateway,
 )
-from repro.serving import FixedSizeBatcher
+from repro.registry import REGISTRY
+from repro.serving import ClassMixArrivals, FixedSizeBatcher, PoissonArrivals, SLOSpec
+from repro.serving.classes import RequestClass
 
 #: Deterministic tagging of the checked-in trace: cycle the built-in
 #: classes by entry index (the trace is replayed sorted by arrival).
@@ -170,3 +171,37 @@ def test_untagged_replay_of_validation_trace_keeps_classless_stats():
     assert report.class_summaries is None
     assert "classes" not in report.to_dict()
     assert report.num_completed == 63  # the pinned baseline, untouched
+
+
+def test_sim_class_deadlines_equal_what_submit_stamps(monkeypatch):
+    """A class SLO's per-output-token budget sees each request's real output
+    length in a simulated decode stream, exactly as ``submit`` stamps it."""
+    tier = RequestClass(
+        name="test-per-output-tier", slo=SLOSpec(base_s=0.1, per_output_token_s=0.01)
+    )
+    for table, value in (("_factories", tier), ("_canonical", tier.name)):
+        monkeypatch.setitem(getattr(REGISTRY, table)["request-class"], tier.name, value)
+    arrivals = ClassMixArrivals(base=PoissonArrivals(rate_qps=300), mix=((tier.name, 1.0),))
+    stream = arrivals.generate(
+        "mrpc", 24, seed=5, output_lengths=GeometricOutputLength(mean_output_len=8)
+    )
+    budgets = {r.output_len: r.slo_seconds for r in stream}
+    assert len(budgets) > 1 and max(budgets) > 1, "every request drew one output token"
+
+    async def scenario():
+        gateway = LiveGateway(build_fleet(("gpu-rtx6000",)), "mrpc", rebase_on_first_ingest=False)
+        await gateway.start()
+        stamped = []
+        for request in stream:
+            # Submit each request at its simulated arrival instant.
+            gateway.clock.now = lambda instant=request.arrival_time: instant
+            result = gateway.submit(
+                length=request.length, output_len=request.output_len, request_class=tier.name
+            )
+            stamped.append(result.request)
+        del gateway.clock.now
+        await gateway.shutdown()
+        return stamped
+
+    stamped = asyncio.run(scenario())
+    assert [r.deadline for r in stamped] == [r.deadline for r in stream]

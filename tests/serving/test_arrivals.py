@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.datasets.length_distributions import sample_lengths
+from repro.decode.output_lengths import FixedOutputLength, GeometricOutputLength
+from repro.registry import REGISTRY
 from repro.serving.arrivals import (
     BurstyArrivals,
     ClosedLoopArrivals,
@@ -15,6 +21,9 @@ from repro.serving.arrivals import (
     TraceArrivals,
     get_arrival_process,
 )
+from repro.serving.classes import ClassMixArrivals, RequestClass, get_request_class
+from repro.serving.request import Request
+from repro.serving.slo import SLOSpec
 from repro.transformer.configs import MRPC, RTE
 
 
@@ -196,3 +205,158 @@ class TestFactory:
     def test_rate_required_for_open_loop(self):
         with pytest.raises(ValueError):
             get_arrival_process("poisson")
+
+
+# ----------------------------------------------------------------------
+# generate() against the stream built request by request
+# ----------------------------------------------------------------------
+
+
+#: A tier whose SLO sets all three budgets, so class deadlines depend on
+#: the prompt and on the sampled output length.
+DECODE_TIER = RequestClass(
+    name="test-decode-tier",
+    priority=1,
+    slo=SLOSpec(base_s=0.1, per_token_s=1e-4, per_output_token_s=0.01),
+)
+
+#: Unsorted, with ties, so the replay order (time, then index) matters.
+TIMES = tuple((i * 7 % 13) / 50 for i in range(40))
+PROCESSES = {
+    "poisson": PoissonArrivals(rate_qps=300),
+    "bursty": BurstyArrivals(rate_qps=300, mean_dwell_s=0.02),
+    "diurnal": DiurnalArrivals(rate_qps=300, period_s=0.1),
+    "flash-crowd": FlashCrowdArrivals(rate_qps=300, spike_start_s=0.02, spike_duration_s=0.05),
+    "closed-loop": ClosedLoopArrivals(),
+    "trace": TraceArrivals(trace=TIMES),
+    "trace-lengths": TraceArrivals(trace=tuple((t, 20 + i) for i, t in enumerate(TIMES))),
+}
+
+
+def untagged_stream(process, num_requests: int, seed: int) -> list[Request]:
+    """The stream as each process built it, one ``Request`` at a time."""
+    if isinstance(process, TraceArrivals):
+        paired = isinstance(process.trace[0], tuple)
+        times = [float(entry[0] if paired else entry) for entry in process.trace]
+        count = min(num_requests, len(times))
+        if paired:
+            lengths = [int(entry[1]) for entry in process.trace]
+        else:
+            lengths = [int(x) for x in sample_lengths(MRPC, count, seed=seed)]
+        order = sorted(range(count), key=lambda i: (times[i], i))
+        return [Request(rank, lengths[i], max(times[i], 0.0)) for rank, i in enumerate(order)]
+    lengths = [int(x) for x in sample_lengths(MRPC, num_requests, seed=seed)]
+    if isinstance(process, ClosedLoopArrivals):
+        return [Request(i, n, 0.0) for i, n in enumerate(sorted(lengths, reverse=True))]
+    rng = np.random.default_rng([seed, 0x5E12])
+    times = np.maximum.accumulate(np.maximum(process.arrival_times(num_requests, rng), 0.0))
+    return [Request(i, lengths[i], float(times[i])) for i in range(num_requests)]
+
+
+def reference_stream(process, mix, num_requests, seed, slo, output_lengths) -> list[Request]:
+    """Untagged stream, then class tags, then output lengths, then deadlines."""
+    stream = untagged_stream(process, num_requests, seed)
+    if mix is not None:
+        rng = np.random.default_rng([seed, 0xC1A5])
+        shares = np.asarray([share for _, share in mix])
+        picks = rng.choice(len(mix), size=len(stream), p=shares / shares.sum())
+        stream = [replace(r, request_class=mix[k][0]) for r, k in zip(stream, picks.tolist())]
+    if output_lengths is not None:
+        outputs = output_lengths.sample(len(stream), seed).tolist()
+        stream = [replace(r, output_len=n) for r, n in zip(stream, outputs)]
+    stamped = []
+    for request in stream:
+        spec = None
+        if request.request_class is not None:
+            spec = get_request_class(request.request_class).slo
+        spec = spec or slo
+        if spec is not None:
+            request = replace(request, deadline=spec.deadline_for(request))
+        stamped.append(request)
+    return stamped
+
+
+def fields(request: Request) -> tuple:
+    """Every field, with the floats as exact hex strings."""
+    deadline = request.deadline
+    return (
+        request.request_id,
+        request.length,
+        request.arrival_time.hex(),
+        None if deadline is None else deadline.hex(),
+        request.request_class,
+        request.output_len,
+    )
+
+
+budgets = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
+slo_specs = st.none() | st.builds(
+    SLOSpec, base_s=budgets, per_token_s=budgets.map(lambda x: x / 100), per_output_token_s=budgets
+)
+mixes = st.none() | st.lists(
+    st.tuples(
+        st.sampled_from(["interactive", "batch", "best-effort", DECODE_TIER.name]),
+        st.floats(min_value=0.1, max_value=1.0),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda entry: entry[0],
+).map(tuple)
+output_specs = (
+    st.none()
+    | st.builds(FixedOutputLength, output_len=st.integers(1, 64))
+    | st.builds(GeometricOutputLength, mean_output_len=st.floats(1.0, 64.0))
+)
+
+
+@pytest.fixture(scope="module")
+def decode_tier():
+    """``DECODE_TIER`` registered for this module's tests only."""
+    with pytest.MonkeyPatch.context() as patch:
+        for table, value in (("_factories", DECODE_TIER), ("_canonical", DECODE_TIER.name)):
+            patch.setitem(getattr(REGISTRY, table)["request-class"], DECODE_TIER.name, value)
+        yield DECODE_TIER
+
+
+class TestColumnarGenerate:
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        process=st.sampled_from(sorted(PROCESSES)),
+        mix=mixes,
+        num_requests=st.integers(1, 60),
+        seed=st.integers(0, 2**16),
+        slo=slo_specs,
+        output_lengths=output_specs,
+    )
+    def test_generate_equals_the_request_by_request_stream(
+        self, decode_tier, process, mix, num_requests, seed, slo, output_lengths
+    ):
+        base = PROCESSES[process]
+        arrivals = base if mix is None else ClassMixArrivals(base=base, mix=mix)
+        got = arrivals.generate(
+            MRPC, num_requests, seed=seed, slo=slo, output_lengths=output_lengths
+        )
+        expected = reference_stream(base, mix, num_requests, seed, slo, output_lengths)
+        assert [fields(r) for r in got] == [fields(r) for r in expected]
+
+    @pytest.mark.parametrize("process", sorted(PROCESSES))
+    def test_builds_each_request_once(self, monkeypatch, process):
+        built = []
+        original = Request.__post_init__
+
+        def spy(request):
+            built.append(request.request_id)
+            original(request)
+
+        monkeypatch.setattr(Request, "__post_init__", spy)
+        arrivals = ClassMixArrivals(
+            base=PROCESSES[process], mix="interactive:0.5,batch:0.3,best-effort:0.2"
+        )
+        requests = arrivals.generate(
+            MRPC,
+            32,
+            seed=3,
+            slo=SLOSpec(base_s=0.1, per_token_s=1e-4, per_output_token_s=0.01),
+            output_lengths=GeometricOutputLength(),
+        )
+        assert sorted(built) == [r.request_id for r in requests]

@@ -84,11 +84,6 @@ class TestRequestDeadlines:
         expected = dataclasses.replace(request_, deadline=spec.deadline_for(request_))
         assert type(stamped) is type(request_)
         assert stamped == expected
-        assert request_.restamped(2.5, "interactive") == dataclasses.replace(
-            request_, deadline=2.5, request_class="interactive"
-        )
-        with pytest.raises(ValueError, match="deadline"):
-            request_.restamped(1.0, None)  # __post_init__ still validates
 
     def test_existing_deadlines_are_preserved(self):
         explicit = Request(request_id=0, length=50, arrival_time=2.0, deadline=2.01)

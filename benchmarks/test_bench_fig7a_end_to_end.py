@@ -5,7 +5,7 @@ from __future__ import annotations
 from conftest import run_once
 
 from repro.experiments import run_experiment
-from repro.evaluation.report import format_key_values, format_table
+from repro.evaluation.report import format_table
 
 
 def test_bench_fig7a_end_to_end_speedups(benchmark, write_report):

@@ -200,7 +200,7 @@ class ServeResult:
         if self.report is None or self.warmup_fraction <= 0.0:
             return None
         warmup = self.warmup_fraction
-        served = bool(self.report.steady_records(warmup))
+        served = bool(self.report.num_completed)
         stats = {
             "warmup_fraction": warmup,
             "sustained_qps": self.report.steady_qps(warmup),
@@ -326,7 +326,7 @@ def _render(result: ServeResult) -> str:
         ],
         title="Per-device utilization",
     )
-    served = bool(report.records)
+    served = bool(report.num_completed)
     footer = {
         "queueing delay p50 (ms)": (
             round(report.queueing_delay_percentile(50) * 1e3, 2) if served else None

@@ -389,7 +389,9 @@ class LiveGateway:
                 self.report.num_hedge_wins += 1
         self._release_kv(planned)
         self.core.finalize(planned)
-        for record in self.report.records[-len(planned.requests):]:
+        ledger = self.report.ledger
+        for row in range(len(ledger) - len(planned.requests), len(ledger)):
+            record = ledger.record(row)
             request_id = record.request.request_id
             self._done[request_id] = record
             future = self._waiters.pop(request_id, None)

@@ -33,11 +33,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-#: Candidates evaluated per wave.  Fixed (never derived from ``jobs``) so
-#: the pruning decisions -- taken at wave boundaries -- are identical
-#: whatever the parallelism, which is what makes ``--jobs`` byte-stable.
-_WAVE_SIZE = 8
-
 from ..devices import Device, build_device, build_fleet, split_fleet_spec
 from ..evaluation.fan_out import fan_out
 from ..evaluation.serving_sweep import slo_spec_from_ms
@@ -48,6 +43,11 @@ from ..serving.routing import get_router
 
 if TYPE_CHECKING:
     from .experiment import PlanConfig
+
+#: Candidates evaluated per wave.  Fixed (never derived from ``jobs``) so
+#: the pruning decisions -- taken at wave boundaries -- are identical
+#: whatever the parallelism, which is what makes ``--jobs`` byte-stable.
+_WAVE_SIZE = 8
 
 __all__ = [
     "CandidateResult",

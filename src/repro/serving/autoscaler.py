@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 from ..registry import REGISTRY, register
 from .core import _EPS
+from .request import _DEADLINE_EPS
 
 __all__ = [
     "Autoscaler",
@@ -166,24 +167,24 @@ class PredictedAttainmentAutoscaler(Autoscaler):
 class _DecisionWindow:
     """The counts behind each :class:`ScaleObservation`, kept incrementally.
 
-    During a run the report's ``records`` and ``shed_requests`` lists only
+    During a run the ledger's rows and the report's ``shed_requests`` only
     grow, so a decision reads just the rows appended since the previous
-    one.  Records land at dispatch, so their start and completion times are
+    one.  Rows land at dispatch, so their start and completion times are
     not in append order: each time waits in a min-heap until a decision's
     horizon ``now + _EPS`` passes it.  A popped time after ``now`` is
     carried into the next window, which also counts it (see
     :class:`ScaleObservation` for the window bounds).
     """
 
-    def __init__(self, records: list, shed_requests: list) -> None:
+    def __init__(self, ledger, shed_requests: list) -> None:
         #: The previous decision's ``now``: the window's exclusive lower bound.
         self.start = 0.0
-        self._records = records
+        self._ledger = ledger
         self._shed_requests = shed_requests
-        self._records_read = 0
+        self._rows_read = 0
         self._shed_read = 0
         # Deadline-carrying completions split by outcome, deadline-carrying
-        # sheds by arrival, and every record's start.
+        # sheds by arrival, and every row's start.
         self._on_time = _WindowedTimes()
         self._late = _WindowedTimes()
         self._shed = _WindowedTimes()
@@ -194,17 +195,22 @@ class _DecisionWindow:
 
         Returns ``(served, on_time, shed, not_started)``: deadline-carrying
         completions in the window, how many of them met their deadline,
-        deadline-carrying sheds in the window, and records that start after
+        deadline-carrying sheds in the window, and rows that start after
         ``now + _EPS``.  ``now`` must not decrease between calls.
         """
         push, starts = heapq.heappush, self._starts
-        records = self._records
-        for record in records[self._records_read :]:
-            push(starts, record.start_time)
-            if record.deadline is not None:
-                resolved = self._on_time if record.on_time else self._late
-                push(resolved.heap, record.completion_time)
-        self._records_read = len(records)
+        ledger = self._ledger
+        read, rows = self._rows_read, len(ledger)
+        batch_start = ledger.start
+        for request, completion, batch in zip(
+            ledger.requests[read:rows], ledger.completion[read:rows], ledger.batch_row[read:rows]
+        ):
+            push(starts, batch_start[batch])
+            deadline = request.deadline
+            if deadline is not None:
+                on_time = completion <= deadline + _DEADLINE_EPS
+                push((self._on_time if on_time else self._late).heap, completion)
+        self._rows_read = rows
         shed_requests = self._shed_requests
         for request in shed_requests[self._shed_read :]:
             if request.deadline is not None:

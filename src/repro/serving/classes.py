@@ -34,6 +34,7 @@ byte-identical shape.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -353,6 +354,14 @@ class ClassSummary:
 #: untagged traffic (all-untagged runs produce no class block at all).
 UNTAGGED = "untagged"
 
+#: The :class:`ClassSummary` counter each shed cause charges (any other
+#: cause is admission control).
+_SHED_COUNTERS = {
+    "shed-predicted": "shed_predicted",
+    "late": "shed_late",
+    "crashed": "shed_crashed",
+}
+
 
 def collect_class_stats(report) -> None:
     """Derive per-class summaries from a finished report (any engine).
@@ -364,52 +373,38 @@ def collect_class_stats(report) -> None:
     the report's ``shed_causes`` map (request_id -> cause), which every shed
     site in the dispatch core and the engines maintains.
     """
-    tagged = any(r.request.request_class is not None for r in report.records) or any(
-        r.request_class is not None for r in report.shed_requests
-    )
-    if not tagged:
+    ledger, shed = report.ledger, report.shed_requests
+    classes = ledger.column("request_class")
+    if all(name is None for name in classes) and all(r.request_class is None for r in shed):
         report.class_summaries = None
         return
     causes = getattr(report, "shed_causes", {}) or {}
     summaries: dict[str, ClassSummary] = {}
+    # Per class: deadline-carrying offered requests, and those met.
+    with_deadline: dict[str, list] = {}
 
-    def entry(name: str | None) -> ClassSummary:
+    def entry(name: str | None, count: int, slo: bool) -> ClassSummary:
         key = name if name is not None else UNTAGGED
-        summary = summaries.get(key)
-        if summary is None:
-            summary = summaries[key] = ClassSummary(name=key)
+        summary = summaries.setdefault(key, ClassSummary(name=key))
+        summary.offered += count
+        with_deadline.setdefault(key, [0, 0])[0] += count if slo else 0
         return summary
 
-    makespan = report.makespan_seconds
-    for record in report.records:
-        summary = entry(record.request.request_class)
-        summary.offered += 1
-        summary.completed += 1
-        if record.on_time:
-            summary.on_time += 1
-    for request in report.shed_requests:
-        summary = entry(request.request_class)
-        summary.offered += 1
+    # Completions per (class, on time, carries a deadline), counted in one pass.
+    on_time_rows = ledger.column("on_time").tolist()
+    outcomes = zip(classes, on_time_rows, ledger.column("has_deadline").tolist())
+    for (name, on_time, slo), count in Counter(outcomes).items():
+        summary = entry(name, count, slo)
+        summary.completed += count
+        if on_time:
+            summary.on_time += count
+            with_deadline[summary.name][1] += count if slo else 0
+    for request in shed:
+        summary = entry(request.request_class, 1, request.deadline is not None)
         summary.shed += 1
-        cause = causes.get(request.request_id, "shed")
-        if cause == "shed-predicted":
-            summary.shed_predicted += 1
-        elif cause == "late":
-            summary.shed_late += 1
-        elif cause == "crashed":
-            summary.shed_crashed += 1
-        else:
-            summary.shed_admission += 1
-    with_deadline: dict[str, list] = {key: [0, 0] for key in summaries}
-    for record in report.records:
-        if record.deadline is not None:
-            key = record.request.request_class or UNTAGGED
-            with_deadline[key][0] += 1
-            if record.on_time:
-                with_deadline[key][1] += 1
-    for request in report.shed_requests:
-        if request.deadline is not None:
-            with_deadline[request.request_class or UNTAGGED][0] += 1
+        cause = _SHED_COUNTERS.get(causes.get(request.request_id), "shed_admission")
+        setattr(summary, cause, getattr(summary, cause) + 1)
+    makespan = report.makespan_seconds
     for key, summary in summaries.items():
         offered_slo, met = with_deadline[key]
         if offered_slo:

@@ -49,11 +49,11 @@ from ..hardware.accelerator import Accelerator
 from ..scheduling.length_aware import LengthAwareScheduler
 from ..transformer.configs import DatasetConfig, get_dataset_config
 from .arrivals import ArrivalProcess
-from .classes import collect_class_stats
+from .classes import collect_class_stats, get_request_class
 from .policies import BatchPolicy, FixedSizeBatcher, LengthBucketedBatcher
-from .request import Request, RequestRecord
+from .request import Request
 from .routing import LeastLoadedRouter, LengthShardedRouter, Router
-from .slo import ProvablyLate, SLOSpec, assign_deadlines
+from .slo import ProvablyLate, SLOSpec
 
 __all__ = [
     "CrashLedger",
@@ -99,8 +99,9 @@ def prepare_stream(
     ``output_lengths`` distribution,
     :class:`~repro.decode.OutputLengthDistribution`) and deadlines (class
     SLOs, then ``slo``) already stamped.  An explicit request list is sorted
-    by arrival and keeps its own output lengths and deadlines; ``slo``
-    stamps the deadline-less ones.
+    by arrival and keeps its own output lengths and deadlines; a
+    deadline-less request gets its registered class's SLO, else ``slo``, as
+    :meth:`~repro.live.LiveGateway.submit` stamps it.
     """
     if isinstance(arrivals, ArrivalProcess):
         requests = arrivals.generate(
@@ -110,8 +111,17 @@ def prepare_stream(
         offered_qps = arrivals.rate_qps
     else:
         requests = sorted(arrivals, key=lambda r: (r.arrival_time, r.request_id))
-        if slo is not None:
-            requests = assign_deadlines(requests, slo)
+        class_slos: dict = {}
+        for position, request in enumerate(requests):
+            name = request.request_class
+            if name is not None and name not in class_slos:
+                try:
+                    class_slos[name] = get_request_class(name).slo
+                except KeyError:  # an unregistered class carries no SLO
+                    class_slos[name] = None
+            spec = class_slos.get(name) or slo
+            if request.deadline is None and spec is not None:
+                requests[position] = replace(request, deadline=spec.deadline_for(request))
         arrival_name = "explicit"
         last = requests[-1].arrival_time if requests else 0.0
         offered_qps = len(requests) / last if last > 0 else None
@@ -193,8 +203,8 @@ class ServingSession:
         collect_class_stats(self.report)
 
     def finish(self, active=None) -> None:
-        """The end-of-run fold: records in completion order, then :meth:`refresh`."""
-        self.report.records.sort(key=lambda r: (r.completion_time, r.request.request_id))
+        """The end-of-run fold: ledger rows in completion order, then :meth:`refresh`."""
+        self.report.ledger.sort()
         self.refresh(active)
 
 
@@ -651,19 +661,11 @@ class DispatchCore:
         self.book_batch(planned)
 
     def land(self, planned: PlannedBatch) -> None:
-        """Append one record per request, completing at its completion offset."""
-        for position, request in enumerate(planned.requests):
-            self.report.records.append(
-                RequestRecord(
-                    request=request,
-                    dispatch_time=planned.dispatch_time,
-                    start_time=planned.start_time,
-                    completion_time=planned.start_time
-                    + planned.execution.completion_offsets[position],
-                    device_index=planned.device_index,
-                    batch_id=planned.batch_id,
-                )
-            )
+        """Land one ledger row per request, completing at its completion offset."""
+        ledger, start = self.report.ledger, planned.start_time
+        row = ledger.add_batch(planned.dispatch_time, start, planned.device_index, planned.batch_id)
+        offsets = planned.execution.completion_offsets
+        ledger.extend(row, planned.requests, [start + offset for offset in offsets])
 
     def book_batch(self, planned: PlannedBatch) -> None:
         """Append the batch's :class:`BatchRecord` and charge its device summary."""

@@ -75,7 +75,7 @@ from .core import (
 from .classes import collect_class_stats  # noqa: F401
 from .core import collect_device_stats  # noqa: F401
 from .policies import BatchPolicy
-from .request import DecodeRequestRecord, Request, RequestRecord
+from .request import CompletionLedger, Request, RequestRecord
 from .routing import Router
 from .slo import SLOSpec
 
@@ -186,7 +186,8 @@ class OnlineServingReport:
     #: / ``"late"`` / ``"crashed"``); feeds per-class accounting, not
     #: serialized.
     shed_causes: dict = field(default_factory=dict)
-    records: list[RequestRecord] = field(default_factory=list)
+    #: Every completed request, as columns (:attr:`records` is the row view).
+    ledger: CompletionLedger = field(default_factory=CompletionLedger, repr=False)
     batches: list[BatchRecord] = field(default_factory=list)
     devices: list[DeviceSummary] = field(default_factory=list)
     #: Stepwise (time, waiting-requests) samples of the central queue.
@@ -233,9 +234,19 @@ class OnlineServingReport:
     # ------------------------------------------------------------------
 
     @property
+    def records(self) -> list[RequestRecord]:
+        """Every completed request as a record, in row order.
+
+        A view built from :attr:`ledger` on first read and again only after
+        more rows land (the live ``/stats`` path) or the end-of-run sort;
+        every metric folds the ledger's columns instead.
+        """
+        return self.ledger.records()
+
+    @property
     def num_completed(self) -> int:
         """Requests actually served (offered minus admission/late sheds)."""
-        return len(self.records)
+        return len(self.ledger)
 
     @property
     def shed_rate(self) -> float:
@@ -247,42 +258,29 @@ class OnlineServingReport:
     @property
     def latencies_seconds(self) -> list[float]:
         """End-to-end per-request latencies in completion order."""
-        return [record.latency for record in self.records]
+        return self.ledger.column("latency").tolist()
 
-    def _metric_array(self, metric: str) -> np.ndarray:
-        """Memoized metric vector over the records (percentile inputs).
+    def _percentile(self, column: str, percentile: float, warmup_fraction: float = 0.0) -> float:
+        values = self.ledger.column(column)
+        if warmup_fraction:
+            values = values[self._steady(warmup_fraction)]
+        if values.size == 0:
+            raise ValueError("no requests were served")
+        return float(np.percentile(values, percentile))
 
-        Percentiles are queried several times per report (p50/p95/p99, table
-        and JSON renderers); rebuilding a Python list for each query was a
-        measurable slice of large sweeps.  The memo keys on the record count,
-        so reports still under construction never serve stale data.
-        """
-        memo = self.__dict__.setdefault("_metric_memo", {})
-        cached = memo.get(metric)
-        if cached is not None and cached[0] == len(self.records):
-            return cached[1]
-        values = np.fromiter(
-            (getattr(record, metric) for record in self.records),
-            dtype=np.float64,
-            count=len(self.records),
-        )
-        memo[metric] = (len(self.records), values)
-        return values
+    def _percentiles_ms(self, column: str, percentiles: tuple) -> dict:
+        """``{"p50": milliseconds, ...}``; all None when nothing was served."""
+        served = self.num_completed
+        return {f"p{q}": self._percentile(column, q) * 1e3 if served else None for q in percentiles}
+
+    def _last(self, column: str) -> float:
+        values = self.ledger.column(column)
+        return float(values.max()) if values.size else 0.0
 
     @property
     def makespan_seconds(self) -> float:
-        """Time at which the last request completed.
-
-        Memoized on the record count like :meth:`_metric_array`: report
-        assembly reads it a score of times, and a report still under
-        construction (the live ``/stats`` path) gets the fresh value.
-        """
-        cached = self.__dict__.get("_makespan_memo")
-        if cached is not None and cached[0] == len(self.records):
-            return cached[1]
-        makespan = max((record.completion_time for record in self.records), default=0.0)
-        self.__dict__["_makespan_memo"] = (len(self.records), makespan)
-        return makespan
+        """Time at which the last request completed."""
+        return self._last("completion")
 
     @property
     def sustained_qps(self) -> float:
@@ -293,15 +291,11 @@ class OnlineServingReport:
 
     def latency_percentile(self, percentile: float) -> float:
         """End-to-end latency percentile in seconds."""
-        if not self.records:
-            raise ValueError("no requests were served")
-        return float(np.percentile(self._metric_array("latency"), percentile))
+        return self._percentile("latency", percentile)
 
     def queueing_delay_percentile(self, percentile: float) -> float:
         """Queueing-delay percentile (arrival to execution start) in seconds."""
-        if not self.records:
-            raise ValueError("no requests were served")
-        return float(np.percentile(self._metric_array("queueing_delay"), percentile))
+        return self._percentile("queueing_delay", percentile)
 
     # ------------------------------------------------------------------
     # Warm-up / steady-state statistics
@@ -310,61 +304,59 @@ class OnlineServingReport:
     @property
     def arrival_horizon_seconds(self) -> float:
         """Time of the last served arrival (the warm-up window's base)."""
-        return max((r.request.arrival_time for r in self.records), default=0.0)
+        return self._last("arrival")
 
-    def steady_records(self, warmup_fraction: float = 0.0) -> list[RequestRecord]:
-        """Records of requests that arrived after the warm-up window.
+    def _steady(self, warmup_fraction: float) -> np.ndarray:
+        """The rows of requests that arrived after the warm-up window.
 
         ``warmup_fraction`` of the *arrival horizon* is discarded so the
         cold-start transient (empty queues, idle devices) does not pollute
         steady-state percentiles.  The cutoff is based on arrival times, not
         the makespan: under overload completions trail arrivals by a long
-        drain, and a makespan-based cutoff could discard every record.  The
-        last arrival always survives; the fallback to the full list only
-        guards degenerate float edge cases.
+        drain, and a makespan-based cutoff could discard every row.  The
+        last arrival always survives; the fallback to every row only guards
+        degenerate float edge cases.
         """
         if not 0.0 <= warmup_fraction < 1.0:
             raise ValueError("warmup_fraction must be in [0, 1)")
-        if warmup_fraction == 0.0 or not self.records:
-            return list(self.records)
-        cutoff = warmup_fraction * self.arrival_horizon_seconds
-        steady = [r for r in self.records if r.request.arrival_time >= cutoff]
-        return steady or list(self.records)
+        arrival = self.ledger.column("arrival")
 
-    def _steady_latency_array(self, warmup_fraction: float) -> np.ndarray:
-        """Memoized post-warm-up latency vector (see :meth:`_metric_array`)."""
-        memo = self.__dict__.setdefault("_steady_memo", {})
-        cached = memo.get(warmup_fraction)
-        if cached is not None and cached[0] == len(self.records):
-            return cached[1]
-        values = np.array(
-            [r.latency for r in self.steady_records(warmup_fraction)], dtype=np.float64
-        )
-        memo[warmup_fraction] = (len(self.records), values)
-        return values
+        def rows():
+            steady = np.flatnonzero(arrival >= warmup_fraction * self.arrival_horizon_seconds)
+            return steady if steady.size else np.arange(arrival.size)
+
+        return self.ledger.cached(("steady", warmup_fraction), rows)
+
+    def steady_records(self, warmup_fraction: float = 0.0) -> list[RequestRecord]:
+        """Records of requests that arrived after the warm-up window (see
+        :meth:`_steady`)."""
+        records = self.records
+        return [records[row] for row in self._steady(warmup_fraction).tolist()]
 
     def steady_latency_percentile(
         self, percentile: float, warmup_fraction: float = 0.0
     ) -> float:
         """Latency percentile over the post-warm-up records."""
-        values = self._steady_latency_array(warmup_fraction)
-        if values.size == 0:
-            raise ValueError("no requests were served")
-        return float(np.percentile(values, percentile))
+        return self._percentile("latency", percentile, warmup_fraction)
+
+    def _steady_window(self, warmup_fraction: float) -> float:
+        """First arrival (or the cutoff) to last completion of the steady rows."""
+        steady = self._steady(warmup_fraction)
+        cutoff = warmup_fraction * self.arrival_horizon_seconds
+        start = min(cutoff, float(self.ledger.column("arrival")[steady].min()))
+        return float(self.ledger.column("completion")[steady].max()) - start
 
     def steady_qps(self, warmup_fraction: float = 0.0) -> float:
         """Completed requests per second over the post-warm-up window."""
         if warmup_fraction == 0.0:
             return self.sustained_qps
-        records = self.steady_records(warmup_fraction)
-        if not records:
+        served = self._steady(warmup_fraction).size
+        if not served:
             return 0.0
-        cutoff = warmup_fraction * self.arrival_horizon_seconds
-        start = min(cutoff, min(r.request.arrival_time for r in records))
-        window = max(r.completion_time for r in records) - start
+        window = self._steady_window(warmup_fraction)
         if window <= 0:
             return 0.0
-        return len(records) / window
+        return served / window
 
     # ------------------------------------------------------------------
     # SLO attainment / goodput
@@ -373,9 +365,16 @@ class OnlineServingReport:
     @property
     def has_slo(self) -> bool:
         """Whether any offered request (served or shed) carried a deadline."""
-        return any(r.deadline is not None for r in self.records) or any(
+        return bool(self.ledger.column("has_deadline").any()) or any(
             r.deadline is not None for r in self.shed_requests
         )
+
+    def _steady_on_time(self, warmup_fraction: float) -> tuple[int, int]:
+        """(deadline-carrying, on-time deadline-carrying) post-warm-up rows."""
+        steady = self._steady(warmup_fraction)
+        has_deadline = self.ledger.column("has_deadline")[steady]
+        on_time = self.ledger.column("on_time")[steady] & has_deadline
+        return int(has_deadline.sum()), int(on_time.sum())
 
     def steady_attainment_rate(self, warmup_fraction: float = 0.0) -> float | None:
         """Fraction of SLO-carrying requests that completed by their deadline.
@@ -389,18 +388,16 @@ class OnlineServingReport:
         cutoff = (
             warmup_fraction * self.arrival_horizon_seconds if warmup_fraction else 0.0
         )
-        served = [
-            r for r in self.steady_records(warmup_fraction) if r.deadline is not None
-        ]
-        shed = [
-            r
+        served, on_time = self._steady_on_time(warmup_fraction)
+        shed = sum(
+            1
             for r in self.shed_requests
             if r.deadline is not None and r.arrival_time >= cutoff
-        ]
-        total = len(served) + len(shed)
+        )
+        total = served + shed
         if total == 0:
             return None
-        return sum(1 for r in served if r.on_time) / total
+        return on_time / total
 
     @property
     def attainment_rate(self) -> float | None:
@@ -416,16 +413,13 @@ class OnlineServingReport:
         """
         if not self.has_slo:
             return None
-        records = self.steady_records(warmup_fraction)
-        on_time = sum(1 for r in records if r.deadline is not None and r.on_time)
-        if not records:
+        _, on_time = self._steady_on_time(warmup_fraction)
+        if not len(self.ledger):
             return 0.0
         if warmup_fraction == 0.0:
             window = self.makespan_seconds
         else:
-            cutoff = warmup_fraction * self.arrival_horizon_seconds
-            start = min(cutoff, min(r.request.arrival_time for r in records))
-            window = max(r.completion_time for r in records) - start
+            window = self._steady_window(warmup_fraction)
         if window <= 0:
             return 0.0
         return on_time / window
@@ -470,7 +464,8 @@ class OnlineServingReport:
         horizon = self.makespan_seconds
         if horizon <= 0:
             return 0.0
-        return sum(record.queueing_delay for record in self.records) / horizon
+        # Summed one row at a time in row order, as the records would be.
+        return sum(self.ledger.column("queueing_delay").tolist()) / horizon
 
     @property
     def average_device_utilization(self) -> float:
@@ -606,15 +601,8 @@ class OnlineServingReport:
             "makespan_seconds": self.makespan_seconds,
             # An all-shed run (tight SLOs + predicted-miss admission) has no
             # records; percentiles render as None rather than raising.
-            "latency_ms": {
-                "p50": self.latency_percentile(50) * 1e3 if self.records else None,
-                "p95": self.latency_percentile(95) * 1e3 if self.records else None,
-                "p99": self.latency_percentile(99) * 1e3 if self.records else None,
-            },
-            "queueing_delay_ms": {
-                "p50": self.queueing_delay_percentile(50) * 1e3 if self.records else None,
-                "p99": self.queueing_delay_percentile(99) * 1e3 if self.records else None,
-            },
+            "latency_ms": self._percentiles_ms("latency", (50, 95, 99)),
+            "queueing_delay_ms": self._percentiles_ms("queueing_delay", (50, 99)),
             "max_queue_depth": self.max_queue_depth,
             "mean_queue_depth": self.mean_queue_depth,
             "mean_waiting_requests": self.mean_waiting_requests,
@@ -677,9 +665,9 @@ class OnlineServingReport:
             "requests": self.num_requests,
             "offered_qps": round(self.offered_qps, 1) if self.offered_qps else None,
             "sustained_qps": round(self.sustained_qps, 1),
-            "p50_ms": round(self.latency_percentile(50) * 1e3, 2) if self.records else None,
-            "p95_ms": round(self.latency_percentile(95) * 1e3, 2) if self.records else None,
-            "p99_ms": round(self.latency_percentile(99) * 1e3, 2) if self.records else None,
+            "p50_ms": round(self.latency_percentile(50) * 1e3, 2) if self.num_completed else None,
+            "p95_ms": round(self.latency_percentile(95) * 1e3, 2) if self.num_completed else None,
+            "p99_ms": round(self.latency_percentile(99) * 1e3, 2) if self.num_completed else None,
             "waiting": round(self.mean_waiting_requests, 1),
             "device_util": round(self.average_device_utilization, 3),
             "shed_rate": round(self.shed_rate, 3),
@@ -718,13 +706,16 @@ class DecodeServingReport(OnlineServingReport):
 
     iteration_level: bool = True
     output_lengths: str | None = None
+    ledger: CompletionLedger = field(
+        default_factory=lambda: CompletionLedger(first_tokens=True), repr=False
+    )
     #: Per-device decode accounting: steps, generated tokens, KV peak/cap.
     decode_devices: list[dict] = field(default_factory=list)
 
     @property
     def total_output_tokens(self) -> int:
         """Tokens generated across all completed requests."""
-        return int(sum(r.request.output_len for r in self.records))
+        return int(self.ledger.column("output_len").sum())
 
     @property
     def sustained_tokens_per_second(self) -> float:
@@ -735,30 +726,29 @@ class DecodeServingReport(OnlineServingReport):
 
     def ttft_percentile(self, percentile: float) -> float:
         """Time-to-first-token percentile in seconds."""
-        if not self.records:
-            raise ValueError("no requests were served")
-        return float(np.percentile(self._metric_array("ttft"), percentile))
+        return self._percentile("ttft", percentile)
 
     def inter_token_percentile(self, percentile: float) -> float | None:
         """Per-token decode latency percentile in seconds (None when the
         stream generated no tokens past prefill)."""
-        values = [
-            r.inter_token_latency for r in self.records if r.inter_token_latency is not None
-        ]
-        if not values:
+        ledger = self.ledger
+
+        def gaps():
+            extra = ledger.column("output_len") - 1
+            decoded = extra > 0
+            done, first = ledger.column("completion"), ledger.column("first_token")
+            return (done[decoded] - first[decoded]) / extra[decoded]
+
+        values = ledger.cached("inter_token", gaps)
+        if values.size == 0:
             return None
-        return float(np.percentile(np.array(values, dtype=np.float64), percentile))
+        return float(np.percentile(values, percentile))
 
     def steady_ttft_percentile(
         self, percentile: float, warmup_fraction: float = 0.0
     ) -> float:
         """TTFT percentile over the post-warm-up records."""
-        values = np.array(
-            [r.ttft for r in self.steady_records(warmup_fraction)], dtype=np.float64
-        )
-        if values.size == 0:
-            raise ValueError("no requests were served")
-        return float(np.percentile(values, percentile))
+        return self._percentile("ttft", percentile, warmup_fraction)
 
     @property
     def num_decode_steps(self) -> int:
@@ -778,10 +768,7 @@ class DecodeServingReport(OnlineServingReport):
                 "total_output_tokens": self.total_output_tokens,
                 "sustained_tokens_per_second": self.sustained_tokens_per_second,
                 # Like latency_ms: an all-shed run renders None, not a raise.
-                "ttft_ms": {
-                    "p50": self.ttft_percentile(50) * 1e3 if self.records else None,
-                    "p95": self.ttft_percentile(95) * 1e3 if self.records else None,
-                },
+                "ttft_ms": self._percentiles_ms("ttft", (50, 95)),
                 "inter_token_ms": {
                     "p50": itl_p50 * 1e3 if itl_p50 is not None else None,
                     "p95": itl_p95 * 1e3 if itl_p95 is not None else None,
@@ -795,7 +782,7 @@ class DecodeServingReport(OnlineServingReport):
         row = super().as_row()
         row["mode"] = "iteration" if self.iteration_level else "request"
         row["ttft_p50_ms"] = (
-            round(self.ttft_percentile(50) * 1e3, 2) if self.records else None
+            round(self.ttft_percentile(50) * 1e3, 2) if self.num_completed else None
         )
         itl = self.inter_token_percentile(50)
         row["itl_p50_ms"] = round(itl * 1e3, 3) if itl is not None else None
@@ -835,8 +822,8 @@ class _RunningRequest:
     """One request past prefill, decoding on (or waiting to join) a device."""
 
     request: Request
-    #: The prefill batch that produced the first token.
-    prefill: PlannedBatch
+    #: The ledger's batch row of the prefill that produced the first token.
+    batch_row: int
     #: When prefill finishes: the first token, and the earliest join instant.
     ready_time: float
     #: Tokens produced so far (prefill produces the first).
@@ -850,17 +837,6 @@ class _RunningRequest:
     @property
     def done(self) -> bool:
         return self.generated >= self.request.output_len
-
-    def record(self, completion_time: float) -> DecodeRequestRecord:
-        return DecodeRequestRecord(
-            request=self.request,
-            dispatch_time=self.prefill.dispatch_time,
-            start_time=self.prefill.start_time,
-            completion_time=completion_time,
-            device_index=self.prefill.device_index,
-            batch_id=self.prefill.batch_id,
-            first_token_time=self.ready_time,
-        )
 
 
 @dataclass
@@ -905,10 +881,8 @@ class _SimCore(DispatchCore):
     def __init__(self, *args, pool_size: int, iteration_level: bool, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self.iteration_level = iteration_level
-        #: A decode run records every request with its first token's time.
-        self._record_type = (
-            DecodeRequestRecord if isinstance(self.report, DecodeServingReport) else RequestRecord
-        )
+        #: Only a decode run has requests that generate more than one token.
+        self._decode_run = isinstance(self.report, DecodeServingReport)
         self.states = [_DeviceDecodeState() for _ in range(pool_size)]
         #: A prefill was refused for KV at this instant: the policy timer
         #: must not pull the loop back to ``now`` until something frees.
@@ -986,10 +960,15 @@ class _SimCore(DispatchCore):
         admission sees this batch's reservation.
         """
         index, start = planned.device_index, planned.start_time
-        dispatch, batch_id = planned.dispatch_time, planned.batch_id
         device, state = self.fleet[index], self.states[index]
         capacity = device.kv_cache_bytes
-        records, record = self.report.records, self._record_type
+        if capacity is None and not self._decode_run:
+            # Every request completes at prefill and reserves nothing.
+            DispatchCore.land(self, planned)
+            return
+        ledger = self.report.ledger
+        row = ledger.add_batch(planned.dispatch_time, start, index, planned.batch_id)
+        done, done_at = [], []
         joined = False
         for request, offset in zip(planned.requests, planned.execution.completion_offsets):
             first_token = start + offset
@@ -1000,14 +979,16 @@ class _SimCore(DispatchCore):
             if request.output_len == 1:
                 # Prefill produced the only token: the request completes
                 # here, and its KV frees at completion.
-                records.append(record(request, dispatch, start, first_token, index, batch_id))
+                done.append(request)
+                done_at.append(first_token)
                 if capacity is not None:
                     heapq.heappush(state.release_heap, (first_token, nbytes))
                     self._releases += 1
             else:
-                state.joiners.append(_RunningRequest(request, planned, ready_time=first_token))
+                state.joiners.append(_RunningRequest(request, row, ready_time=first_token))
                 self._decoding += 1
                 joined = True
+        ledger.extend(row, done, done_at)
         if joined:
             # Timsort keeps this cheap: only the new batch is out of order.
             state.joiners.sort(key=lambda j: (j.ready_time, j.request.request_id))
@@ -1025,7 +1006,9 @@ class _SimCore(DispatchCore):
             member.generated += 1
             state.decode_tokens += 1
             if member.done:
-                self.report.records.append(member.record(step_end))
+                self.report.ledger.extend(
+                    member.batch_row, [member.request], [step_end], [member.ready_time]
+                )
                 self._decoding -= 1
                 if self.iteration_level:
                     self._release_kv(index, member.request)
@@ -1439,7 +1422,7 @@ def _run_events(
     stall_steps = 0
     if autoscaling:
         # Per-decision counts, read from the rows appended since the last.
-        window = _DecisionWindow(report.records, report.shed_requests)
+        window = _DecisionWindow(report.ledger, report.shed_requests)
         for index in range(len(active)):
             online_since[index] = 0.0
         report.scaling_timeline.append((0.0, len(active)))
@@ -1562,7 +1545,7 @@ def _run_events(
                 # a policy that never forms another batch while decisions
                 # keep the event stream alive, instead of spinning forever.
                 signature = (
-                    len(report.records),
+                    len(report.ledger),
                     len(report.shed_requests),
                     len(active),
                     len(pending_online),

@@ -9,14 +9,20 @@ dispatched and finished it, the request is wrapped in a
 arrival, batch formation (dispatch), execution start on the device, and
 completion -- so that queueing delay, service time, end-to-end latency, and
 deadline attainment can all be reported separately; a decode run's
-:class:`DecodeRequestRecord` adds the first token's time.
+:class:`DecodeRequestRecord` adds the first token's time.  A run keeps its
+completions as columns in a :class:`CompletionLedger` and builds the records
+only when asked for them.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from operator import attrgetter
 
-__all__ = ["DecodeRequestRecord", "Request", "RequestRecord"]
+import numpy as np
+
+__all__ = ["CompletionLedger", "DecodeRequestRecord", "Request", "RequestRecord"]
 
 #: Tolerance when comparing completion times against deadlines.
 _DEADLINE_EPS = 1e-9
@@ -136,3 +142,118 @@ class DecodeRequestRecord(RequestRecord):
         if extra <= 0:
             return None
         return (self.completion_time - self.first_token_time) / extra
+
+
+def _request_column(attr: str, dtype):
+    getter = attrgetter(attr)
+    return lambda ledger: np.fromiter(map(getter, ledger.requests), dtype, len(ledger))
+
+
+#: How each :meth:`CompletionLedger.column` is folded from the stored columns.
+_COLUMNS = {
+    "arrival": _request_column("arrival_time", np.float64),
+    "request_id": _request_column("request_id", np.int64),
+    "output_len": _request_column("output_len", np.int64),
+    # None (no SLO) becomes NaN.
+    "deadline": lambda ledger: np.array([r.deadline for r in ledger.requests], np.float64),
+    "completion": lambda ledger: np.array(ledger.completion),
+    "first_token": lambda ledger: np.array(ledger.first_token),
+    "start": lambda ledger: np.array(ledger.start)[np.array(ledger.batch_row)],
+    "latency": lambda ledger: ledger.column("completion") - ledger.column("arrival"),
+    "queueing_delay": lambda ledger: ledger.column("start") - ledger.column("arrival"),
+    "ttft": lambda ledger: ledger.column("first_token") - ledger.column("arrival"),
+    "has_deadline": lambda ledger: ~np.isnan(ledger.column("deadline")),
+    # RequestRecord.on_time, row by row: vacuously true without a deadline.
+    "on_time": lambda ledger: ~ledger.column("has_deadline")
+    | (ledger.column("completion") <= ledger.column("deadline") + _DEADLINE_EPS),
+    "request_class": lambda ledger: [r.request_class for r in ledger.requests],
+}
+
+
+class CompletionLedger:
+    """Every completed request of a run, one row each, kept as columns.
+
+    A batch lands as column extends (:meth:`add_batch`, then :meth:`extend`):
+    the requests, their completion times and each row's batch row, while the
+    dispatch time, start, device and batch id are stored once per batch.  A
+    decode run's ledger (``first_tokens=True``) also keeps each row's
+    first-token time.  Rows stay in landing order until :meth:`sort` puts
+    them in completion order, ties by request id.  ``version`` changes with
+    every row landed and every sort, so :meth:`cached` folds are never stale
+    on a ledger that is still growing.
+    """
+
+    def __init__(self, first_tokens: bool = False) -> None:
+        self.requests: list[Request] = []
+        self.completion = array("d")
+        self.batch_row = array("q")
+        self.first_token = array("d") if first_tokens else None
+        self.dispatch = array("d")
+        self.start = array("d")
+        self.device = array("q")
+        self.batch_id = array("q")
+        self.version = 0
+        self._memo: dict = {}
+
+    def __len__(self) -> int:
+        return len(self.requests)
+
+    def add_batch(self, dispatch: float, start: float, device: int, batch_id: int) -> int:
+        """Store one batch's values; returns its batch row for :meth:`extend`."""
+        self.dispatch.append(dispatch)
+        self.start.append(start)
+        self.device.append(device)
+        self.batch_id.append(batch_id)
+        return len(self.batch_id) - 1
+
+    def extend(self, batch_row: int, requests: list, completions: list, first_tokens=None) -> None:
+        """Land requests of one batch that complete at ``completions``.
+
+        A decode run's ledger also keeps ``first_tokens`` (by default the
+        completions: a one-token request's only token is its last).
+        """
+        if not requests:
+            return
+        self.requests.extend(requests)
+        self.completion.extend(completions)
+        self.batch_row.extend([batch_row] * len(requests))
+        if self.first_token is not None:
+            self.first_token.extend(completions if first_tokens is None else first_tokens)
+        self.version += 1
+
+    def cached(self, key, compute):
+        """``compute()``, memoized until the next row lands or the next sort."""
+        hit = self._memo.get(key)
+        if hit is not None and hit[0] == self.version:
+            return hit[1]
+        value = compute()
+        self._memo[key] = (self.version, value)
+        return value
+
+    def column(self, name: str):
+        """One value per row, in row order (see ``_COLUMNS`` for the names)."""
+        return self.cached(name, lambda: _COLUMNS[name](self))
+
+    def sort(self) -> None:
+        """Put the rows in completion order, ties by request id."""
+        order = np.lexsort((self.column("request_id"), self.column("completion")))
+        rows = order.tolist()
+        self.requests = [self.requests[i] for i in rows]
+        for name in ("completion", "batch_row", "first_token"):
+            stored = getattr(self, name)
+            if stored is not None:
+                setattr(self, name, array(stored.typecode, np.array(stored)[order].tobytes()))
+        self.version += 1
+
+    def record(self, row: int) -> RequestRecord:
+        """Row ``row`` as a record."""
+        batch = self.batch_row[row]
+        fields = (self.requests[row], self.dispatch[batch], self.start[batch])
+        fields += (self.completion[row], self.device[batch], self.batch_id[batch])
+        if self.first_token is None:
+            return RequestRecord(*fields)
+        return DecodeRequestRecord(*fields, self.first_token[row])
+
+    def records(self) -> list[RequestRecord]:
+        """Every row as a record, in row order; built once per ``version``."""
+        return self.cached("records", lambda: [self.record(row) for row in range(len(self))])

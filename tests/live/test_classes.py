@@ -22,11 +22,13 @@ from repro.live import (
     load_validation_trace,
     replay_trace,
     simulate_trace,
+    trace_requests,
     validation_gateway,
 )
 from repro.registry import REGISTRY
 from repro.serving import ClassMixArrivals, FixedSizeBatcher, PoissonArrivals, SLOSpec
 from repro.serving.classes import RequestClass
+from repro.serving.core import prepare_stream
 
 #: Deterministic tagging of the checked-in trace: cycle the built-in
 #: classes by entry index (the trace is replayed sorted by arrival).
@@ -205,3 +207,44 @@ def test_sim_class_deadlines_equal_what_submit_stamps(monkeypatch):
 
     stamped = asyncio.run(scenario())
     assert [r.deadline for r in stamped] == [r.deadline for r in stream]
+
+
+def test_explicit_requests_get_the_class_slo_submit_stamps():
+    """A replayed trace entry with a class and no ``slo_ms`` carries its
+    class's deadline in the simulator, as ``submit`` stamps it live: the
+    class SLO first, then the run's."""
+    run_slo = SLOSpec(base_s=1.0)
+    entries = [
+        {"t": 0.0, "length": 32, "class": "interactive"},
+        {"t": 0.01, "length": 40, "class": "best-effort"},
+        {"t": 0.02, "length": 48},
+        {"t": 0.03, "length": 56, "class": "interactive", "slo_ms": 7.0},
+    ]
+    stream, _, _ = prepare_stream("mrpc", trace_requests(entries), None, 0, run_slo)
+
+    async def scenario():
+        gateway = LiveGateway(
+            build_fleet(("gpu-rtx6000",)), "mrpc", slo=run_slo, rebase_on_first_ingest=False
+        )
+        await gateway.start()
+        stamped = []
+        for entry in entries:
+            gateway.clock.now = lambda instant=entry["t"]: instant
+            result = gateway.submit(
+                length=entry["length"],
+                slo_ms=entry.get("slo_ms"),
+                request_class=entry.get("class"),
+            )
+            stamped.append(result.request)
+        del gateway.clock.now
+        await gateway.shutdown()
+        return stamped
+
+    live = asyncio.run(scenario())
+    assert stream[0].deadline == 0.05
+    assert [r.deadline for r in stream] == [r.deadline for r in live]
+    # best-effort has no SLO and an untagged entry no class: the run's SLO.
+    assert stream[1].deadline == 0.01 + 1.0
+    assert stream[2].deadline == 0.02 + 1.0
+    # An entry's own deadline always stands.
+    assert stream[3].deadline == 0.03 + 7.0 / 1e3

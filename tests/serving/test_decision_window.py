@@ -1,13 +1,14 @@
 """The autoscaler's incremental decision window against a rescan per decision.
 
 Each autoscaler decision observes the deadline-carrying completions and
-sheds in ``(previous now, now + _EPS]`` and the records that have not
+sheds in ``(previous now, now + _EPS]`` and the completions that have not
 started by ``now + _EPS``.  ``_DecisionWindow`` keeps those counts from the
-rows appended since the previous decision; the oracle here is the rescan of
-every record and shed request that the engine ran on each decision before
-it.  Times sit on a grid of ``_EPS / 2`` around the decision instants, so
-every window boundary is hit: at or before the previous ``now``, inside,
-exactly at ``now + _EPS`` and within ``_EPS`` after ``now``.
+ledger rows appended since the previous decision; the oracle here is the
+rescan of every record and shed request that the engine ran on each
+decision before it, over records built independently of the ledger the
+window reads.  Times sit on a grid of ``_EPS / 2`` around the decision
+instants, so every window boundary is hit: at or before the previous
+``now``, inside, exactly at ``now + _EPS`` and within ``_EPS`` after ``now``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule
 from repro.serving import Request
 from repro.serving.autoscaler import _DecisionWindow
 from repro.serving.core import _EPS
-from repro.serving.request import RequestRecord
+from repro.serving.request import CompletionLedger, RequestRecord
 
 _STEP = _EPS / 2
 
@@ -54,6 +55,14 @@ def _record(request_id, start, completion, deadline):
     )
 
 
+def _land(ledger, record):
+    """Land ``record`` in ``ledger`` as a one-request batch."""
+    row = ledger.add_batch(
+        record.dispatch_time, record.start_time, record.device_index, record.batch_id
+    )
+    ledger.extend(row, [record.request], [record.completion_time])
+
+
 #: Offsets from the current ``now`` in grid steps: mostly around the window
 #: boundaries, sometimes far before or after them, or exactly ``now + _EPS``
 #: (grid arithmetic need not land on that float).
@@ -66,8 +75,9 @@ class DecisionWindowMachine(RuleBasedStateMachine):
         self.base = base
         self.ticks = 0
         self.records: list[RequestRecord] = []
+        self.ledger = CompletionLedger()
         self.shed_requests: list[Request] = []
-        self.window = _DecisionWindow(self.records, self.shed_requests)
+        self.window = _DecisionWindow(self.ledger, self.shed_requests)
         self.window_start = 0.0
         self.next_id = 0
 
@@ -92,9 +102,9 @@ class DecisionWindowMachine(RuleBasedStateMachine):
             "late": max(0.0, completion_time - 1e-6),
             "at-completion": completion_time,
         }[deadline]
-        self.records.append(
-            _record(self.next_id, self._at(start), completion_time, deadline_time)
-        )
+        record = _record(self.next_id, self._at(start), completion_time, deadline_time)
+        self.records.append(record)
+        _land(self.ledger, record)
         self.next_id += 1
 
     @rule(arrival=_OFFSETS, deadline=st.booleans())
@@ -114,6 +124,7 @@ class DecisionWindowMachine(RuleBasedStateMachine):
         expected = _rescan(self.records, self.shed_requests, self.window_start, now)
         assert self.window.advance(now) == expected
         assert self.window.start == now
+        assert self.ledger.records() == self.records
         self.window_start = now
 
 
@@ -145,11 +156,12 @@ class _CountingList(list):
 
 
 def test_each_record_is_read_once_across_decisions():
-    """20k records over 200 decisions: a rescan would read each record twice
-    per decision; the window reads each one at most twice in total."""
-    records, shed_requests = _CountingList(), _CountingList()
+    """20k rows over 200 decisions: a rescan would read each row twice per
+    decision; the window reads each one at most twice in total."""
+    ledger, shed_requests = CompletionLedger(), _CountingList()
+    requests = ledger.requests = _CountingList()
     plain_records: list[RequestRecord] = []
-    window = _DecisionWindow(records, shed_requests)
+    window = _DecisionWindow(ledger, shed_requests)
     window_start = 0.0
     for decision in range(1, 201):
         now = decision * 0.01
@@ -160,12 +172,12 @@ def test_each_record_is_read_once_across_decisions():
             completion = start + 0.0001 * ((request_id * 11) % 500)
             deadline = None if request_id % 5 == 0 else completion + (0.01 if i % 3 else -0.01)
             record = _record(request_id, start, completion, deadline)
-            records.append(record)
+            _land(ledger, record)
             plain_records.append(record)
         counts = window.advance(now)
         if decision % 40 == 0:
             assert counts == _rescan(plain_records, [], window_start, now)
         window_start = now
-    assert len(records) == 20_000
-    assert records.reads <= 2 * len(records)
+    assert len(ledger) == 20_000
+    assert requests.reads <= 2 * len(requests)
     assert shed_requests.reads == 0

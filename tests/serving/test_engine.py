@@ -9,14 +9,6 @@ import warnings
 
 import pytest
 
-
-@contextlib.contextmanager
-def warnings_none():
-    """Assert the block emits no warnings."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        yield
-
 from repro.datasets.batching import sorted_batches
 from repro.datasets.length_distributions import sample_lengths
 from repro.hardware.accelerator import build_sparse_accelerator
@@ -36,6 +28,15 @@ from repro.serving import (
 )
 from repro.serving.core import ServingSession
 from repro.transformer.configs import DATASET_ZOO, MRPC, RTE, ModelConfig
+
+
+@contextlib.contextmanager
+def warnings_none():
+    """Assert the block emits no warnings."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
 
 _SMALL_MODEL = ModelConfig(name="serve-2L", num_layers=2, hidden_dim=768, num_heads=12)
 
@@ -415,16 +416,16 @@ class TestReportMemo:
         assert report.to_dict()["makespan_seconds"] == makespan
         assert makespan == max(r.completion_time for r in report.records)
         last = report.records[-1]
-        later = dataclasses.replace(
-            last,
-            request=dataclasses.replace(last.request, request_id=48),
-            completion_time=makespan + 1.0,
-        )
-        report.records.append(later)
-        # The memo keys on the record count: a growing report (the live
-        # gateway's mid-run /stats) never serves the stale value.
+        later = dataclasses.replace(last.request, request_id=48)
+        ledger = report.ledger
+        row = ledger.add_batch(last.dispatch_time, last.start_time, 0, last.batch_id + 1)
+        ledger.extend(row, [later], [makespan + 1.0])
+        # The memos key on the ledger's version: a growing report (the live
+        # gateway's mid-run /stats) never serves a stale value, nor a stale view.
         assert report.makespan_seconds == makespan + 1.0
         assert report.to_dict()["makespan_seconds"] == makespan + 1.0
+        assert report.records[-1].request is later
+        assert report.records[-1].completion_time == makespan + 1.0
 
     def test_to_dict_unchanged_across_finish(self, accelerator, monkeypatch):
         def run():
@@ -449,9 +450,9 @@ class TestReportMemo:
 
         monkeypatch.setattr(ServingSession, "finish", snapshot_then_finish)
         report = run()
-        # finish() re-sorts the records (same count, so the memo survives):
-        # order-free values carry over, and the final payload is exactly the
-        # one a report never read before finish() produces.
+        # finish() re-sorts the ledger rows: order-free values carry over,
+        # and the final payload is exactly the one a report never read
+        # before finish() produces.
         assert snapshots[0]["makespan_seconds"] == report.makespan_seconds
         assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
             untouched, sort_keys=True

@@ -288,14 +288,13 @@ def _cmd_live(args: argparse.Namespace) -> str:
         return text
 
     from .devices import build_fleet
-    from .serving import SLOSpec, get_batch_policy, get_router
+    from .evaluation.serving_sweep import slo_spec_from_ms
+    from .serving import ServingOptions, get_batch_policy, get_router
 
     try:
-        # Bad flags surface here, while building the gateway: config errors.
+        # Bad flags surface here, while building the options: config errors.
         fleet = build_fleet(tuple(args.devices), dataset=args.dataset)
-        gateway = LiveGateway(
-            fleet,
-            args.dataset,
+        options = ServingOptions(
             batch_policy=get_batch_policy(
                 args.batch_policy,
                 batch_size=args.batch_size,
@@ -303,10 +302,11 @@ def _cmd_live(args: argparse.Namespace) -> str:
             ),
             router=get_router(args.routing),
             max_queue_depth=args.max_queue_depth,
-            slo=SLOSpec(base_s=args.slo_ms / 1e3) if args.slo_ms is not None else None,
+            slo=slo_spec_from_ms(args.slo_ms),
             shed_on_predicted_miss=args.shed_on_predicted_miss,
             continuous_batching=args.continuous_batching,
         )
+        gateway = LiveGateway(fleet, args.dataset, options)
     except (ValueError, KeyError) as error:
         raise _input_error(error) from error
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 from ..serving.engine import DecodeServingReport, simulate_online
 
 # These names stay importable here because perfbench/tracing.py wraps them by
-# module attribute.
+# module attribute (its traced repeats fail if one is deleted or moved).
 from ..serving.classes import collect_class_stats  # noqa: F401
 from ..serving.core import collect_device_stats  # noqa: F401
 from .output_lengths import generate_decode_requests  # noqa: F401

@@ -22,7 +22,7 @@ for:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .. import config as global_config
 from ..core.sparse_attention import make_sparse_attention_impl
@@ -33,12 +33,13 @@ from ..evaluation.report import format_key_values, format_table
 from ..evaluation.serving_sweep import (
     DEFAULT_LOAD_FRACTIONS,
     DEFAULT_WARMUP_FRACTION,
+    slo_spec_from_ms,
 )
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.engine import DecodeServingReport, simulate_online
-from ..serving.slo import SLOSpec
+from ..serving.options import ServingOptions
 from ..transformer.configs import (
     DATASET_ZOO,
     MODEL_ZOO,
@@ -288,13 +289,7 @@ class DecodeSweepConfig(ExperimentConfig):
             raise ValueError("mean_output_len must be >= 1")
         if self.max_output_len < 1:
             raise ValueError("max_output_len must be >= 1")
-        if self.slo_ms is not None and self.slo_ms < 0:
-            raise ValueError("slo_ms must be >= 0 (or none for no deadlines)")
-        if self.slo_per_token_ms < 0 or self.slo_per_output_token_ms < 0:
-            raise ValueError("slo per-token budgets must be >= 0")
-        if (
-            self.slo_per_token_ms > 0 or self.slo_per_output_token_ms > 0
-        ) and self.slo_ms is None:
+        if (self.slo_per_token_ms or self.slo_per_output_token_ms) and self.slo_ms is None:
             raise ValueError(
                 "per-token budgets need slo_ms (use --slo-ms 0 for purely "
                 "proportional budgets)"
@@ -317,6 +312,15 @@ class DecodeSweepConfig(ExperimentConfig):
                 f"arrival '{self.arrival}' is not rate-driven; the sweep sets "
                 "the offered rate from the measured capacity"
             )
+        self.options()
+
+    def options(self) -> ServingOptions:
+        """The engine options of an iteration-level sweep point (ms -> s)."""
+        return ServingOptions(
+            seed=self.seed,
+            slo=slo_spec_from_ms(self.slo_ms, self.slo_per_token_ms, self.slo_per_output_token_ms),
+            output_lengths=_output_distribution(self),
+        )
 
 
 def _kv_cache_bytes(kv_cache_mb: float | None) -> int | None:
@@ -349,16 +353,6 @@ def _build_device(config: DecodeSweepConfig, top_k: int | None = None) -> Device
     if top_k is not None:
         knobs["top_k"] = top_k
     return build_device(config.device, **knobs)
-
-
-def _slo_spec(config: DecodeSweepConfig) -> SLOSpec | None:
-    if config.slo_ms is None:
-        return None
-    return SLOSpec(
-        base_s=config.slo_ms * 1e-3,
-        per_token_s=config.slo_per_token_ms * 1e-3,
-        per_output_token_s=config.slo_per_output_token_ms * 1e-3,
-    )
 
 
 def decode_concurrency_limit(
@@ -453,20 +447,18 @@ def run_decode_sweep(config: DecodeSweepConfig | None = None) -> DecodeSweepResu
     """Run the decode serving sweep (see :class:`DecodeSweepConfig`)."""
     config = config or DecodeSweepConfig()
     config.validate()
-    distribution = _output_distribution(config)
+    options = config.options()
+    distribution, slo = options.output_lengths, options.slo
     dataset = get_dataset_config(config.dataset)
-    slo = _slo_spec(config)
 
     # Capacity reference: drain a closed-loop decode stream through the
     # iteration-level engine; offered load is expressed as fractions of it.
     capacity_report = simulate_online(
         _build_device(config),
         dataset,
-        arrivals=ClosedLoopArrivals(sort_by_length=True),
-        num_requests=config.requests,
-        output_lengths=distribution,
-        seed=config.seed,
-        iteration_level=True,
+        ClosedLoopArrivals(sort_by_length=True),
+        config.requests,
+        replace(options, slo=None),
     )
     capacity = capacity_report.sustained_qps
 
@@ -491,12 +483,9 @@ def run_decode_sweep(config: DecodeSweepConfig | None = None) -> DecodeSweepResu
             report = simulate_online(
                 _build_device(config),
                 dataset,
-                arrivals=get_arrival_process(config.arrival, rate_qps=offered),
-                num_requests=config.requests,
-                output_lengths=distribution,
-                seed=config.seed,
-                slo=slo,
-                iteration_level=(mode == "iteration"),
+                get_arrival_process(config.arrival, rate_qps=offered),
+                config.requests,
+                replace(options, iteration_level=mode == "iteration"),
             )
             result.points.append(
                 DecodePoint(

@@ -22,13 +22,13 @@ batch-drain mode).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..devices import split_fleet_spec
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import resolve_component
-from ..serving import OnlineServingReport, TraceArrivals, get_arrival_process
+from ..serving import OnlineServingReport, ServingOptions, TraceArrivals, get_arrival_process
 from ..serving.arrivals import _is_rate_driven, load_trace
 from ..serving.classes import parse_class_queue_limits
 from ..transformer.configs import DATASET_ZOO, get_model_config
@@ -148,24 +148,8 @@ class ServeConfig(ServingKnobs):
                 f"arrival '{self.arrival}' is not rate-driven; drop qps "
                 "(trace replays its recorded times, closed-loop queues everything at t=0)"
             )
-        if self.provisioning_lag_s < 0:
-            raise ValueError("provisioning_lag_s must be >= 0")
-        if self.autoscale_interval_s <= 0:
-            raise ValueError("autoscale_interval_s must be > 0")
-        if self.min_devices < 1:
-            raise ValueError("min_devices must be >= 1")
         if self.autoscaler is not None:
             resolve_component("autoscaler", self.autoscaler)
-            pool = self.num_accelerators * len(split_fleet_spec(self.devices))
-            if self.min_devices > pool:
-                raise ValueError(
-                    f"min_devices ({self.min_devices}) exceeds the {pool}-device pool"
-                )
-        elif self.min_devices != 1:
-            raise ValueError("min_devices sizes an elastic pool and needs an autoscaler")
-        if self.class_queue_limits is not None:
-            with _config_error("class_queue_limits"):
-                parse_class_queue_limits(self.class_queue_limits)
         if rate_driven and self.qps is None:
             for knob in _ONLINE_ONLY_KNOBS:
                 if getattr(self, knob) not in (None, False):
@@ -173,6 +157,21 @@ class ServeConfig(ServingKnobs):
                         f"{knob} needs a single online run: give qps or use a "
                         "non-rate arrival (trace), not the load sweep"
                     )
+
+    def options(self, fault_name: str | None = None) -> ServingOptions:
+        """The shared knobs' options plus the ones only a single online run sets."""
+        limits = self.class_queue_limits
+        with _config_error("class_queue_limits"):
+            limits = None if limits is None else parse_class_queue_limits(limits)
+        return replace(
+            super().options(fault_name),
+            shed_on_predicted_miss=self.shed_on_predicted_miss,
+            class_queue_limits=limits,
+            autoscaler=self.autoscaler,
+            provisioning_lag_s=self.provisioning_lag_s,
+            autoscale_interval_s=self.autoscale_interval_s,
+            min_devices=self.min_devices,
+        )
 
     def is_rate_driven(self) -> bool:
         """Whether the configured arrival process is driven by an offered rate."""
@@ -273,16 +272,6 @@ def _run_spec(config: ServeConfig) -> ServeResult:
         config.batch_policy,
         config.routing,
         config.faults,
-        shed_on_predicted_miss=config.shed_on_predicted_miss,
-        class_queue_limits=(
-            None
-            if config.class_queue_limits is None
-            else parse_class_queue_limits(config.class_queue_limits)
-        ),
-        autoscaler=config.autoscaler,
-        provisioning_lag_s=config.provisioning_lag_s,
-        autoscale_interval_s=config.autoscale_interval_s,
-        min_devices=config.min_devices,
     )
     return ServeResult(
         mode="online",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..devices import Device, build_fleet, split_fleet_spec
 from ..devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
@@ -29,6 +29,7 @@ from ..faults import FaultSchedule, get_fault_schedule
 from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
 from ..serving.classes import ClassMixArrivals, parse_class_mix
 from ..serving.engine import OnlineServingReport, simulate_online
+from ..serving.options import ServingOptions
 from ..serving.policies import BatchPolicy, FixedSizeBatcher, get_batch_policy
 from ..serving.routing import get_router
 from ..serving.slo import SLOSpec
@@ -284,11 +285,11 @@ def _config_error(label: str):
 class ServingKnobs(ExperimentConfig):
     """The knobs ``serve`` and ``serving-sweep`` share, declared once.
 
-    This class holds the only range checks for them (:meth:`validate`) and
-    the only mapping from them to the engine (:meth:`fleet`,
-    :meth:`simulate`).  Subclasses declare ``faults`` / ``classes`` and their
-    batch policies in their own shape and hand them over as tuples through
-    :meth:`axis`.
+    This class holds the only mapping from them to the engine (:meth:`fleet`,
+    :meth:`options`, :meth:`simulate`); :meth:`validate` builds the options
+    once, so the engine's own checks report bad knobs as config errors.
+    Subclasses declare ``faults`` / ``classes`` and their batch policies in
+    their own shape and hand them over as tuples through :meth:`axis`.
     """
 
     requests: int = cfg_field(192, help="requests to simulate (per sweep point)")
@@ -402,13 +403,7 @@ class ServingKnobs(ExperimentConfig):
             raise ValueError("num_accelerators must be >= 1")
         if self.timeout_ms < 0:
             raise ValueError("timeout_ms must be >= 0")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError("max_queue_depth must be >= 1 (or none)")
-        if self.slo_ms is not None and self.slo_ms < 0:
-            raise ValueError("slo_ms must be >= 0 (or none for no deadlines)")
-        if self.slo_per_token_ms < 0:
-            raise ValueError("slo_per_token_ms must be >= 0")
-        if self.slo_per_token_ms > 0 and self.slo_ms is None:
+        if self.slo_per_token_ms and self.slo_ms is None:
             raise ValueError(
                 "slo_per_token_ms needs slo_ms (use --slo-ms 0 for purely "
                 "proportional budgets)"
@@ -425,10 +420,6 @@ class ServingKnobs(ExperimentConfig):
             raise ValueError("fault_multiplier must be >= 1")
         if self.fault_duration_s <= 0:
             raise ValueError("fault_duration_s must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff_ms < 0:
-            raise ValueError("retry_backoff_ms must be >= 0")
         if self.blacklist_ms < 0:
             raise ValueError("blacklist_ms must be >= 0")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -440,6 +431,7 @@ class ServingKnobs(ExperimentConfig):
             raise ValueError("devices must name at least one registered device")
         for name in names:
             resolve_component("device", name)
+        self.options().check_pool(self.num_accelerators * len(names))
         resolve_component("arrival", self.arrival)
         # Building each policy turns its own checks (e.g. num_buckets >= 1
         # for the bucketed batcher) into config errors.
@@ -492,27 +484,13 @@ class ServingKnobs(ExperimentConfig):
             duration_s=self.fault_duration_s,
         )
 
-    def simulate(
-        self,
-        dataset_name: str,
-        arrivals,
-        policy_name: str,
-        router_name: str,
-        fault_name: str | None,
-        **online_knobs,
-    ) -> OnlineServingReport:
-        """One open-loop ``simulate_online`` run on a fresh :meth:`fleet`.
+    def options(self, fault_name: str | None = None) -> ServingOptions:
+        """The engine options these knobs describe: their one mapping (ms -> s).
 
-        ``online_knobs`` are engine keywords only a single ``serve`` run
-        sets (autoscaler, per-class queue limits, predicted-miss shedding).
+        The batch policy and router are left to each run (:meth:`simulate`).
         """
-        return simulate_online(
-            self.fleet(dataset_name),
-            dataset_name,
-            arrivals=arrivals,
-            num_requests=self.requests,
-            batch_policy=self.batch_policy_named(policy_name),
-            router=build_failure_aware_router(router_name, self.blacklist_ms * 1e-3),
+        return ServingOptions(
+            seed=self.seed,
             continuous_batching=self.continuous_batching,
             max_queue_depth=self.max_queue_depth,
             slo=slo_spec_from_ms(self.slo_ms, self.slo_per_token_ms),
@@ -520,8 +498,24 @@ class ServingKnobs(ExperimentConfig):
             hedging=self.hedging,
             max_retries=self.max_retries,
             retry_backoff_s=self.retry_backoff_ms * 1e-3,
-            seed=self.seed,
-            **online_knobs,
+        )
+
+    def simulate(
+        self,
+        dataset_name: str,
+        arrivals,
+        policy_name: str,
+        router_name: str,
+        fault_name: str | None,
+    ) -> OnlineServingReport:
+        """One open-loop ``simulate_online`` run on a fresh :meth:`fleet`."""
+        options = replace(
+            self.options(fault_name),
+            batch_policy=self.batch_policy_named(policy_name),
+            router=build_failure_aware_router(router_name, self.blacklist_ms * 1e-3),
+        )
+        return simulate_online(
+            self.fleet(dataset_name), dataset_name, arrivals, self.requests, options
         )
 
 
@@ -607,11 +601,24 @@ class ServingSweepConfig(ServingKnobs):
             )
 
 
-def slo_spec_from_ms(slo_ms: float | None, slo_per_token_ms: float = 0.0) -> SLOSpec | None:
-    """Build the deadline spec from millisecond config knobs (None = no SLO)."""
+def slo_spec_from_ms(
+    slo_ms: float | None, slo_per_token_ms: float = 0.0, per_output_token_ms: float = 0.0
+) -> SLOSpec | None:
+    """Build the deadline spec from millisecond config knobs (None = no SLO).
+
+    A bad budget raises the spec's own error, prefixed with the ``slo_ms``
+    it came from (the spec names its fields in seconds).
+    """
     if slo_ms is None:
         return None
-    return SLOSpec(base_s=slo_ms * 1e-3, per_token_s=slo_per_token_ms * 1e-3)
+    try:
+        return SLOSpec(
+            base_s=slo_ms * 1e-3,
+            per_token_s=slo_per_token_ms * 1e-3,
+            per_output_token_s=per_output_token_ms * 1e-3,
+        )
+    except ValueError as error:
+        raise ValueError(f"SLO from slo_ms={slo_ms}: {error}") from error
 
 
 def fault_schedules_from_knobs(
@@ -723,16 +730,19 @@ def _capacity_worker(
     drain rate plus the run's schedule-cache lookups (see
     :func:`_probe_digests`) for the sweep's deterministic hit accounting.
     """
+    options = ServingOptions(
+        batch_policy=FixedSizeBatcher(batch_size=config.batch_size),
+        router=get_router(config.router),
+        seed=config.seed,
+        continuous_batching=config.continuous_batching,
+    )
     with GLOBAL_SCHEDULE_CACHE.journal() as keys:
         closed = simulate_online(
             config.fleet(dataset_name),
             dataset_name,
-            arrivals=ClosedLoopArrivals(sort_by_length=True),
-            num_requests=config.requests,
-            batch_policy=FixedSizeBatcher(batch_size=config.batch_size),
-            router=get_router(config.router),
-            continuous_batching=config.continuous_batching,
-            seed=config.seed,
+            ClosedLoopArrivals(sort_by_length=True),
+            config.requests,
+            options,
         )
     return closed.sustained_qps, _probe_digests(closed, keys)
 
@@ -820,7 +830,7 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
     pairs = list(
         zip(config.batch_policies, config.routers or (config.router,) * len(config.batch_policies))
     )
-    slo = slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms)
+    options = config.options()
     result = ServingSweepResult(
         model=get_model_config(config.model).name,
         num_accelerators=config.num_accelerators,
@@ -830,13 +840,13 @@ def _sweep_impl(config: ServingSweepConfig) -> ServingSweepResult:
         warmup_fraction=config.warmup_fraction,
         continuous_batching=config.continuous_batching,
         cache_length_bucket=config.cache_length_bucket,
-        slo=slo.to_dict() if slo is not None else None,
+        slo=options.slo.to_dict() if options.slo is not None else None,
         faults=config.faults,
         remedies=(
             {
-                "hedging": config.hedging,
-                "max_retries": config.max_retries,
-                "retry_backoff_s": config.retry_backoff_ms * 1e-3,
+                "hedging": options.hedging,
+                "max_retries": options.max_retries,
+                "retry_backoff_s": options.retry_backoff_s,
                 "blacklist_s": config.blacklist_ms * 1e-3,
             }
             if config.faults

@@ -28,21 +28,29 @@ for the checked-in contract).
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..devices import Device
 from ..serving.classes import get_request_class
 from ..serving.clock import WallClock
 from ..serving.core import CrashLedger, DispatchCore, PlannedBatch, open_session
 from ..serving.engine import OnlineServingReport
-from ..serving.policies import BatchPolicy
+from ..serving.options import ServingOptions
 from ..serving.request import Request, RequestRecord
-from ..serving.routing import Router
-from ..serving.slo import SLOSpec
 from ..transformer.configs import DatasetConfig
 from .actors import DeviceActor
 
 __all__ = ["LiveGateway", "SubmitResult"]
+
+#: Options a wall-clock gateway does not model: no seeded stream, no elastic
+#: pool, no injected faults (a worker crash is requeued exactly once, like
+#: the simulator at ``max_retries=0``) and no decode scheduler of its own.
+_UNMODELLED_OPTIONS = (
+    "seed", "autoscaler", "provisioning_lag_s", "autoscale_interval_s", "min_devices",
+    "initial_devices", "faults", "max_retries", "retry_backoff_s", "output_lengths",
+    "iteration_level",
+)
+_DEFAULTS = {f.name: f.default for f in fields(ServingOptions)}
 
 #: Poll interval while draining (the dispatcher is event-driven; this only
 #: bounds how quickly shutdown notices that the last actor went idle).
@@ -71,10 +79,14 @@ class LiveGateway:
     """An asyncio serving gateway over a fleet of catalog devices.
 
     Construction mirrors :func:`~repro.serving.engine.simulate_online`:
-    any :class:`~repro.devices.Device` fleet, any registered batch policy and
-    router, optional bounded-queue admission control (``max_queue_depth``),
-    optional deadline assignment (``slo``) and deadline-aware arrival
-    shedding (``shed_on_predicted_miss``).  Lifecycle::
+    any :class:`~repro.devices.Device` fleet and a
+    :class:`~repro.serving.options.ServingOptions` (or its keywords) -- any
+    registered batch policy and router, bounded-queue and per-class
+    admission control, deadline assignment (``slo``), deadline-aware arrival
+    shedding, continuous batching and hedging.  The options it does not
+    model (``seed``, the autoscaler and its pool knobs, ``faults``, crash
+    retries, ``output_lengths`` and ``iteration_level``) are refused by name
+    when set away from their defaults.  Lifecycle::
 
         gateway = LiveGateway(build_fleet(("gpu-rtx6000",)), "mrpc")
         await gateway.start()
@@ -91,46 +103,29 @@ class LiveGateway:
         self,
         devices,
         dataset: DatasetConfig | str = "mrpc",
+        options: ServingOptions | None = None,
         *,
-        batch_policy: BatchPolicy | None = None,
-        router: Router | None = None,
-        max_queue_depth: int | None = None,
-        slo: SLOSpec | None = None,
-        shed_on_predicted_miss: bool = False,
-        continuous_batching: bool = False,
         rebase_on_first_ingest: bool = True,
-        hedging: bool = False,
-        class_queue_limits: dict[str, int] | None = None,
+        **knobs,
     ) -> None:
+        options = ServingOptions.resolve(options, knobs)
+        unmodelled = [
+            name for name in _UNMODELLED_OPTIONS if getattr(options, name) != _DEFAULTS[name]
+        ]
+        if unmodelled:
+            raise ValueError(f"the live gateway does not model {', '.join(unmodelled)}")
         self.session = session = open_session(
-            OnlineServingReport,
-            devices,
-            dataset,
-            lambda dataset: ([], "live", None),
-            batch_policy=batch_policy,
-            router=router,
-            continuous_batching=continuous_batching,
-            max_queue_depth=max_queue_depth,
-            slo=slo,
+            OnlineServingReport, devices, dataset, lambda dataset: ([], "live", None), options
         )
         fleet = session.fleet
         self.fleet: list[Device] = fleet
         self.dataset = session.dataset
-        self.slo = slo
+        self.slo = options.slo
         self.rebase_on_first_ingest = rebase_on_first_ingest
         self.report = session.report
         # The gateway finalizes batches itself (auto_finalize=False): records
         # land only after the device actor has slept through the execution.
-        self.core = DispatchCore(
-            fleet,
-            self.report,
-            session.batch_policy,
-            session.router,
-            max_queue_depth=max_queue_depth,
-            shed_on_predicted_miss=shed_on_predicted_miss,
-            auto_finalize=False,
-            class_queue_limits=class_queue_limits,
-        )
+        self.core = DispatchCore(session, auto_finalize=False)
         self.clock = WallClock()
         self.actors = [DeviceActor(self, index) for index in range(len(fleet))]
         #: Bytes of KV cache currently reserved by in-flight batches, per
@@ -140,7 +135,7 @@ class LiveGateway:
         self._requeued_batches: set[int] = set()
         #: Cross-device request hedging (first completion wins; the losing
         #: copy is aborted or dropped at pickup).  A no-op on 1-device fleets.
-        self.hedging = hedging and len(fleet) > 1
+        self.hedging = options.hedging and len(fleet) > 1
         #: Hedge linkage: each live copy's batch_id -> its peer's batch_id.
         #: A copy's entry is removed when that copy dies or is cancelled, so
         #: "my peer's entry still exists" means the peer may still win.

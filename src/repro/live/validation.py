@@ -46,11 +46,12 @@ from __future__ import annotations
 
 import asyncio
 import json
+from dataclasses import replace
 from pathlib import Path
 
 from ..devices import build_fleet
 from ..faults import ScriptedFaults
-from ..serving import Request, TimeoutBatcher, simulate_online
+from ..serving import Request, ServingOptions, TimeoutBatcher, simulate_online
 from .client import replay_trace
 from .gateway import LiveGateway
 from .http import LiveServer
@@ -189,61 +190,38 @@ def trace_requests(entries: list[dict]) -> list[Request]:
     ]
 
 
-def _policy() -> TimeoutBatcher:
-    return TimeoutBatcher(
-        batch_size=VALIDATION_CONFIG["batch_size"],
-        timeout_s=VALIDATION_CONFIG["timeout_s"],
-    )
+def _options(config: dict) -> ServingOptions:
+    """One scenario's serving options, shared verbatim by both engines."""
+    policy = TimeoutBatcher(batch_size=config["batch_size"], timeout_s=config["timeout_s"])
+    return ServingOptions(batch_policy=policy, max_queue_depth=config.get("max_queue_depth"))
 
 
 def simulate_trace(entries: list[dict]):
     """Replay the trace through the simulator at the validation config."""
-    fleet = build_fleet((VALIDATION_CONFIG["device"],), dataset=VALIDATION_CONFIG["dataset"])
-    return simulate_online(
-        fleet,
-        VALIDATION_CONFIG["dataset"],
-        arrivals=trace_requests(entries),
-        batch_policy=_policy(),
-        max_queue_depth=VALIDATION_CONFIG["max_queue_depth"],
-    )
+    dataset = VALIDATION_CONFIG["dataset"]
+    fleet = build_fleet((VALIDATION_CONFIG["device"],), dataset=dataset)
+    options = _options(VALIDATION_CONFIG)
+    return simulate_online(fleet, dataset, trace_requests(entries), options=options)
 
 
 def validation_gateway() -> LiveGateway:
     """A live gateway at exactly the simulator's validation config."""
     fleet = build_fleet((VALIDATION_CONFIG["device"],), dataset=VALIDATION_CONFIG["dataset"])
-    return LiveGateway(
-        fleet,
-        VALIDATION_CONFIG["dataset"],
-        batch_policy=_policy(),
-        max_queue_depth=VALIDATION_CONFIG["max_queue_depth"],
-    )
-
-
-def _crash_policy() -> TimeoutBatcher:
-    return TimeoutBatcher(
-        batch_size=CRASH_CONFIG["batch_size"],
-        timeout_s=CRASH_CONFIG["timeout_s"],
-    )
+    return LiveGateway(fleet, VALIDATION_CONFIG["dataset"], _options(VALIDATION_CONFIG))
 
 
 def simulate_crash_trace(entries: list[dict]):
     """Replay the crash trace through the simulator (scripted fault schedule)."""
     fleet = build_fleet((CRASH_CONFIG["device"],), dataset=CRASH_CONFIG["dataset"])
-    return simulate_online(
-        fleet,
-        CRASH_CONFIG["dataset"],
-        arrivals=trace_requests(entries),
-        batch_policy=_crash_policy(),
-        faults=ScriptedFaults(
-            crashes=((0, CRASH_CONFIG["crash_time_s"], CRASH_CONFIG["crash_downtime_s"]),)
-        ),
-    )
+    crash = (0, CRASH_CONFIG["crash_time_s"], CRASH_CONFIG["crash_downtime_s"])
+    options = replace(_options(CRASH_CONFIG), faults=ScriptedFaults(crashes=(crash,)))
+    return simulate_online(fleet, CRASH_CONFIG["dataset"], trace_requests(entries), options=options)
 
 
 def crash_gateway() -> LiveGateway:
     """A live gateway at the crash config, with the worker crash cued up."""
     fleet = build_fleet((CRASH_CONFIG["device"],), dataset=CRASH_CONFIG["dataset"])
-    gateway = LiveGateway(fleet, CRASH_CONFIG["dataset"], batch_policy=_crash_policy())
+    gateway = LiveGateway(fleet, CRASH_CONFIG["dataset"], _options(CRASH_CONFIG))
     gateway.actors[0].fail_on_pickups = {CRASH_CONFIG["crash_on_pickup"]}
     return gateway
 

@@ -22,7 +22,8 @@ from .. import config as global_config
 from ..devices import split_fleet_spec
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
-from ..serving import get_arrival_process
+from ..evaluation.serving_sweep import slo_spec_from_ms
+from ..serving import ServingOptions, get_arrival_process, get_batch_policy, get_router
 from ..serving.arrivals import _is_rate_driven, load_trace
 from ..transformer.configs import DATASET_ZOO, MODEL_ZOO, get_model_config
 from ..evaluation.report import format_key_values, format_table
@@ -156,8 +157,6 @@ class PlanConfig(ExperimentConfig):
             raise ValueError("attainment_target must be in (0, 1]")
         if self.slo_ms <= 0:
             raise ValueError("slo_ms must be > 0 (the target is deadline attainment)")
-        if self.slo_per_token_ms < 0:
-            raise ValueError("slo_per_token_ms must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.timeout_ms < 0:
@@ -187,10 +186,23 @@ class PlanConfig(ExperimentConfig):
             )
         if self.compare_autoscaler is not None:
             resolve_component("autoscaler", self.compare_autoscaler)
-        if self.provisioning_lag_s < 0:
-            raise ValueError("provisioning_lag_s must be >= 0")
-        if self.autoscale_interval_s <= 0:
-            raise ValueError("autoscale_interval_s must be > 0")
+        self.options(self.compare_autoscaler)
+
+    def options(self, autoscaler: str | None = None) -> ServingOptions:
+        """The engine options every candidate replays with (ms -> s), scaled
+        by ``autoscaler`` from one device for the comparison run."""
+        return ServingOptions(
+            batch_policy=get_batch_policy(
+                self.batch_policy, batch_size=self.batch_size, timeout_s=self.timeout_ms * 1e-3
+            ),
+            router=get_router(self.routing),
+            seed=self.seed,
+            continuous_batching=self.continuous_batching,
+            slo=slo_spec_from_ms(self.slo_ms, self.slo_per_token_ms),
+            autoscaler=autoscaler,
+            provisioning_lag_s=self.provisioning_lag_s,
+            autoscale_interval_s=self.autoscale_interval_s,
+        )
 
 
 @dataclass
@@ -257,15 +269,8 @@ def _autoscale_comparison(
     chosen = search.chosen
     if config.compare_autoscaler is None or chosen is None:
         return None
-    report = _replay_trace(
-        config,
-        trace,
-        _composition_fleet(config, chosen.counts),
-        autoscaler=config.compare_autoscaler,
-        provisioning_lag_s=config.provisioning_lag_s,
-        autoscale_interval_s=config.autoscale_interval_s,
-        min_devices=1,
-    )
+    fleet = _composition_fleet(config, chosen.counts)
+    report = _replay_trace(config, trace, fleet, config.options(config.compare_autoscaler))
     static_rate = (
         None
         if chosen.attainment is None

@@ -35,11 +35,9 @@ from typing import TYPE_CHECKING
 
 from ..devices import Device, build_device, build_fleet, split_fleet_spec
 from ..evaluation.fan_out import fan_out
-from ..evaluation.serving_sweep import slo_spec_from_ms
 from ..serving.arrivals import TraceArrivals
 from ..serving.engine import OnlineServingReport, simulate_online
-from ..serving.policies import get_batch_policy
-from ..serving.routing import get_router
+from ..serving.options import ServingOptions
 
 if TYPE_CHECKING:
     from .experiment import PlanConfig
@@ -186,25 +184,11 @@ def _composition_fleet(config: PlanConfig, counts: tuple[int, ...]) -> list[Devi
 
 
 def _replay_trace(
-    config: PlanConfig, trace: tuple, fleet: list[Device], **engine_knobs
+    config: PlanConfig, trace: tuple, fleet: list[Device], options: ServingOptions
 ) -> OnlineServingReport:
-    """Replay the plan's trace on one fleet with the plan's serving knobs."""
-    return simulate_online(
-        fleet,
-        config.dataset,
-        TraceArrivals(trace=trace),
-        num_requests=config.requests,
-        batch_policy=get_batch_policy(
-            config.batch_policy,
-            batch_size=config.batch_size,
-            timeout_s=config.timeout_ms * 1e-3,
-        ),
-        router=get_router(config.routing),
-        seed=config.seed,
-        continuous_batching=config.continuous_batching,
-        slo=slo_spec_from_ms(config.slo_ms, config.slo_per_token_ms),
-        **engine_knobs,
-    )
+    """Replay the plan's trace on one fleet with ``options``."""
+    arrivals = TraceArrivals(trace=trace)
+    return simulate_online(fleet, config.dataset, arrivals, config.requests, options)
 
 
 def evaluate_composition(config: PlanConfig, trace: tuple, counts: tuple[int, ...]) -> dict:
@@ -214,7 +198,7 @@ def evaluate_composition(config: PlanConfig, trace: tuple, counts: tuple[int, ..
     runtime-dependent (timings, cache counters), because ``--jobs 1`` and
     ``--jobs 4`` must produce byte-identical plans.
     """
-    report = _replay_trace(config, trace, _composition_fleet(config, counts))
+    report = _replay_trace(config, trace, _composition_fleet(config, counts), config.options())
     return {
         "attainment": report.attainment_rate,
         "goodput_qps": report.goodput_qps,

@@ -20,6 +20,9 @@ service simulator:
 * :mod:`~repro.serving.autoscaler` -- elastic-pool scaling policies
   (queue-depth threshold, attainment feedback) driven inside the engine
   with a provisioning lag and per-device billing.
+* :mod:`~repro.serving.options` -- :class:`ServingOptions`, the one
+  declaration and validator of every serving knob the simulator, the live
+  gateway and the experiments share.
 """
 
 from .arrivals import (
@@ -51,6 +54,7 @@ from .classes import (
     register_request_class,
 )
 from .engine import BatchRecord, DeviceSummary, OnlineServingReport, simulate_online
+from .options import ServingOptions
 from .policies import (
     BatchPolicy,
     FixedSizeBatcher,
@@ -98,6 +102,7 @@ __all__ = [
     "Router",
     "SLOSpec",
     "ScaleObservation",
+    "ServingOptions",
     "TimeoutBatcher",
     "TraceArrivals",
     "assign_deadlines",

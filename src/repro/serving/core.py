@@ -50,6 +50,7 @@ from ..scheduling.length_aware import LengthAwareScheduler
 from ..transformer.configs import DatasetConfig, get_dataset_config
 from .arrivals import ArrivalProcess
 from .classes import collect_class_stats, get_request_class
+from .options import ServingOptions
 from .policies import BatchPolicy, FixedSizeBatcher, LengthBucketedBatcher
 from .request import Request
 from .routing import LeastLoadedRouter, LengthShardedRouter, Router
@@ -188,6 +189,7 @@ class ServingSession:
     router: Router
     report: Any
     requests: list[Request]
+    options: ServingOptions
 
     def refresh(self, active=None) -> None:
         """Fold device, preemption and class state into the report.
@@ -213,13 +215,7 @@ def open_session(
     devices: Accelerator | Device | Sequence[Accelerator | Device],
     dataset: DatasetConfig | str,
     stream: Callable[[DatasetConfig], tuple[list[Request], str, float | None]],
-    *,
-    scheduler=None,
-    batch_policy: BatchPolicy | None = None,
-    router: Router | None = None,
-    continuous_batching: bool = False,
-    max_queue_depth: int | None = None,
-    slo: SLOSpec | None = None,
+    options: ServingOptions,
     **header,
 ) -> ServingSession:
     """The setup every driver shares, up to an empty report.
@@ -227,23 +223,23 @@ def open_session(
     Coerces the dataset, builds and validates the fleet, materializes the
     offered stream (``stream(dataset)`` returns the requests, the arrival
     process name and the offered QPS), defaults and fleet-binds the batch
-    policy and router, resets every device, and builds a ``report_cls``
-    header with one :class:`~repro.serving.engine.DeviceSummary` per device.
-    ``header`` carries engine-specific report fields.
+    policy and router of ``options``, resets every device, and builds a
+    ``report_cls`` header with one
+    :class:`~repro.serving.engine.DeviceSummary` per device.  ``header``
+    carries engine-specific report fields.  The session keeps ``options``
+    for the dispatch core and the event loop.
     """
     from .engine import DeviceSummary  # local import: engine imports core
 
     if isinstance(dataset, str):
         dataset = get_dataset_config(dataset)
-    fleet = _as_fleet(devices, scheduler)
+    fleet = _as_fleet(devices, options.scheduler)
     if not fleet:
         raise ValueError("need at least one device")
-    if max_queue_depth is not None and max_queue_depth < 1:
-        raise ValueError("max_queue_depth must be >= 1 (or None to disable shedding)")
     requests, arrival_name, offered_qps = stream(dataset)
 
-    batch_policy = batch_policy or FixedSizeBatcher()
-    router = router or LeastLoadedRouter()
+    batch_policy = options.batch_policy or FixedSizeBatcher()
+    router = options.router or LeastLoadedRouter()
     batch_policy.prepare(dataset)
     router.prepare(len(fleet), dataset)
     # SLO-aware policies estimate batch latencies through the fleet's cost
@@ -268,7 +264,7 @@ def open_session(
             stacklevel=3,
         )
     for device in fleet:
-        device.reset(continuous_batching=continuous_batching)
+        device.reset(continuous_batching=options.continuous_batching)
 
     report = report_cls(
         dataset=dataset.name,
@@ -278,9 +274,9 @@ def open_session(
         scheduler=_fleet_scheduler_label(fleet),
         offered_qps=offered_qps,
         num_requests=len(requests),
-        continuous_batching=continuous_batching,
-        queue_limit=max_queue_depth,
-        slo=slo.to_dict() if slo is not None else None,
+        continuous_batching=options.continuous_batching,
+        queue_limit=options.max_queue_depth,
+        slo=options.slo.to_dict() if options.slo is not None else None,
         devices=[
             DeviceSummary(
                 index=i,
@@ -292,7 +288,7 @@ def open_session(
         ],
         **header,
     )
-    return ServingSession(fleet, dataset, batch_policy, router, report, requests)
+    return ServingSession(fleet, dataset, batch_policy, router, report, requests, options)
 
 
 class CrashLedger:
@@ -367,33 +363,36 @@ class DispatchCore:
     The core owns the central formation queue and every counter on the
     report that the serving loop touches; the driver owns time (when to
     ``offer`` arrivals and when to ``pump``) and, through ``auto_finalize``,
-    when a planned batch's records land in the report.
+    when a planned batch's records land in the report.  It serves
+    ``session``'s fleet (or ``fleet``, the simulator's autoscaled prefix of
+    it) with the session's bound policies, and copies the knobs it reads
+    per event out of ``session.options`` once, here.
+
+    ``offer``, ``dispatch`` and ``finalize`` stay defined on this class:
+    ``perfbench/tracing.py`` wraps them by class attribute, and its traced
+    repeats fail if one moves.
     """
 
     def __init__(
         self,
-        fleet: list[Device],
-        report,
-        batch_policy: BatchPolicy,
-        router: Router,
-        max_queue_depth: int | None = None,
-        shed_on_predicted_miss: bool = False,
+        session: ServingSession,
+        fleet: list[Device] | None = None,
+        *,
         auto_finalize: bool = True,
         fault_injector=None,
-        hedging: bool = False,
-        class_queue_limits: dict[str, int] | None = None,
     ) -> None:
-        self.fleet = fleet
-        self.report = report
-        self.batch_policy = batch_policy
-        self.router = router
-        self.max_queue_depth = max_queue_depth
+        options = session.options
+        self.fleet = session.fleet if fleet is None else fleet
+        self.report = session.report
+        self.batch_policy = session.batch_policy
+        self.router = session.router
+        self.max_queue_depth = options.max_queue_depth
         #: Per-class admission control: a request whose class already has
         #: this many members in the formation queue is shed on arrival
         #: (``None`` / absent class = unbounded).  Counts toward ``num_shed``
         #: exactly like the global bound; per-class accounting charges the
         #: drop to the request's own class.
-        self.class_queue_limits = class_queue_limits or None
+        self.class_queue_limits = options.class_queue_limits or None
         self.auto_finalize = auto_finalize
         #: Optional :class:`repro.faults.FaultInjector`; when set, dispatch
         #: consults each device's health timeline (latency multipliers,
@@ -401,17 +400,20 @@ class DispatchCore:
         self.fault_injector = fault_injector
         #: Cross-device request hedging: mirror each batch on the best other
         #: device, first completion wins, the loser's booking is truncated
-        #: at the winner's completion.
-        self.hedging = hedging
+        #: at the winner's completion.  A driver that finalizes batches
+        #: itself (the live gateway) runs each copy as a batch of its own.
+        self.hedging = options.hedging and auto_finalize
         self.queue: list[Request] = []
         #: Start times of dispatched requests that have not begun executing
         #: yet; together with the formation queue they are the "waiting"
         #: population the admission-control limit bounds.
         self._pending_starts: list[float] = []
-        self._take_shed = getattr(batch_policy, "take_shed", None)
+        self._take_shed = getattr(self.batch_policy, "take_shed", None)
         #: Arrival gate: snapshots the fleet it is built with (the initial
         #: pool when autoscaled).
-        self._predicted_miss = ProvablyLate(fleet) if shed_on_predicted_miss else None
+        self._predicted_miss = (
+            ProvablyLate(self.fleet) if options.shed_on_predicted_miss else None
+        )
         self._next_batch_id = 0
 
     # ------------------------------------------------------------------

@@ -52,7 +52,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .. import config as global_config
 from ..devices import BatchExecution, Device
 from ..faults import FaultInjector, FaultSchedule, get_fault_schedule
 from ..hardware.accelerator import Accelerator
@@ -71,13 +70,12 @@ from .core import (
 )
 
 # The end-of-run fold lives in ``ServingSession.finish``; these names stay
-# importable here because perfbench/tracing.py wraps them by module attribute.
+# importable here because perfbench/tracing.py wraps them by module attribute
+# (its traced repeats fail if one is deleted or moved).
 from .classes import collect_class_stats  # noqa: F401
 from .core import collect_device_stats  # noqa: F401
-from .policies import BatchPolicy
+from .options import ServingOptions
 from .request import CompletionLedger, Request, RequestRecord
-from .routing import Router
-from .slo import SLOSpec
 
 __all__ = [
     "BatchRecord",
@@ -874,16 +872,16 @@ class _SimCore(DispatchCore):
     decode steps, and :meth:`next_action_time` / :meth:`busy` feed decode
     events to the event loop.  Devices are visited only while a request
     decodes or a KV release is pending, so encoder runs pay nothing for
-    decode.  ``pool_size`` sizes the per-device state to the whole pool (an
+    decode.  The per-device state covers the session's whole pool (an
     autoscaled run grows ``fleet`` in place).
     """
 
-    def __init__(self, *args, pool_size: int, iteration_level: bool, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.iteration_level = iteration_level
+    def __init__(self, session: ServingSession, *args, **kwargs) -> None:
+        super().__init__(session, *args, **kwargs)
+        self.iteration_level = session.options.iteration_level
         #: Only a decode run has requests that generate more than one token.
         self._decode_run = isinstance(self.report, DecodeServingReport)
-        self.states = [_DeviceDecodeState() for _ in range(pool_size)]
+        self.states = [_DeviceDecodeState() for _ in session.fleet]
         #: A prefill was refused for KV at this instant: the policy timer
         #: must not pull the loop back to ``now`` until something frees.
         self._kv_blocked = False
@@ -1104,26 +1102,8 @@ def simulate_online(
     dataset: DatasetConfig | str,
     arrivals: ArrivalProcess | Sequence[Request],
     num_requests: int | None = None,
-    batch_policy: BatchPolicy | None = None,
-    router: Router | None = None,
-    scheduler=None,
-    seed: int = global_config.DEFAULT_SEED,
-    continuous_batching: bool = False,
-    max_queue_depth: int | None = None,
-    slo: SLOSpec | None = None,
-    shed_on_predicted_miss: bool = False,
-    class_queue_limits: dict[str, int] | None = None,
-    autoscaler=None,
-    provisioning_lag_s: float = 0.0,
-    autoscale_interval_s: float = 1.0,
-    min_devices: int = 1,
-    initial_devices: int | None = None,
-    faults=None,
-    hedging: bool = False,
-    max_retries: int = 0,
-    retry_backoff_s: float = 0.05,
-    output_lengths=None,
-    iteration_level: bool = True,
+    options: ServingOptions | None = None,
+    **knobs,
 ) -> OnlineServingReport:
     """Run the event-driven serving simulation.
 
@@ -1133,7 +1113,8 @@ def simulate_online(
         One device or a fleet.  Entries are :class:`~repro.devices.Device`
         instances (cycle-accurate or analytical, freely mixed) or raw
         :class:`~repro.hardware.accelerator.Accelerator` objects, which are
-        wrapped with ``scheduler``.  Every device keeps its own backlog.
+        wrapped with the options' ``scheduler``.  Every device keeps its own
+        backlog.
     dataset:
         Table 1 dataset whose length distribution the stream follows.
     arrivals:
@@ -1142,100 +1123,11 @@ def simulate_online(
         ``num_requests`` is required for generative processes;
         :class:`~repro.serving.arrivals.TraceArrivals` replays its full trace
         when ``num_requests`` is omitted.
-    batch_policy:
-        Batch-formation policy; defaults to a fixed batch of 16.
-    router:
-        Fleet routing policy; defaults to least-loaded.
-    scheduler:
-        Batch scheduler used when wrapping raw accelerators; defaults to the
-        length-aware scheduler.  Device instances keep their own scheduler.
-    seed:
-        Drives both arrival times and sequence lengths; the whole simulation
-        is deterministic given the seed.
-    continuous_batching:
-        Enable device-level continuous batching: a device admits the next
-        batch as soon as its entry stage frees (instead of blocking until the
-        whole pipeline drains).
-    max_queue_depth:
-        Admission control: an arrival is shed (dropped) when this many
-        requests are already waiting to start service -- in the central
-        formation queue or cut into a batch that has not reached its device
-        yet.  Shed traffic is reported via ``num_shed`` / ``shed_rate``.
-        ``None`` disables shedding.
-    slo:
-        Deadline assignment: every generated request without a deadline gets
-        ``arrival + base_s + per_token_s * length``
-        (:class:`~repro.serving.slo.SLOSpec`).  Requests that already carry
-        deadlines (explicit streams, traces) keep them.  Deadline attainment
-        and goodput are then reported via ``attainment_rate`` /
-        ``goodput_qps`` whether or not the batch policy is deadline-aware.
-    shed_on_predicted_miss:
-        Deadline-aware admission at *arrival*: shed a request at enqueue
-        time when no device's earliest start plus its single-request
-        service estimate could meet the deadline (a provable miss -- the
-        arrival-time sibling of the EDF batcher's late shedding).  Reported
-        via ``num_shed_predicted`` and counted against attainment.
-    class_queue_limits:
-        Per-class admission control: ``{class name: max queued}``.  An
-        arrival whose class already has that many members in the formation
-        queue is shed (counted in ``num_shed`` and charged to its class in
-        the per-class summaries).  Classes without an entry are unbounded;
-        ``None`` disables the check entirely.
-    autoscaler:
-        Turn the fleet into an elastic *pool*: a registered policy name
-        (``"queue-depth"``, ``"predicted-attainment"``) or an
-        :class:`~repro.serving.autoscaler.Autoscaler` instance is consulted
-        every ``autoscale_interval_s`` simulated seconds with a
-        :class:`~repro.serving.autoscaler.ScaleObservation` and answers with
-        the desired provisioned-device count, clamped to
-        ``[min_devices, len(devices)]``.  Scale-ups come online
-        ``provisioning_lag_s`` seconds after the decision; scale-downs stop
-        routing immediately but bill until their in-flight work drains.
-        ``initial_devices`` sets the starting pool (default
-        ``min_devices``); both pool-size knobs are rejected without an
-        autoscaler.  Billing lands in each device's
-        ``online_seconds`` and the report's ``cost_usd`` /
-        ``scaling_timeline``.  ``None`` (default) keeps the fleet static.
-        With a deadline-aware arrival gate (``shed_on_predicted_miss``),
-        the gate's device snapshot is the *initial* pool.
-    faults:
-        Fault injection: a registered schedule name (``"crash-restart"``,
-        ``"straggler"``, ``"thermal-throttle"``, ``"scripted"``; ``"a+b"``
-        composes), a :class:`~repro.faults.FaultSchedule` (or sequence of
-        either), or a prebuilt :class:`~repro.faults.FaultInjector`.  Each
-        device gets a deterministic health timeline seeded from ``seed`` on
-        a dedicated RNG stream, so the fault-free run is byte-identical
-        whether or not the machinery is attached.  Crashed batches are lost
-        and their requests replayed once (per the schedule's ``replay``
-        knob, mirroring the live supervision tree), then retried with
-        exponential backoff up to ``max_retries``, then shed
-        (``num_shed_crashed``).  ``None`` (default) injects nothing.
-    hedging:
-        Cross-device request hedging: every batch is mirrored on the best
-        other device; the first completion wins and the loser's device time
-        is released at the winner's completion.  A no-op on single-device
-        fleets; refused on a fleet with a KV-capped device, because a hedge
-        copy would skip KV admission.
-    max_retries:
-        Crash-retry budget per request *after* the free replay (exponential
-        backoff, base ``retry_backoff_s``).  ``0`` (default) sheds on the
-        second crash, exactly like the live gateway's requeue-once.
-    retry_backoff_s:
-        Base backoff before a crash retry; retry ``k`` waits
-        ``retry_backoff_s * 2**(k-1)`` after the crash.
-    output_lengths:
-        Make this a decode run (see :mod:`repro.decode.engine`), returning a
-        :class:`DecodeServingReport`: a registered ``output-length``
-        distribution name, a distribution instance or an int (a fixed
-        length) stamps each generated request's ``output_len``; an explicit
-        request list keeps its own.  Every device must carry a decode cost
-        model, and ``autoscaler``, ``faults`` and ``hedging`` are refused.
-        ``None`` (default) is an encoder run: every request generates one
-        token.
-    iteration_level:
-        Decode runs: requests join the running batch at any decode step
-        (``True``, default) or only once the whole batch has drained
-        (``False``, request-level gang admission).
+    options:
+        The run's knobs, a :class:`~repro.serving.options.ServingOptions`
+        (its fields document each one).  ``**knobs`` builds one instead
+        (``simulate_online(fleet, "mrpc", arrivals, 64, slo=...)``); passing
+        both is an error.
 
     A device built with ``kv_cache_bytes`` gates every prefill on its
     cache: a request reserves its ``total_tokens`` until it completes.
@@ -1246,42 +1138,29 @@ def simulate_online(
     prefix and the remainder returns to the front of the formation queue
     (counted in ``num_limit_splits``).
     """
-    decoding = output_lengths is not None
+    options = ServingOptions.resolve(options, knobs)
+    decoding = options.output_lengths is not None
     header, distribution = {}, None
     if decoding:
-        # What a crash, a hedge or a scale-down means mid-decode is not modelled yet.
-        for knob, given in (
-            ("autoscaler", autoscaler is not None),
-            ("faults", faults is not None),
-            ("hedging", hedging),
-        ):
-            if given:
-                raise ValueError(f"{knob} is not modelled for decode runs (output_lengths)")
-        if not isinstance(iteration_level, bool):
-            raise TypeError(f"iteration_level must be a bool, got {iteration_level!r}")
         if isinstance(arrivals, ArrivalProcess):
             from ..decode.output_lengths import get_output_lengths
 
-            distribution = get_output_lengths(output_lengths)
+            distribution = get_output_lengths(options.output_lengths)
         header = {
-            "iteration_level": iteration_level,
+            "iteration_level": options.iteration_level,
             "output_lengths": distribution.name if distribution is not None else "explicit",
         }
     session = open_session(
         DecodeServingReport if decoding else OnlineServingReport,
         devices,
         dataset,
-        lambda dataset: prepare_stream(dataset, arrivals, num_requests, seed, slo, distribution),
-        scheduler=scheduler,
-        batch_policy=batch_policy,
-        router=router,
-        continuous_batching=continuous_batching,
-        max_queue_depth=max_queue_depth,
-        slo=slo,
+        lambda dataset: prepare_stream(
+            dataset, arrivals, num_requests, options.seed, options.slo, distribution
+        ),
+        options,
         **header,
     )
     fleet, report, requests = session.fleet, session.report, session.requests
-    batch_policy, router = session.batch_policy, session.router
     if decoding:
         for device in fleet:
             if not device.supports_decode():
@@ -1292,72 +1171,31 @@ def simulate_online(
                 )
     elif not isinstance(arrivals, ArrivalProcess) and any(r.output_len > 1 for r in requests):
         raise ValueError("a request generates several tokens: pass output_lengths")
-    if hedging and any(device.kv_cache_bytes is not None for device in fleet):
+    if options.hedging and any(device.kv_cache_bytes is not None for device in fleet):
         raise ValueError("hedging is refused on a KV-capped fleet: a hedge copy skips KV admission")
-    if isinstance(autoscaler, str):
-        autoscaler = get_autoscaler(autoscaler)
-    autoscaling = autoscaler is not None
-    if not math.isfinite(provisioning_lag_s) or provisioning_lag_s < 0:
-        raise ValueError("provisioning_lag_s must be finite and >= 0")
-    if not math.isfinite(autoscale_interval_s) or autoscale_interval_s <= 0:
-        raise ValueError("autoscale_interval_s must be finite and > 0")
-    if autoscaling:
-        if not 1 <= min_devices <= len(fleet):
-            raise ValueError("min_devices must be in [1, pool size]")
-        initial = min_devices if initial_devices is None else int(initial_devices)
-        if not min_devices <= initial <= len(fleet):
-            raise ValueError("initial_devices must be in [min_devices, pool size]")
-        report.autoscaler = autoscaler.name
-        report.provisioning_lag_s = provisioning_lag_s
-    elif initial_devices is not None or min_devices != 1:
-        knob = "initial_devices" if initial_devices is not None else "min_devices"
-        raise ValueError(f"{knob} sizes an elastic pool and needs an autoscaler")
-    if max_retries < 0:
-        raise ValueError("max_retries must be >= 0")
-    if not math.isfinite(retry_backoff_s) or retry_backoff_s < 0:
-        raise ValueError("retry_backoff_s must be finite and >= 0")
-    injector = _as_fault_injector(faults, len(fleet), seed)
+    options.check_pool(len(fleet))
+    injector = _as_fault_injector(options.faults, len(fleet), options.seed)
     crashes = None
     if injector is not None:
         for index, device in enumerate(fleet):
             device.bind_fault_timeline(injector.timeline(index))
         report.faults = injector.describe()
-        crashes = CrashLedger(report, injector.replay, max_retries, retry_backoff_s)
+        crashes = CrashLedger(report, injector.replay, options.max_retries, options.retry_backoff_s)
 
     # The devices the routers see: the whole fleet when static, or the
     # currently-online prefix of the pool when autoscaled.  The list object
     # is shared with the dispatch core and mutated in place, so routers
     # (which read ``len(fleet)`` at select time) always see the live pool,
     # and ``device_index`` is always the pool index.
-    active: list[Device] = list(fleet[:initial]) if autoscaling else fleet
+    autoscaling = options.autoscaler is not None
+    active: list[Device] = list(fleet[: options.initial_pool]) if autoscaling else fleet
 
     # The simulator is one driver of the shared dispatch core (the live
     # gateway in repro.live is the other): it feeds arrivals from the
     # pre-generated stream and finalizes batches at dispatch time
     # (auto_finalize) because completion offsets are fully determined there.
-    core = _SimCore(
-        active,
-        report,
-        batch_policy,
-        router,
-        max_queue_depth=max_queue_depth,
-        shed_on_predicted_miss=shed_on_predicted_miss,
-        auto_finalize=True,
-        fault_injector=injector,
-        hedging=hedging,
-        class_queue_limits=class_queue_limits,
-        pool_size=len(fleet),
-        iteration_level=iteration_level,
-    )
-    _run_events(
-        session,
-        core,
-        crashes=crashes,
-        autoscaler=autoscaler,
-        provisioning_lag_s=provisioning_lag_s,
-        autoscale_interval_s=autoscale_interval_s,
-        min_devices=min_devices,
-    )
+    core = _SimCore(session, active, fault_injector=injector)
+    _run_events(session, core, crashes)
     if decoding:
         report.decode_devices = [
             {
@@ -1381,26 +1219,28 @@ def simulate_online(
 
 
 def _run_events(
-    session: ServingSession,
-    core: _SimCore,
-    crashes: CrashLedger | None = None,
-    autoscaler=None,
-    provisioning_lag_s: float = 0.0,
-    autoscale_interval_s: float = 1.0,
-    min_devices: int = 1,
+    session: ServingSession, core: _SimCore, crashes: CrashLedger | None = None
 ) -> None:
     """The simulator's event loop: drive ``core`` on a :class:`SimClock`.
 
     Owns the requeue heap for crashed requests (``crashes`` decides their
     fate) and the autoscaled pool (``core.fleet``, a prefix of
-    ``session.fleet`` grown and shrunk in place), and folds pool billing,
-    fault downtime and blacklist time into the report at the end.  The core
-    adds its decode events through ``next_action_time`` and stays alive past
-    the last dispatch through ``busy``.
+    ``session.fleet`` grown and shrunk in place, driven by the session
+    options' autoscaler), and folds pool billing, fault downtime and
+    blacklist time into the report at the end.  The core adds its decode
+    events through ``next_action_time`` and stays alive past the last
+    dispatch through ``busy``.
     """
     fleet, report, requests = session.fleet, session.report, session.requests
     batch_policy, active = core.batch_policy, core.fleet
+    options = session.options
+    autoscaler = options.autoscaler
+    if isinstance(autoscaler, str):
+        autoscaler = get_autoscaler(autoscaler)
     autoscaling = autoscaler is not None
+    provisioning_lag_s = options.provisioning_lag_s
+    autoscale_interval_s = options.autoscale_interval_s
+    min_devices = options.min_devices
     clock = SimClock()
     next_index = 0
     total = len(requests)
@@ -1421,6 +1261,8 @@ def _run_events(
     stall_signature: tuple | None = None
     stall_steps = 0
     if autoscaling:
+        report.autoscaler = autoscaler.name
+        report.provisioning_lag_s = provisioning_lag_s
         # Per-decision counts, read from the rows appended since the last.
         window = _DecisionWindow(report.ledger, report.shed_requests)
         for index in range(len(active)):

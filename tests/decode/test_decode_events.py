@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.devices import BatchExecution, Device
-from repro.serving import FixedSizeBatcher, Request, TimeoutBatcher
+from repro.serving import FixedSizeBatcher, Request, ServingOptions, TimeoutBatcher
 from repro.serving.core import _EPS, open_session
 from repro.serving.engine import DecodeServingReport, _SimCore
 
@@ -145,18 +145,11 @@ class DecodeEventsMachine(RuleBasedStateMachine):
                 fleet,
                 "mrpc",
                 lambda dataset: ([], "explicit", None),
-                batch_policy=policy(),
+                ServingOptions(batch_policy=policy(), iteration_level=iteration_level),
                 iteration_level=iteration_level,
                 output_lengths="explicit",
             )
-            return cls(
-                session.fleet,
-                session.report,
-                session.batch_policy,
-                session.router,
-                pool_size=num_devices,
-                iteration_level=iteration_level,
-            )
+            return cls(session)
 
         self.system, self.oracle = core(_SimCore), core(_ScanEveryDevice)
         self.now = 0.0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from repro.serving import (
     PriorityDeadlineBatcher,
     Request,
     RoundRobinRouter,
+    ServingOptions,
     SLOSpec,
     TimeoutBatcher,
     assign_deadlines,
@@ -176,6 +178,12 @@ class TestAttainmentAccounting:
 
 _DEADLINE_KNOBS = {"batch_size", "timeout_s", "margin_s", "shed_late", "name"}
 _BUCKET_KNOBS = {"batch_size", "timeout_s", "num_buckets", "bucket_width", "bucket_edges", "name"}
+_SERVING_OPTIONS = {
+    "batch_policy", "router", "scheduler", "seed", "continuous_batching", "max_queue_depth",
+    "slo", "shed_on_predicted_miss", "class_queue_limits", "autoscaler", "provisioning_lag_s",
+    "autoscale_interval_s", "min_devices", "initial_devices", "faults", "hedging",
+    "max_retries", "retry_backoff_s", "output_lengths", "iteration_level",
+}
 
 
 @pytest.mark.parametrize(
@@ -189,6 +197,7 @@ _BUCKET_KNOBS = {"batch_size", "timeout_s", "num_buckets", "bucket_width", "buck
         (LengthBucketedBatcher, _BUCKET_KNOBS),
         (FaultInjector, {"schedules", "num_devices", "seed"}),
         (DoubleBuffer, {"num_slots", "name"}),
+        (ServingOptions, _SERVING_OPTIONS),
     ],
 )
 def test_constructors_take_only_the_documented_knobs(cls, knobs):
@@ -198,6 +207,23 @@ def test_constructors_take_only_the_documented_knobs(cls, knobs):
         assert not any(f.repr or f.compare for f in fields if f.name == private)
         with pytest.raises(TypeError, match="unexpected keyword"):
             cls(**{private: None})
+
+
+def test_simulate_online_keywords_forward_the_options_fields():
+    """The keyword form is a forward to ServingOptions, not a second list."""
+    params = inspect.signature(simulate_online).parameters
+    named = [name for name, p in params.items() if p.kind is not p.VAR_KEYWORD]
+    assert named == ["devices", "dataset", "arrivals", "num_requests", "options"]
+    assert [p.kind for p in params.values()].count(inspect.Parameter.VAR_KEYWORD) == 1
+    defaults = {f.name: f.default for f in dataclasses.fields(ServingOptions)}
+    assert set(defaults) == _SERVING_OPTIONS
+    arrivals = PoissonArrivals(rate_qps=200)
+    assert (
+        simulate_online(_build(), MRPC, arrivals, 16, **defaults).latencies_seconds
+        == simulate_online(_build(), MRPC, arrivals, 16).latencies_seconds
+    )
+    with pytest.raises(TypeError, match="unexpected keyword"):
+        simulate_online(_build(), MRPC, arrivals, 16, slo_ms=10.0)
 
 
 class TestDeadlineBatcher:

@@ -42,6 +42,7 @@ from pathlib import Path
 
 from .experiments import ExperimentSpec, list_experiments, result_payload
 from .experiments.config import (
+    KNOB_HELP,
     ExperimentConfig,
     coerce_value,
     element_type,
@@ -92,16 +93,15 @@ def _add_config_arguments(
             raise ValueError(
                 f"{config_cls.__name__}.{field.name} collides with a reserved CLI flag"
             )
-        flag = "--" + field.name.replace("_", "-")
+        flag = field.metadata.get("flag") or "--" + field.name.replace("_", "-")
         annotation, optional = strip_optional(hints[field.name])
         origin = typing.get_origin(annotation)
         if field.default is not dataclasses.MISSING:
             default_text = f"(default: {field.default})"
         else:
             default_text = ""
-        help_text = " ".join(
-            part for part in (field.metadata.get("help", ""), default_text) if part
-        )
+        help_text = field.metadata.get("help") or KNOB_HELP.get(field.name, "")
+        help_text = " ".join(part for part in (help_text, default_text) if part)
         kwargs: dict = {"dest": field.name, "default": _UNSET, "help": help_text}
         choices = field.metadata.get("choices")
         if origin in (tuple, list):
@@ -148,21 +148,26 @@ def _add_config_source_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _build_config(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentConfig:
-    """Defaults < --config file < explicit flags < --set overrides."""
-    if args.config is not None:
-        config = spec.config_cls.from_file(args.config)
+def _build_config(
+    config_cls: type[ExperimentConfig], args: argparse.Namespace
+) -> ExperimentConfig:
+    """Defaults < --config file < explicit flags < --set overrides.
+
+    A command without ``--config`` / ``--set`` (``live``) takes only its flags.
+    """
+    if getattr(args, "config", None) is not None:
+        config = config_cls.from_file(args.config)
     else:
-        config = spec.config_cls()
+        config = config_cls()
     changes = {}
-    for field in dataclasses.fields(spec.config_cls):
+    for field in dataclasses.fields(config_cls):
         value = getattr(args, field.name, _UNSET)
         if value is _UNSET:
             continue
         changes[field.name] = tuple(value) if isinstance(value, list) else value
     if changes:
         config = config.replace(**changes)
-    if args.set:
+    if getattr(args, "set", None):
         config = config.with_overrides(args.set)
     return config
 
@@ -180,7 +185,7 @@ def _write_output(output_dir: str | None, name: str, fmt: str, text: str) -> Non
 def _make_command(spec: ExperimentSpec):
     def command(args: argparse.Namespace) -> str:
         try:
-            config = _build_config(spec, args)
+            config = _build_config(spec.config_cls, args)
         except (ValueError, KeyError, FileNotFoundError) as error:
             # Config construction failures are user input errors; anything
             # raised later, inside spec.run(), is a real failure and keeps
@@ -245,20 +250,28 @@ def _cmd_live(args: argparse.Namespace) -> str:
     import asyncio
 
     from .live import LiveServer, run_crash_validation, run_live_validation
+    from .live.config import LiveConfig
     from .live.gateway import LiveGateway
 
-    if args.validate:
-        if args.scenario == "crash":
-            result = run_crash_validation(tolerance=args.tolerance)
-        else:
-            result = run_live_validation(tolerance=args.tolerance)
+    try:
+        # Bad flags surface here, while checking the config and building the
+        # gateway: config errors.
+        config = _build_config(LiveConfig, args)
+        if not config.validation:
+            gateway = LiveGateway(config.fleet(), config.dataset, config.options())
+    except (ValueError, KeyError) as error:
+        raise _input_error(error) from error
+
+    if config.validation:
+        run = run_crash_validation if config.scenario == "crash" else run_live_validation
+        result = run(tolerance=config.tolerance)
         agreement = result["agreement"]
         if args.format == "json":
             text = json.dumps(result, indent=2)
         else:
             lines = [
                 f"sim-vs-live validation "
-                f"({args.scenario} scenario, {result['trace_entries']} requests)"
+                f"({config.scenario} scenario, {result['trace_entries']} requests)"
             ]
             for key, entry in agreement["counts"].items():
                 mark = "ok" if entry["match"] else "MISMATCH"
@@ -280,42 +293,19 @@ def _cmd_live(args: argparse.Namespace) -> str:
             verdict = "within" if agreement["within_tolerance"] else "OUTSIDE"
             lines.append(f"  agreement {verdict} tolerance ({agreement['tolerance']:.0%})")
             text = "\n".join(lines)
-        stem = "live-validation" if args.scenario == "steady" else f"live-validation-{args.scenario}"
+        stem = "live-validation" + ("" if config.scenario == "steady" else f"-{config.scenario}")
         _write_output(args.output_dir, stem, args.format, text)
         if not agreement["within_tolerance"]:
             print(text)
             raise _CliInputError("sim-vs-live agreement outside tolerance")
         return text
 
-    from .devices import build_fleet
-    from .evaluation.serving_sweep import slo_spec_from_ms
-    from .serving import ServingOptions, get_batch_policy, get_router
-
-    try:
-        # Bad flags surface here, while building the options: config errors.
-        fleet = build_fleet(tuple(args.devices), dataset=args.dataset)
-        options = ServingOptions(
-            batch_policy=get_batch_policy(
-                args.batch_policy,
-                batch_size=args.batch_size,
-                timeout_s=args.timeout_ms / 1e3,
-            ),
-            router=get_router(args.routing),
-            max_queue_depth=args.max_queue_depth,
-            slo=slo_spec_from_ms(args.slo_ms),
-            shed_on_predicted_miss=args.shed_on_predicted_miss,
-            continuous_batching=args.continuous_batching,
-        )
-        gateway = LiveGateway(fleet, args.dataset, options)
-    except (ValueError, KeyError) as error:
-        raise _input_error(error) from error
-
     async def _serve() -> dict:
-        server = LiveServer(gateway, host=args.host, port=args.port)
+        server = LiveServer(gateway, host=config.host, port=config.port)
         await server.start()
         print(
-            f"repro live: serving {len(fleet)} device(s) on "
-            f"http://{args.host}:{server.port} (POST /shutdown to stop)",
+            f"repro live: serving {len(gateway.fleet)} device(s) on "
+            f"http://{config.host}:{server.port} (POST /shutdown to stop)",
             file=sys.stderr,
             flush=True,
         )
@@ -434,85 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
         "live",
         help="serve over HTTP with the simulator's policies (repro.live), or --validate against it",
     )
-    live_parser.add_argument("--host", default="127.0.0.1", help="bind address (default: 127.0.0.1)")
-    live_parser.add_argument(
-        "--port", type=int, default=8100, help="bind port; 0 picks an ephemeral port (default: 8100)"
-    )
-    live_parser.add_argument("--dataset", default="mrpc", help="dataset whose statistics prepare the policies (default: mrpc)")
-    live_parser.add_argument(
-        "--devices",
-        nargs="+",
-        default=["gpu-rtx6000"],
-        metavar="DEVICE",
-        help="catalog device fleet (default: gpu-rtx6000)",
-    )
-    live_parser.add_argument(
-        "--batch-policy",
-        default="timeout",
-        help="registered batch policy: fixed, timeout, bucketed, deadline (default: timeout)",
-    )
-    live_parser.add_argument("--batch-size", type=int, default=16, help="requests per batch (default: 16)")
-    live_parser.add_argument(
-        "--timeout-ms",
-        type=float,
-        default=50.0,
-        help="dynamic-batching timeout for policies that take one (default: 50)",
-    )
-    live_parser.add_argument(
-        "--routing",
-        default="least-loaded",
-        help="registered router: round-robin, least-loaded, length-sharded, cost-model (default: least-loaded)",
-    )
-    live_parser.add_argument(
-        "--max-queue-depth",
-        type=int,
-        default=None,
-        help="bounded-queue admission control; arrivals past this depth get HTTP 429 (default: unbounded)",
-    )
-    live_parser.add_argument(
-        "--slo-ms",
-        type=float,
-        default=None,
-        help="assign each request a deadline of arrival + SLO_MS (default: no deadlines)",
-    )
-    live_parser.add_argument(
-        "--shed-on-predicted-miss",
-        action="store_true",
-        help="shed at arrival when no device could meet the deadline even dispatched alone",
-    )
-    live_parser.add_argument(
-        "--continuous-batching",
-        action="store_true",
-        help="device-level continuous batching (admit at entry-stage free, not full drain)",
-    )
-    live_parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="replay the checked-in trace through the simulator and a loopback gateway; fail on disagreement",
-    )
-    live_parser.add_argument(
-        "--scenario",
-        choices=("steady", "crash"),
-        default="steady",
-        help="--validate scenario: steady (fault-free trace) or crash (scripted worker crash + requeue)",
-    )
-    live_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.02,
-        help="relative tolerance for the --validate rate metrics (default: 0.02)",
-    )
-    live_parser.add_argument(
-        "--format",
-        choices=("table", "json"),
-        default="table",
-        help="--validate report format (server mode always prints final stats as JSON)",
-    )
-    live_parser.add_argument(
-        "--output-dir",
-        default=None,
-        help="also write the report to this directory (live-validation.* or live.json)",
-    )
+    # A server, not an experiment: flags generated from its config, but no
+    # --config / --set.
+    from .live.config import LiveConfig
+
+    _add_config_arguments(live_parser, LiveConfig)
+    _add_output_arguments(live_parser)
     live_parser.set_defaults(func=_cmd_live)
     list_parser = subparsers.add_parser(
         "list",

@@ -35,6 +35,8 @@ a hedge or a scale-down means mid-decode is not modelled yet.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..serving.engine import DecodeServingReport, simulate_online
 
 # These names stay importable here because perfbench/tracing.py wraps them by
@@ -47,11 +49,13 @@ __all__ = ["DecodeServingReport", "simulate_decode_online"]
 
 
 def simulate_decode_online(
-    devices, dataset, arrivals, num_requests=None, output_lengths="geometric", **knobs
+    devices, dataset, arrivals, num_requests=None, output_lengths="geometric", options=None, **knobs
 ) -> DecodeServingReport:
     """Run a decode serving simulation: :func:`~repro.serving.engine.simulate_online`
-    with ``output_lengths`` (default ``"geometric"``); every other keyword is
-    forwarded unchanged."""
-    return simulate_online(
-        devices, dataset, arrivals, num_requests, output_lengths=output_lengths, **knobs
-    )
+    with ``output_lengths`` (default ``"geometric"``, also for an ``options``
+    object that sets none); every other keyword is forwarded unchanged."""
+    if options is None:
+        knobs["output_lengths"] = output_lengths
+    elif options.output_lengths is None:
+        options = replace(options, output_lengths=output_lengths)
+    return simulate_online(devices, dataset, arrivals, num_requests, options, **knobs)

@@ -33,11 +33,12 @@ from ..evaluation.report import format_key_values, format_table
 from ..evaluation.serving_sweep import (
     DEFAULT_LOAD_FRACTIONS,
     DEFAULT_WARMUP_FRACTION,
+    check_load_sweep,
     slo_spec_from_ms,
 )
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
-from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_process
+from ..serving.arrivals import ClosedLoopArrivals, get_arrival_process
 from ..serving.engine import DecodeServingReport, simulate_online
 from ..serving.options import ServingOptions
 from ..transformer.configs import (
@@ -238,9 +239,7 @@ class DecodeSweepConfig(ExperimentConfig):
             "enables attainment/goodput columns"
         ),
     )
-    slo_per_token_ms: float = cfg_field(
-        0.0, help="prompt-proportional part of the budget (ms per token)"
-    )
+    slo_per_token_ms: float = 0.0
     slo_per_output_token_ms: float = cfg_field(
         0.0, help="generation-proportional part of the budget (ms per token)"
     )
@@ -259,19 +258,13 @@ class DecodeSweepConfig(ExperimentConfig):
     accuracy_max_length: int = cfg_field(
         86, help="sequence-length cap of the accuracy probe corpus"
     )
-    warmup_fraction: float = cfg_field(
-        DEFAULT_WARMUP_FRACTION,
-        help="fraction of the arrival horizon discarded as warm-up",
-    )
+    warmup_fraction: float = DEFAULT_WARMUP_FRACTION
     model: str = cfg_field("bert-base", choices=sorted(MODEL_ZOO), help="model zoo key")
     seed: int = global_config.DEFAULT_SEED
 
     def validate(self) -> None:
         super().validate()
-        if not self.load_fractions:
-            raise ValueError("load_fractions must not be empty")
-        if any(fraction <= 0 for fraction in self.load_fractions):
-            raise ValueError("load_fractions must all be > 0")
+        check_load_sweep(self.load_fractions, self.arrival)
         if not self.modes:
             raise ValueError("modes must not be empty")
         unknown_modes = sorted(set(self.modes) - {"iteration", "request"})
@@ -289,11 +282,6 @@ class DecodeSweepConfig(ExperimentConfig):
             raise ValueError("mean_output_len must be >= 1")
         if self.max_output_len < 1:
             raise ValueError("max_output_len must be >= 1")
-        if (self.slo_per_token_ms or self.slo_per_output_token_ms) and self.slo_ms is None:
-            raise ValueError(
-                "per-token budgets need slo_ms (use --slo-ms 0 for purely "
-                "proportional budgets)"
-            )
         if any(k < 1 for k in self.topk):
             raise ValueError("topk values must all be >= 1")
         if self.itl_budget_ms <= 0:
@@ -302,16 +290,9 @@ class DecodeSweepConfig(ExperimentConfig):
             raise ValueError("accuracy_examples must be >= 0")
         if self.accuracy_max_length < 8:
             raise ValueError("accuracy_max_length must be >= 8")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
+        DecodeServingReport.check_warmup_fraction(self.warmup_fraction)
         resolve_component("device", self.device)
         resolve_component("output-length", self.output_lengths)
-        arrival = resolve_component("arrival", self.arrival)
-        if not _is_rate_driven(arrival):
-            raise ValueError(
-                f"arrival '{self.arrival}' is not rate-driven; the sweep sets "
-                "the offered rate from the measured capacity"
-            )
         self.options()
 
     def options(self) -> ServingOptions:

@@ -29,6 +29,7 @@ from .protocol import BatchExecution, Device
 from .schedule_cache import (
     GLOBAL_SCHEDULE_CACHE,
     ScheduleCache,
+    check_length_bucket,
     quantize_lengths,
     schedule_cache_enabled,
 )
@@ -111,8 +112,7 @@ class CycleAccurateDevice(Device):
         #: HBM substrate for decode-phase KV streaming (prefill cost comes
         #: from the cycle-accurate schedule, which already folds bandwidth in).
         self.hbm = hbm or HbmModel(clock_hz=accelerator.clock_hz)
-        if cache_length_bucket is not None and cache_length_bucket < 1:
-            raise ValueError("cache_length_bucket must be >= 1 (or None for exact)")
+        check_length_bucket(cache_length_bucket)
         self.cache_length_bucket = cache_length_bucket
         self._schedule_cache = (
             schedule_cache if schedule_cache is not None else GLOBAL_SCHEDULE_CACHE

@@ -50,6 +50,7 @@ from typing import Any, Hashable, Iterator
 __all__ = [
     "GLOBAL_SCHEDULE_CACHE",
     "ScheduleCache",
+    "check_length_bucket",
     "quantize_lengths",
     "schedule_cache_enabled",
 ]
@@ -68,6 +69,12 @@ def schedule_cache_enabled() -> bool:
     return os.environ.get(_CACHE_ENV, "on").strip().lower() not in _OFF_WORDS
 
 
+def check_length_bucket(bucket: int | None) -> None:
+    """The one check of a schedule-cache length bucket (``None`` = exact billing)."""
+    if bucket is not None and bucket < 1:
+        raise ValueError(f"cache_length_bucket must be >= 1 (or none for exact), got {bucket!r}")
+
+
 def quantize_lengths(lengths: tuple[int, ...], bucket: int) -> tuple[int, ...]:
     """Round every length *up* to the next multiple of ``bucket``.
 
@@ -75,7 +82,7 @@ def quantize_lengths(lengths: tuple[int, ...], bucket: int) -> tuple[int, ...]:
     quantized batch is billed at least as long as the real one.
     """
     if bucket < 1:
-        raise ValueError("cache_length_bucket must be >= 1")
+        check_length_bucket(bucket)
     if bucket == 1:
         return lengths
     return tuple([-(-length // bucket) * bucket for length in lengths])

@@ -62,21 +62,9 @@ class ServeConfig(ServingKnobs):
     # registry below), so plug-in policies/arrivals/devices work unchanged;
     # plug-in routers see Device fleets and should read backlogs via
     # Router.backlog_seconds (see repro.serving.routing).
-    batch_policy: str = cfg_field(
-        "timeout", help="batch formation (fixed, timeout, bucketed, or plug-in)"
-    )
-    routing: str = cfg_field(
-        "least-loaded",
-        help="fleet routing policy (round-robin, least-loaded, length-sharded, or plug-in)",
-    )
-    shed_on_predicted_miss: bool = cfg_field(
-        False,
-        help=(
-            "deadline-aware admission: shed a request at arrival when no "
-            "device could meet its deadline even dispatched alone "
-            "(reported as num_shed_predicted)"
-        ),
-    )
+    batch_policy: str = "timeout"
+    routing: str = "least-loaded"
+    shed_on_predicted_miss: bool = False
     faults: str | None = cfg_field(
         None,
         help=(
@@ -111,12 +99,8 @@ class ServeConfig(ServingKnobs):
             "default static fleet"
         ),
     )
-    provisioning_lag_s: float = cfg_field(
-        2.0, help="seconds between a scale-up decision and the device coming online"
-    )
-    autoscale_interval_s: float = cfg_field(
-        1.0, help="seconds between autoscaler decisions"
-    )
+    provisioning_lag_s: float = 2.0
+    autoscale_interval_s: float = 1.0
     min_devices: int = cfg_field(
         1, help="devices the autoscaler must keep online (also the starting pool)"
     )

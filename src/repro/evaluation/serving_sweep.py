@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from ..devices import Device, build_fleet, split_fleet_spec
-from ..devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
+from ..devices.schedule_cache import GLOBAL_SCHEDULE_CACHE, check_length_bucket
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
 from ..faults import FaultSchedule, get_fault_schedule
@@ -30,7 +30,7 @@ from ..serving.arrivals import ClosedLoopArrivals, _is_rate_driven, get_arrival_
 from ..serving.classes import ClassMixArrivals, parse_class_mix
 from ..serving.engine import OnlineServingReport, simulate_online
 from ..serving.options import ServingOptions
-from ..serving.policies import BatchPolicy, FixedSizeBatcher, get_batch_policy
+from ..serving.policies import check_formation_knobs, get_batch_policy
 from ..serving.routing import get_router
 from ..serving.slo import SLOSpec
 from ..transformer.configs import (
@@ -48,9 +48,10 @@ __all__ = [
     "ServingSweepConfig",
     "ServingSweepResult",
     "SweepPoint",
-    "build_failure_aware_router",
     "class_mix_arrivals",
     "fault_schedules_from_knobs",
+    "formation_from_ms",
+    "slo_spec_from_ms",
 ]
 
 #: Offered-load grid (fractions of the measured closed-loop capacity); the
@@ -265,12 +266,6 @@ class ServingSweepResult:
         return payload
 
 
-_CACHE_LENGTH_BUCKET_HELP = (
-    "schedule-cache length quantization in tokens (lengths round up to the "
-    "next multiple before scheduling); 'none' = exact billing"
-)
-
-
 @contextmanager
 def _config_error(label: str):
     """Report a component's own construction error as a config ValueError."""
@@ -294,7 +289,7 @@ class ServingKnobs(ExperimentConfig):
 
     requests: int = cfg_field(192, help="requests to simulate (per sweep point)")
     batch_size: int = global_config.DEFAULT_BATCH_SIZE
-    timeout_ms: float = cfg_field(20.0, help="dynamic-batching timeout (ms)")
+    timeout_ms: float = 20.0
     num_buckets: int = cfg_field(4, help="length buckets (bucketed policy)")
     bucket_width: float | None = cfg_field(
         None, help="fixed bucket width in tokens (overrides num-buckets)"
@@ -307,23 +302,10 @@ class ServingKnobs(ExperimentConfig):
         ),
     )
     num_accelerators: int = cfg_field(1, help="replicas of the device fleet")
-    continuous_batching: bool = cfg_field(
-        False, help="device-level continuous batching (admit while draining)"
-    )
-    max_queue_depth: int | None = cfg_field(
-        None, help="shed arrivals beyond this many waiting requests"
-    )
-    slo_ms: float | None = cfg_field(
-        None,
-        help=(
-            "per-request latency budget (ms): deadline = arrival + slo-ms + "
-            "slo-per-token-ms * length; enables attainment/goodput reporting "
-            "(none = deadline-blind)"
-        ),
-    )
-    slo_per_token_ms: float = cfg_field(
-        0.0, help="length-proportional part of the latency budget (ms per token)"
-    )
+    continuous_batching: bool = False
+    max_queue_depth: int | None = None
+    slo_ms: float | None = None
+    slo_per_token_ms: float = 0.0
     device_max_batch_size: int | None = cfg_field(
         None, help="per-device admission limit: requests per dispatched batch"
     )
@@ -371,13 +353,7 @@ class ServingKnobs(ExperimentConfig):
             "expiry; 0 = off)"
         ),
     )
-    warmup_fraction: float = cfg_field(
-        DEFAULT_WARMUP_FRACTION,
-        help=(
-            "fraction of the arrival horizon discarded as warm-up from the "
-            "steady-state statistics (sweep rows; a 'steady' block in online mode)"
-        ),
-    )
+    warmup_fraction: float = DEFAULT_WARMUP_FRACTION
     arrival: str = cfg_field(
         "poisson",
         help=(
@@ -385,7 +361,7 @@ class ServingKnobs(ExperimentConfig):
             "rate-driven plug-in; serve also replays trace and closed-loop)"
         ),
     )
-    cache_length_bucket: int | None = cfg_field(None, help=_CACHE_LENGTH_BUCKET_HELP)
+    cache_length_bucket: int | None = None
     model: str = cfg_field("bert-base", choices=sorted(MODEL_ZOO), help="model zoo key")
     seed: int = global_config.DEFAULT_SEED
 
@@ -397,17 +373,8 @@ class ServingKnobs(ExperimentConfig):
         super().validate()
         if self.requests < 1:
             raise ValueError("requests must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if self.num_accelerators < 1:
             raise ValueError("num_accelerators must be >= 1")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
-        if self.slo_per_token_ms and self.slo_ms is None:
-            raise ValueError(
-                "slo_per_token_ms needs slo_ms (use --slo-ms 0 for purely "
-                "proportional budgets)"
-            )
         if self.device_max_batch_size is not None and self.device_max_batch_size < 1:
             raise ValueError("device_max_batch_size must be >= 1 (or none)")
         if self.device_max_batch_tokens is not None and self.device_max_batch_tokens < 1:
@@ -422,10 +389,8 @@ class ServingKnobs(ExperimentConfig):
             raise ValueError("fault_duration_s must be > 0")
         if self.blacklist_ms < 0:
             raise ValueError("blacklist_ms must be >= 0")
-        if not 0.0 <= self.warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
-        if self.cache_length_bucket is not None and self.cache_length_bucket < 1:
-            raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
+        OnlineServingReport.check_warmup_fraction(self.warmup_fraction)
+        check_length_bucket(self.cache_length_bucket)
         names = split_fleet_spec(self.devices)
         if not names:
             raise ValueError("devices must name at least one registered device")
@@ -433,11 +398,11 @@ class ServingKnobs(ExperimentConfig):
             resolve_component("device", name)
         self.options().check_pool(self.num_accelerators * len(names))
         resolve_component("arrival", self.arrival)
-        # Building each policy turns its own checks (e.g. num_buckets >= 1
-        # for the bucketed batcher) into config errors.
+        # Building each policy turns its own checks (batch_size, timeout,
+        # num_buckets >= 1 for the bucketed batcher) into config errors.
         for name in self.axis("batch_policies"):
             with _config_error(f"batch policy {name!r}"):
-                self.batch_policy_named(name)
+                self.formation(name)
         for spec in self.axis("faults"):
             parts = [piece.strip() for piece in spec.split("+")]
             if "none" in parts and len(parts) > 1:
@@ -464,12 +429,14 @@ class ServingKnobs(ExperimentConfig):
             max_batch_tokens=self.device_max_batch_tokens,
         )
 
-    def batch_policy_named(self, name: str) -> BatchPolicy:
-        """Build the named batch policy with these knobs."""
-        return get_batch_policy(
-            name,
+    def formation(self, policy_name: str, router_name: str | None = None) -> dict:
+        """The named batch policy and router with these knobs (:func:`formation_from_ms`)."""
+        return formation_from_ms(
+            policy_name,
+            router_name,
             batch_size=self.batch_size,
-            timeout_s=self.timeout_ms * 1e-3,
+            timeout_ms=self.timeout_ms,
+            blacklist_ms=self.blacklist_ms,
             num_buckets=self.num_buckets,
             bucket_width=self.bucket_width,
         )
@@ -509,11 +476,7 @@ class ServingKnobs(ExperimentConfig):
         fault_name: str | None,
     ) -> OnlineServingReport:
         """One open-loop ``simulate_online`` run on a fresh :meth:`fleet`."""
-        options = replace(
-            self.options(fault_name),
-            batch_policy=self.batch_policy_named(policy_name),
-            router=build_failure_aware_router(router_name, self.blacklist_ms * 1e-3),
-        )
+        options = replace(self.options(fault_name), **self.formation(policy_name, router_name))
         return simulate_online(
             self.fleet(dataset_name), dataset_name, arrivals, self.requests, options
         )
@@ -540,10 +503,7 @@ class ServingSweepConfig(ServingKnobs):
             "cost-model); empty = --router for every policy"
         ),
     )
-    router: str = cfg_field(
-        "least-loaded",
-        help="fleet routing policy (round-robin, least-loaded, length-sharded, or plug-in)",
-    )
+    router: str = "least-loaded"
     faults: tuple[str, ...] = cfg_field(
         (),
         help=(
@@ -561,16 +521,8 @@ class ServingSweepConfig(ServingKnobs):
             "no class axis"
         ),
     )
-    cache_length_bucket: int | None = cfg_field(
-        DEFAULT_CACHE_LENGTH_BUCKET, help=_CACHE_LENGTH_BUCKET_HELP
-    )
-    jobs: int = cfg_field(
-        1,
-        help=(
-            "worker processes for the (dataset, policy, load) grid; results "
-            "are byte-identical to jobs=1 for a fixed seed"
-        ),
-    )
+    cache_length_bucket: int | None = DEFAULT_CACHE_LENGTH_BUCKET
+    jobs: int = 1
 
     def validate(self) -> None:
         super().validate()
@@ -578,10 +530,7 @@ class ServingSweepConfig(ServingKnobs):
             raise ValueError("jobs must be >= 1")
         if not self.datasets:
             raise ValueError("datasets must not be empty")
-        if not self.load_fractions:
-            raise ValueError("load_fractions must not be empty")
-        if any(fraction <= 0 for fraction in self.load_fractions):
-            raise ValueError("load_fractions must all be > 0")
+        check_load_sweep(self.load_fractions, self.arrival)
         if not self.batch_policies:
             raise ValueError("batch_policies must not be empty")
         unknown = sorted(set(self.datasets) - set(DATASET_ZOO))
@@ -594,11 +543,19 @@ class ServingSweepConfig(ServingKnobs):
             )
         for router in (*self.routers, self.router):
             resolve_component("router", router)
-        if not _is_rate_driven(resolve_component("arrival", self.arrival)):
-            raise ValueError(
-                f"arrival '{self.arrival}' is not rate-driven; the sweep sets the "
-                "offered rate from the measured capacity"
-            )
+
+
+def check_load_sweep(load_fractions: tuple[float, ...], arrival: str) -> None:
+    """The rules every load sweep (serving and decode) shares, checked once."""
+    if not load_fractions:
+        raise ValueError("load_fractions must not be empty")
+    if any(fraction <= 0 for fraction in load_fractions):
+        raise ValueError("load_fractions must all be > 0")
+    if not _is_rate_driven(resolve_component("arrival", arrival)):
+        raise ValueError(
+            f"arrival '{arrival}' is not rate-driven; the sweep sets the "
+            "offered rate from the measured capacity"
+        )
 
 
 def slo_spec_from_ms(
@@ -607,9 +564,14 @@ def slo_spec_from_ms(
     """Build the deadline spec from millisecond config knobs (None = no SLO).
 
     A bad budget raises the spec's own error, prefixed with the ``slo_ms``
-    it came from (the spec names its fields in seconds).
+    it came from (the spec names its fields in seconds); a per-token budget
+    without ``slo_ms`` is refused.
     """
     if slo_ms is None:
+        if slo_per_token_ms or per_output_token_ms:
+            raise ValueError(
+                "per-token budgets need slo_ms (use --slo-ms 0 for purely proportional budgets)"
+            )
         return None
     try:
         return SLOSpec(
@@ -682,21 +644,37 @@ def class_mix_arrivals(arrivals, mix_name: str | None):
     return ClassMixArrivals(base=arrivals, mix=mix_name)
 
 
-def build_failure_aware_router(name: str, blacklist_s: float):
-    """Build a router, passing the circuit-breaker knob when it takes one.
+def formation_from_ms(
+    policy_name: str,
+    router_name: str | None = None,
+    *,
+    batch_size: int,
+    timeout_ms: float,
+    blacklist_ms: float = 0.0,
+    **policy_knobs,
+) -> dict:
+    """The ``batch_policy`` and ``router`` options, for ``ServingOptions(**...)``.
 
-    ``blacklist_s > 0`` is forwarded to routers that accept it (the
-    cost-model router's crash blacklist); routers without the knob -- and
-    every router at ``blacklist_s == 0`` -- are built exactly as
-    :func:`~repro.serving.routing.get_router` would, so fault-free sweeps
-    keep their historical routing byte for byte.
+    The one ms -> engine mapping of the formation knobs.  The timeout is
+    checked even for a policy that takes none; ``router_name=None`` keeps
+    the engine's default router.  ``blacklist_ms > 0`` reaches the routers
+    that take a crash blacklist; any other router is built as ``get_router``
+    builds it, so fault-free runs keep their routing byte for byte.
     """
-    if blacklist_s > 0:
+    timeout_s = timeout_ms * 1e-3
+    check_formation_knobs(batch_size, timeout_s)
+    policy = get_batch_policy(
+        policy_name, batch_size=batch_size, timeout_s=timeout_s, **policy_knobs
+    )
+    router = None
+    if router_name is not None and blacklist_ms > 0:
         try:
-            return get_router(name, blacklist_s=blacklist_s)
-        except TypeError:
+            router = get_router(router_name, blacklist_s=blacklist_ms * 1e-3)
+        except TypeError:  # a router without a crash blacklist
             pass
-    return get_router(name)
+    if router_name is not None and router is None:
+        router = get_router(router_name)
+    return {"batch_policy": policy, "router": router}
 
 
 def _probe_digests(report: OnlineServingReport, keys: list) -> list[str] | None:
@@ -731,8 +709,9 @@ def _capacity_worker(
     :func:`_probe_digests`) for the sweep's deterministic hit accounting.
     """
     options = ServingOptions(
-        batch_policy=FixedSizeBatcher(batch_size=config.batch_size),
-        router=get_router(config.router),
+        **formation_from_ms(
+            "fixed", config.router, batch_size=config.batch_size, timeout_ms=config.timeout_ms
+        ),
         seed=config.seed,
         continuous_batching=config.continuous_batching,
     )

@@ -12,9 +12,10 @@ CLI and the programmatic API share:
   type.
 * ``replace()`` -- functional update, like :func:`dataclasses.replace`.
 
-Field-level CLI metadata (choices, help text) is attached with
+Field-level CLI metadata (choices, help text, flag spelling) is attached with
 :func:`cfg_field`, which the parser generator in :mod:`repro.cli` reads when
-it turns a config dataclass into ``--flags``.
+it turns a config dataclass into ``--flags``; a knob several configs declare
+takes its help text from :data:`KNOB_HELP` instead, worded once.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Any, Iterable, Sequence
 from ..registry import REGISTRY
 
 __all__ = [
+    "KNOB_HELP",
     "ExperimentConfig",
     "cfg_field",
     "coerce_value",
@@ -38,6 +40,40 @@ __all__ = [
     "resolve_component",
     "strip_optional",
 ]
+
+_ROUTING_HELP = "fleet routing policy (round-robin, least-loaded, length-sharded, cost-model, ...)"
+
+#: The one wording of each knob several configs declare: a field without
+#: its own ``help`` gets its name's entry here in every command's ``--help``.
+KNOB_HELP = {
+    "batch_policy": "registered batch policy (fixed, timeout, bucketed, deadline, ...)",
+    "batch_size": "requests per batch",
+    "timeout_ms": "dynamic-batching timeout (ms)",
+    "routing": _ROUTING_HELP,
+    "router": _ROUTING_HELP,
+    "continuous_batching": "device-level continuous batching (admit while draining)",
+    "max_queue_depth": "shed arrivals beyond this many waiting requests (none = unbounded)",
+    "slo_ms": (
+        "per-request latency budget (ms): deadline = arrival + slo-ms + the "
+        "per-token budgets; reports deadline attainment and goodput"
+    ),
+    "slo_per_token_ms": "length-proportional part of the latency budget (ms per prompt token)",
+    "shed_on_predicted_miss": (
+        "deadline-aware admission: shed a request at arrival when no device could "
+        "meet its deadline even dispatched alone (reported as num_shed_predicted)"
+    ),
+    "provisioning_lag_s": "seconds between a scale-up decision and the device coming online",
+    "autoscale_interval_s": "seconds between autoscaler decisions",
+    "cache_length_bucket": (
+        "schedule-cache length quantization in tokens (lengths round up to the "
+        "next multiple before scheduling); 'none' = exact billing"
+    ),
+    "warmup_fraction": (
+        "fraction of the arrival horizon discarded as warm-up from the "
+        "steady-state statistics"
+    ),
+    "jobs": "worker processes (the result is byte-identical whatever the value)",
+}
 
 _NONE_WORDS = frozenset({"none", "null"})
 _TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
@@ -49,13 +85,16 @@ def cfg_field(
     *,
     choices: Sequence[Any] | None = None,
     help: str | None = None,  # noqa: A002 - mirrors argparse's keyword
+    flag: str | None = None,
 ) -> Any:
-    """A dataclass field carrying CLI metadata (choices / help text)."""
+    """A dataclass field carrying CLI metadata (choices / help text / ``--flag`` spelling)."""
     metadata = {}
     if choices is not None:
         metadata["choices"] = tuple(choices)
     if help is not None:
         metadata["help"] = help
+    if flag is not None:
+        metadata["flag"] = flag
     return dataclasses.field(default=default, metadata=metadata)
 
 

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 from .. import config as global_config
 from ..devices import split_fleet_spec
+from ..devices.schedule_cache import check_length_bucket
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
-from ..evaluation.serving_sweep import slo_spec_from_ms
-from ..serving import ServingOptions, get_arrival_process, get_batch_policy, get_router
+from ..evaluation.serving_sweep import formation_from_ms, slo_spec_from_ms
+from ..serving import ServingOptions, get_arrival_process
 from ..serving.arrivals import _is_rate_driven, load_trace
 from ..transformer.configs import DATASET_ZOO, MODEL_ZOO, get_model_config
 from ..evaluation.report import format_key_values, format_table
@@ -55,16 +56,8 @@ class PlanConfig(ExperimentConfig):
     attainment_target: float = cfg_field(
         0.95, help="deadline-attainment fraction a fleet must reach to be feasible"
     )
-    slo_ms: float = cfg_field(
-        250.0,
-        help=(
-            "per-request latency budget (ms): deadline = arrival + slo-ms + "
-            "slo-per-token-ms * length"
-        ),
-    )
-    slo_per_token_ms: float = cfg_field(
-        0.0, help="length-proportional part of the latency budget (ms per token)"
-    )
+    slo_ms: float = 250.0
+    slo_per_token_ms: float = 0.0
     arrival: str = cfg_field(
         "trace",
         help=(
@@ -90,32 +83,16 @@ class PlanConfig(ExperimentConfig):
             "required for generated arrivals"
         ),
     )
-    batch_policy: str = cfg_field(
-        "timeout", help="batch formation every candidate fleet runs (fixed, timeout, ...)"
-    )
+    # Every candidate fleet runs the same formation and routing.
+    batch_policy: str = "timeout"
     batch_size: int = global_config.DEFAULT_BATCH_SIZE
-    timeout_ms: float = cfg_field(20.0, help="dynamic-batching timeout (ms)")
-    routing: str = cfg_field(
-        "least-loaded", help="fleet routing policy every candidate fleet runs"
-    )
-    continuous_batching: bool = cfg_field(
-        False, help="device-level continuous batching (admit while draining)"
-    )
-    cache_length_bucket: int | None = cfg_field(
-        16,
-        help=(
-            "schedule-cache length quantization in tokens; the search replays "
-            "one length stream across many fleets, so bucketing keeps the "
-            "shared cache hot (none = exact billing)"
-        ),
-    )
-    jobs: int = cfg_field(
-        1,
-        help=(
-            "parallel candidate evaluations per wave (the plan itself is "
-            "byte-identical whatever the value)"
-        ),
-    )
+    timeout_ms: float = 20.0
+    routing: str = "least-loaded"
+    continuous_batching: bool = False
+    # The search replays one length stream across many fleets, so bucketing
+    # keeps the shared schedule cache hot.
+    cache_length_bucket: int | None = 16
+    jobs: int = 1
     prune: bool = cfg_field(
         True,
         help=(
@@ -131,12 +108,8 @@ class PlanConfig(ExperimentConfig):
             "and report attainment per $/hr vs. the static fleet"
         ),
     )
-    provisioning_lag_s: float = cfg_field(
-        2.0, help="seconds between a scale-up decision and the device coming online"
-    )
-    autoscale_interval_s: float = cfg_field(
-        1.0, help="seconds between autoscaler decisions (comparison run)"
-    )
+    provisioning_lag_s: float = 2.0
+    autoscale_interval_s: float = 1.0
     model: str = cfg_field("bert-base", choices=sorted(MODEL_ZOO), help="model zoo key")
     seed: int = global_config.DEFAULT_SEED
 
@@ -157,12 +130,7 @@ class PlanConfig(ExperimentConfig):
             raise ValueError("attainment_target must be in (0, 1]")
         if self.slo_ms <= 0:
             raise ValueError("slo_ms must be > 0 (the target is deadline attainment)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.timeout_ms < 0:
-            raise ValueError("timeout_ms must be >= 0")
-        if self.cache_length_bucket is not None and self.cache_length_bucket < 1:
-            raise ValueError("cache_length_bucket must be >= 1 (or none for exact)")
+        check_length_bucket(self.cache_length_bucket)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.requests is not None and self.requests < 1:
@@ -192,10 +160,12 @@ class PlanConfig(ExperimentConfig):
         """The engine options every candidate replays with (ms -> s), scaled
         by ``autoscaler`` from one device for the comparison run."""
         return ServingOptions(
-            batch_policy=get_batch_policy(
-                self.batch_policy, batch_size=self.batch_size, timeout_s=self.timeout_ms * 1e-3
+            **formation_from_ms(
+                self.batch_policy,
+                self.routing,
+                batch_size=self.batch_size,
+                timeout_ms=self.timeout_ms,
             ),
-            router=get_router(self.routing),
             seed=self.seed,
             continuous_batching=self.continuous_batching,
             slo=slo_spec_from_ms(self.slo_ms, self.slo_per_token_ms),

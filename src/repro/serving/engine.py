@@ -304,6 +304,12 @@ class OnlineServingReport:
         """Time of the last served arrival (the warm-up window's base)."""
         return self._last("arrival")
 
+    @staticmethod
+    def check_warmup_fraction(warmup_fraction: float) -> None:
+        """Refuse a warm-up fraction outside [0, 1) (configs check theirs up front)."""
+        if not 0.0 <= warmup_fraction < 1.0:
+            raise ValueError("warmup_fraction must be in [0, 1)")
+
     def _steady(self, warmup_fraction: float) -> np.ndarray:
         """The rows of requests that arrived after the warm-up window.
 
@@ -315,8 +321,7 @@ class OnlineServingReport:
         last arrival always survives; the fallback to every row only guards
         degenerate float edge cases.
         """
-        if not 0.0 <= warmup_fraction < 1.0:
-            raise ValueError("warmup_fraction must be in [0, 1)")
+        self.check_warmup_fraction(warmup_fraction)
         arrival = self.ledger.column("arrival")
 
         def rows():

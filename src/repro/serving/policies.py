@@ -25,6 +25,7 @@ deadline-pressure dispatch, provably-late shedding) lives in
 from __future__ import annotations
 
 import dataclasses
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -40,11 +41,20 @@ __all__ = [
     "FixedSizeBatcher",
     "TimeoutBatcher",
     "LengthBucketedBatcher",
+    "check_formation_knobs",
     "get_batch_policy",
 ]
 
 #: Tolerance when comparing floating-point deadlines against the clock.
 _TIME_EPS = 1e-9
+
+
+def check_formation_knobs(batch_size: int, timeout_s: float = 0.0) -> None:
+    """The one check of the knobs the policies share (a NaN or inf timeout never fires)."""
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if not (math.isfinite(timeout_s) and timeout_s >= 0):
+        raise ValueError(f"timeout_s must be >= 0 and finite, got {timeout_s!r}")
 
 
 class BatchPolicy:
@@ -95,8 +105,7 @@ class FixedSizeBatcher(BatchPolicy):
     name: str = "fixed-size"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_formation_knobs(self.batch_size)
 
     def form_batch(
         self, queue: list[Request], now: float, draining: bool
@@ -123,10 +132,7 @@ class TimeoutBatcher(BatchPolicy):
     name: str = "timeout"
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.timeout_s < 0:
-            raise ValueError("timeout_s must be >= 0")
+        check_formation_knobs(self.batch_size, self.timeout_s)
 
     def next_action_time(self, queue: list[Request], now: float) -> float | None:
         if not queue:
@@ -171,10 +177,7 @@ class LengthBucketedBatcher(BatchPolicy):
     _edges: list[float] = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.timeout_s < 0:
-            raise ValueError("timeout_s must be >= 0")
+        check_formation_knobs(self.batch_size, self.timeout_s)
         if self.num_buckets < 1:
             raise ValueError("num_buckets must be >= 1")
         if self.bucket_width is not None and self.bucket_width <= 0:

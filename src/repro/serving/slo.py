@@ -42,7 +42,7 @@ from operator import is_
 from .. import config as global_config
 from ..devices.fleet import FleetCostOracle
 from ..registry import register
-from .policies import _TIME_EPS, BatchPolicy
+from .policies import _TIME_EPS, BatchPolicy, check_formation_knobs
 from .request import Request
 from .routing import Router
 
@@ -293,12 +293,9 @@ class DeadlineBatcher(BatchPolicy):
     )
 
     def __post_init__(self) -> None:
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.timeout_s < 0:
-            raise ValueError("timeout_s must be >= 0")
-        if self.margin_s < 0:
-            raise ValueError("margin_s must be >= 0")
+        check_formation_knobs(self.batch_size, self.timeout_s)
+        if not (math.isfinite(self.margin_s) and self.margin_s >= 0):
+            raise ValueError(f"margin_s must be >= 0 and finite, got {self.margin_s!r}")
 
     def bind_fleet(self, fleet: list) -> None:
         self._fleet = [d for d in fleet if hasattr(d, "batch_latency_seconds")]
@@ -521,8 +518,8 @@ class CostModelRouter(Router):
     )
 
     def __post_init__(self) -> None:
-        if self.blacklist_s < 0:
-            raise ValueError("blacklist_s must be >= 0")
+        if not (math.isfinite(self.blacklist_s) and self.blacklist_s >= 0):
+            raise ValueError(f"blacklist_s must be >= 0 and finite, got {self.blacklist_s!r}")
 
     def prepare(self, num_devices: int, dataset) -> None:
         # Reset breaker state so a reused router gives identical runs.

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from repro.decode import GeometricOutputLength, simulate_decode_online
 from repro.devices import Device, build_device
 from repro.devices.schedule_cache import GLOBAL_SCHEDULE_CACHE
-from repro.serving import ClassMixArrivals, DeadlineBatcher, get_batch_policy, get_router
+from repro.serving import (
+    ClassMixArrivals,
+    DeadlineBatcher,
+    ServingOptions,
+    get_batch_policy,
+    get_router,
+)
 from repro.serving import engine as serving_engine
 from repro.serving.arrivals import PoissonArrivals
 from repro.serving.engine import OnlineServingReport, simulate_online
@@ -345,6 +351,24 @@ class TestOneCore:
                 output_lengths=4,
                 **{knob: value},
             )
+
+    def test_options_object_takes_the_default_output_lengths(self):
+        fleet = [_decode_device()]
+        arrivals = PoissonArrivals(rate_qps=5.0)
+        GLOBAL_SCHEDULE_CACHE.clear()
+        wrapped = simulate_decode_online(fleet, MRPC, arrivals, 4, options=ServingOptions(seed=3))
+        GLOBAL_SCHEDULE_CACHE.clear()
+        direct = simulate_online(
+            fleet, MRPC, arrivals, 4, options=ServingOptions(seed=3, output_lengths="geometric")
+        )
+        assert wrapped.to_dict() == direct.to_dict()
+        # An options object's own output lengths win over the wrapper's default.
+        fixed = simulate_decode_online(
+            fleet, MRPC, arrivals, 4, options=ServingOptions(seed=3, output_lengths=2)
+        )
+        assert fixed.total_output_tokens == 8
+        with pytest.raises(TypeError, match="not both"):
+            simulate_decode_online(fleet, MRPC, arrivals, 4, options=ServingOptions(), seed=3)
 
     def test_hedging_refused_on_kv_capped_fleet(self):
         with pytest.raises(ValueError, match="hedging"):

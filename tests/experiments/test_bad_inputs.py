@@ -169,3 +169,31 @@ def test_live_reports_bad_flags_as_config_errors(flags, message, capsys):
         main(["live", "--port", "0", *flags])
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+#: ``repro live`` flags refused before anything runs: a ``--validate`` run
+#: replays its own scenario, so a serving flag would be silently ignored (and
+#: a server run ignores the validation flags), and a tolerance that is not a
+#: finite number >= 0 makes the verdict meaningless.
+LIVE_VALIDATE_ARGV = {
+    "timeout-nan": (["--port", "0", "--timeout-ms", "nan"], "timeout_s must be >= 0 and finite"),
+    "validate-batch-size": (["--validate", "--batch-size", "8"], "--batch-size"),
+    "validate-devices": (["--validate", "--devices", "cpu-xeon"], "--devices"),
+    "validate-continuous": (["--validate", "--continuous-batching"], "--continuous-batching"),
+    "validate-port": (["--validate", "--port", "0"], "--port"),
+    "tolerance-nan": (["--validate", "--tolerance", "nan"], "tolerance must be finite"),
+    "tolerance-inf": (["--validate", "--tolerance", "inf"], "tolerance must be finite"),
+    "tolerance-negative": (["--validate", "--tolerance", "-0.1"], "tolerance must be >= 0"),
+    "server-scenario": (["--port", "0", "--scenario", "crash"], "--scenario: only read"),
+    "server-tolerance": (["--port", "0", "--tolerance", "0.5"], "--tolerance: only read"),
+}
+
+
+@pytest.mark.parametrize(
+    "flags, message", LIVE_VALIDATE_ARGV.values(), ids=LIVE_VALIDATE_ARGV.keys()
+)
+def test_live_refuses_ignored_flags_and_bad_tolerance(flags, message, capsys):
+    with deadline(), pytest.raises(SystemExit) as excinfo:
+        main(["live", *flags])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err

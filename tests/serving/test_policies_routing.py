@@ -17,6 +17,7 @@ from repro.serving.routing import (
     RoundRobinRouter,
     get_router,
 )
+from repro.serving.slo import CostModelRouter, DeadlineBatcher
 from repro.transformer.configs import MRPC
 
 
@@ -171,3 +172,21 @@ class TestFactories:
         assert isinstance(get_router("length-sharded"), LengthShardedRouter)
         with pytest.raises(KeyError):
             get_router("random")
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1e-3])
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda v: TimeoutBatcher(timeout_s=v), "timeout_s must be >= 0"),
+        (lambda v: LengthBucketedBatcher(timeout_s=v), "timeout_s must be >= 0"),
+        (lambda v: DeadlineBatcher(timeout_s=v), "timeout_s must be >= 0"),
+        (lambda v: DeadlineBatcher(margin_s=v), "margin_s must be >= 0"),
+        (lambda v: CostModelRouter(blacklist_s=v), "blacklist_s must be >= 0"),
+    ],
+    ids=["timeout", "bucketed-timeout", "deadline-timeout", "deadline-margin", "blacklist"],
+)
+def test_time_knobs_must_be_finite_and_non_negative(build, message, value):
+    # A NaN or infinite timeout never fires: the run would wait forever.
+    with pytest.raises(ValueError, match=message):
+        build(value)

@@ -96,10 +96,11 @@ def _add_config_arguments(
         flag = field.metadata.get("flag") or "--" + field.name.replace("_", "-")
         annotation, optional = strip_optional(hints[field.name])
         origin = typing.get_origin(annotation)
-        if field.default is not dataclasses.MISSING:
-            default_text = f"(default: {field.default})"
-        else:
-            default_text = ""
+        default = field.default
+        if isinstance(default, tuple):
+            # Shown the way the flag takes it: space-separated, nothing if empty.
+            default = " ".join(map(str, default)) or dataclasses.MISSING
+        default_text = f"(default: {default})" if default is not dataclasses.MISSING else ""
         help_text = field.metadata.get("help") or KNOB_HELP.get(field.name, "")
         help_text = " ".join(part for part in (help_text, default_text) if part)
         kwargs: dict = {"dest": field.name, "default": _UNSET, "help": help_text}

@@ -5,8 +5,6 @@ The serving simulator (:mod:`repro.serving`) models a request as a prompt
 plus ``output_len`` generated tokens, an encoder request being one that
 generates one; this package holds the generation side of it:
 
-* :class:`DecodeRequestRecord` (from :mod:`repro.serving.request`) -- a
-  decode run's records, carrying TTFT and inter-token latency.
 * :mod:`~repro.decode.output_lengths` -- registered ``output-length``
   distributions (``fixed``, ``uniform``, ``geometric``).
 * :func:`simulate_decode_online` -- ``simulate_online`` with an output-length
@@ -14,14 +12,18 @@ generates one; this package holds the generation side of it:
   continuous batching over
   :meth:`~repro.devices.Device.decode_step_latency_seconds`, with
   token-level KV-cache admission on devices built with ``kv_cache_bytes``.
+  It returns the encoder's :class:`~repro.serving.OnlineServingReport`,
+  whose decode block (TTFT, inter-token latency, token goodput, per-device
+  decode steps and KV peaks) is filled because ``output_lengths`` is set,
+  and whose :class:`~repro.serving.RequestRecord` rows carry each request's
+  first token.
 * The ``decode-sweep`` experiment (:mod:`~repro.decode.sweep`) -- TTFT /
   inter-token latency / SLO attainment versus offered load, iteration-level
   versus request-level admission, and top-k sparse attention as an
   accuracy-versus-KV-capacity operating point.
 """
 
-from ..serving.request import DecodeRequestRecord
-from .engine import DecodeServingReport, simulate_decode_online
+from .engine import simulate_decode_online
 from .output_lengths import (
     FixedOutputLength,
     GeometricOutputLength,
@@ -42,8 +44,6 @@ __all__ = [
     "DecodeSweepResult",
     "decode_concurrency_limit",
     "run_decode_sweep",
-    "DecodeRequestRecord",
-    "DecodeServingReport",
     "FixedOutputLength",
     "GeometricOutputLength",
     "OutputLengthDistribution",

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from ..serving.engine import DecodeServingReport, simulate_online
+from ..serving.engine import OnlineServingReport, simulate_online
 
 # These names stay importable here because perfbench/tracing.py wraps them by
 # module attribute (its traced repeats fail if one is deleted or moved).
@@ -45,12 +45,12 @@ from ..serving.classes import collect_class_stats  # noqa: F401
 from ..serving.core import collect_device_stats  # noqa: F401
 from .output_lengths import generate_decode_requests  # noqa: F401
 
-__all__ = ["DecodeServingReport", "simulate_decode_online"]
+__all__ = ["simulate_decode_online"]
 
 
 def simulate_decode_online(
     devices, dataset, arrivals, num_requests=None, output_lengths="geometric", options=None, **knobs
-) -> DecodeServingReport:
+) -> OnlineServingReport:
     """Run a decode serving simulation: :func:`~repro.serving.engine.simulate_online`
     with ``output_lengths`` (default ``"geometric"``, also for an ``options``
     object that sets none); every other keyword is forwarded unchanged."""

@@ -39,7 +39,7 @@ from ..evaluation.serving_sweep import (
 from ..experiments import ExperimentSpec, cfg_field, register_experiment
 from ..experiments.config import ExperimentConfig, resolve_component
 from ..serving.arrivals import ClosedLoopArrivals, get_arrival_process
-from ..serving.engine import DecodeServingReport, simulate_online
+from ..serving.engine import OnlineServingReport, simulate_online
 from ..serving.options import ServingOptions
 from ..transformer.configs import (
     DATASET_ZOO,
@@ -77,7 +77,7 @@ class DecodePoint:
     load_fraction: float
     offered_qps: float
     capacity_qps: float
-    report: DecodeServingReport
+    report: OnlineServingReport
     warmup_fraction: float = 0.0
 
     def as_row(self) -> dict:
@@ -290,7 +290,7 @@ class DecodeSweepConfig(ExperimentConfig):
             raise ValueError("accuracy_examples must be >= 0")
         if self.accuracy_max_length < 8:
             raise ValueError("accuracy_max_length must be >= 8")
-        DecodeServingReport.check_warmup_fraction(self.warmup_fraction)
+        OnlineServingReport.check_warmup_fraction(self.warmup_fraction)
         resolve_component("device", self.device)
         resolve_component("output-length", self.output_lengths)
         self.options()

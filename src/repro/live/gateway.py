@@ -7,8 +7,8 @@
 machinery over the same report type -- the only differences are who owns time
 and who finalizes batches:
 
-* time is a :class:`~repro.serving.clock.WallClock` (re-based to 0 at first
-  ingest so a replayed trace's timestamps share the simulator's axis);
+* time is a :class:`WallClock` (re-based to 0 at first ingest so a replayed
+  trace's timestamps share the simulator's axis);
 * arrivals come from :meth:`submit` (HTTP ingest, trace replay, tests)
   instead of a pre-generated stream;
 * batch formation runs in an asyncio dispatcher task that wakes on ingest,
@@ -28,19 +28,18 @@ for the checked-in contract).
 from __future__ import annotations
 
 import asyncio
+import time
 from dataclasses import dataclass, fields
 
 from ..devices import Device
 from ..serving.classes import get_request_class
-from ..serving.clock import WallClock
 from ..serving.core import CrashLedger, DispatchCore, PlannedBatch, open_session
-from ..serving.engine import OnlineServingReport
 from ..serving.options import ServingOptions
 from ..serving.request import Request, RequestRecord
 from ..transformer.configs import DatasetConfig
 from .actors import DeviceActor
 
-__all__ = ["LiveGateway", "SubmitResult"]
+__all__ = ["LiveGateway", "SubmitResult", "WallClock"]
 
 #: Options a wall-clock gateway does not model: no seeded stream, no elastic
 #: pool, no injected faults (a worker crash is requeued exactly once, like
@@ -55,6 +54,29 @@ _DEFAULTS = {f.name: f.default for f in fields(ServingOptions)}
 #: Poll interval while draining (the dispatcher is event-driven; this only
 #: bounds how quickly shutdown notices that the last actor went idle).
 _DRAIN_POLL_S = 0.005
+
+
+class WallClock:
+    """The OS monotonic clock, re-based to 0 at construction and by :meth:`rebase`.
+
+    The gateway rebases at first ingest, so a replayed trace's timestamps
+    line up with the simulator's (whose first arrival defines t=0) instead
+    of carrying the gateway's startup delay.
+    """
+
+    def __init__(self) -> None:
+        self.rebase()
+
+    def rebase(self) -> None:
+        """Restart ``now()`` at 0."""
+        self._epoch = time.monotonic()
+
+    def now(self) -> float:
+        return time.monotonic() - self._epoch
+
+    def seconds_until(self, instant: float) -> float:
+        """Seconds from now until ``instant`` on this clock (>= 0)."""
+        return max(instant - self.now(), 0.0)
 
 
 @dataclass
@@ -115,7 +137,7 @@ class LiveGateway:
         if unmodelled:
             raise ValueError(f"the live gateway does not model {', '.join(unmodelled)}")
         self.session = session = open_session(
-            OnlineServingReport, devices, dataset, lambda dataset: ([], "live", None), options
+            devices, dataset, lambda dataset: ([], "live", None), options
         )
         fleet = session.fleet
         self.fleet: list[Device] = fleet

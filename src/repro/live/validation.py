@@ -61,11 +61,9 @@ __all__ = [
     "VALIDATION_TRACE_PATH",
     "build_crash_trace",
     "build_validation_trace",
-    "crash_gateway",
     "load_validation_trace",
     "run_crash_validation",
     "run_live_validation",
-    "simulate_crash_trace",
     "simulate_trace",
     "trace_requests",
     "validation_gateway",
@@ -173,7 +171,12 @@ def load_validation_trace(path: str | Path | None = None) -> list[dict]:
 
 
 def trace_requests(entries: list[dict]) -> list[Request]:
-    """The simulator-side view of a trace: explicit requests with deadlines."""
+    """The simulator-side view of a trace: explicit requests with deadlines.
+
+    Each request keeps the entry's ``output_len``, as :func:`replay_trace`
+    sends it, so the simulator refuses a decode trace instead of replaying
+    a different workload.
+    """
     return [
         Request(
             request_id=index,
@@ -185,6 +188,7 @@ def trace_requests(entries: list[dict]) -> list[Request]:
                 else None
             ),
             request_class=entry.get("class"),
+            output_len=int(entry.get("output_len", 1)),
         )
         for index, entry in enumerate(sorted(entries, key=lambda e: e["t"]))
     ]
@@ -196,47 +200,57 @@ def _options(config: dict) -> ServingOptions:
     return ServingOptions(batch_policy=policy, max_queue_depth=config.get("max_queue_depth"))
 
 
+def _simulate(config: dict, entries: list[dict]):
+    """Replay ``entries`` through the simulator; ``crash_time_s`` crashes device 0."""
+    options = _options(config)
+    if "crash_time_s" in config:
+        crash = (0, config["crash_time_s"], config["crash_downtime_s"])
+        options = replace(options, faults=ScriptedFaults(crashes=(crash,)))
+    fleet = build_fleet((config["device"],), dataset=config["dataset"])
+    return simulate_online(fleet, config["dataset"], trace_requests(entries), options=options)
+
+
+def _gateway(config: dict) -> LiveGateway:
+    """A live gateway at ``config``; ``crash_on_pickup`` cues a worker crash."""
+    fleet = build_fleet((config["device"],), dataset=config["dataset"])
+    gateway = LiveGateway(fleet, config["dataset"], _options(config))
+    if "crash_on_pickup" in config:
+        gateway.actors[0].fail_on_pickups = {config["crash_on_pickup"]}
+    return gateway
+
+
 def simulate_trace(entries: list[dict]):
     """Replay the trace through the simulator at the validation config."""
-    dataset = VALIDATION_CONFIG["dataset"]
-    fleet = build_fleet((VALIDATION_CONFIG["device"],), dataset=dataset)
-    options = _options(VALIDATION_CONFIG)
-    return simulate_online(fleet, dataset, trace_requests(entries), options=options)
+    return _simulate(VALIDATION_CONFIG, entries)
 
 
 def validation_gateway() -> LiveGateway:
     """A live gateway at exactly the simulator's validation config."""
-    fleet = build_fleet((VALIDATION_CONFIG["device"],), dataset=VALIDATION_CONFIG["dataset"])
-    return LiveGateway(fleet, VALIDATION_CONFIG["dataset"], _options(VALIDATION_CONFIG))
+    return _gateway(VALIDATION_CONFIG)
 
 
-def simulate_crash_trace(entries: list[dict]):
-    """Replay the crash trace through the simulator (scripted fault schedule)."""
-    fleet = build_fleet((CRASH_CONFIG["device"],), dataset=CRASH_CONFIG["dataset"])
-    crash = (0, CRASH_CONFIG["crash_time_s"], CRASH_CONFIG["crash_downtime_s"])
-    options = replace(_options(CRASH_CONFIG), faults=ScriptedFaults(crashes=(crash,)))
-    return simulate_online(fleet, CRASH_CONFIG["dataset"], trace_requests(entries), options=options)
+def _validate(config: dict, trace_path, host: str, tolerance: float, speed: float) -> dict:
+    """Replay one scenario's trace through both engines and diff the reports."""
+    entries = load_validation_trace(trace_path)
 
+    async def replay_live() -> dict:
+        server = LiveServer(_gateway(config), host=host, port=0)
+        await server.start()
+        try:
+            await replay_trace(host, server.port, entries, speed=speed)
+            return await server.gateway.shutdown()
+        finally:
+            await server.close()
 
-def crash_gateway() -> LiveGateway:
-    """A live gateway at the crash config, with the worker crash cued up."""
-    fleet = build_fleet((CRASH_CONFIG["device"],), dataset=CRASH_CONFIG["dataset"])
-    gateway = LiveGateway(fleet, CRASH_CONFIG["dataset"], _options(CRASH_CONFIG))
-    gateway.actors[0].fail_on_pickups = {CRASH_CONFIG["crash_on_pickup"]}
-    return gateway
-
-
-async def _replay_live(
-    entries: list[dict], host: str, speed: float, gateway_factory=validation_gateway
-) -> dict:
-    server = LiveServer(gateway_factory(), host=host, port=0)
-    await server.start()
-    try:
-        await replay_trace(host, server.port, entries, speed=speed)
-        stats = await server.gateway.shutdown()
-    finally:
-        await server.close()
-    return stats
+    sim = _simulate(config, entries).to_dict()
+    live = asyncio.run(replay_live())
+    return {
+        "config": dict(config),
+        "trace_entries": len(entries),
+        "sim": sim,
+        "live": live,
+        "agreement": compare_reports(sim, live, tolerance),
+    }
 
 
 def compare_reports(sim: dict, live: dict, tolerance: float) -> dict:
@@ -310,17 +324,7 @@ def run_live_validation(
     ``speed`` accelerates the wall-clock replay (pacing *and* service sleeps
     are unscaled -- only use values > 1 for smoke runs, not for validation).
     """
-    entries = load_validation_trace(trace_path)
-    sim_report = simulate_trace(entries)
-    live_stats = asyncio.run(_replay_live(entries, host, speed))
-    agreement = compare_reports(sim_report.to_dict(), live_stats, tolerance)
-    return {
-        "config": dict(VALIDATION_CONFIG),
-        "trace_entries": len(entries),
-        "sim": sim_report.to_dict(),
-        "live": live_stats,
-        "agreement": agreement,
-    }
+    return _validate(VALIDATION_CONFIG, trace_path, host, tolerance, speed)
 
 
 def run_crash_validation(
@@ -339,14 +343,4 @@ def run_crash_validation(
     replay counts exactly, rates within ``tolerance``, and the live
     supervisor's restart count equal to the simulated crash count.
     """
-    entries = load_validation_trace(trace_path or CRASH_TRACE_PATH)
-    sim_report = simulate_crash_trace(entries)
-    live_stats = asyncio.run(_replay_live(entries, host, speed, gateway_factory=crash_gateway))
-    agreement = compare_reports(sim_report.to_dict(), live_stats, tolerance)
-    return {
-        "config": dict(CRASH_CONFIG),
-        "trace_entries": len(entries),
-        "sim": sim_report.to_dict(),
-        "live": live_stats,
-        "agreement": agreement,
-    }
+    return _validate(CRASH_CONFIG, trace_path or CRASH_TRACE_PATH, host, tolerance, speed)

@@ -378,7 +378,7 @@ def collect_class_stats(report) -> None:
     if all(name is None for name in classes) and all(r.request_class is None for r in shed):
         report.class_summaries = None
         return
-    causes = getattr(report, "shed_causes", {}) or {}
+    causes = report.shed_causes
     summaries: dict[str, ClassSummary] = {}
     # Per class: deadline-carrying offered requests, and those met.
     with_deadline: dict[str, list] = {}

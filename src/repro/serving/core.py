@@ -42,7 +42,7 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..devices import BatchExecution, CycleAccurateDevice, Device
 from ..hardware.accelerator import Accelerator
@@ -55,6 +55,9 @@ from .policies import BatchPolicy, FixedSizeBatcher, LengthBucketedBatcher
 from .request import Request
 from .routing import LeastLoadedRouter, LengthShardedRouter, Router
 from .slo import ProvablyLate, SLOSpec
+
+if TYPE_CHECKING:
+    from .engine import OnlineServingReport
 
 __all__ = [
     "CrashLedger",
@@ -76,13 +79,10 @@ def note_shed(report, request: Request, cause: str) -> None:
 
     The cause map (``report.shed_causes``, request_id -> ``"shed"`` /
     ``"shed-predicted"`` / ``"late"`` / ``"crashed"``) is what per-class
-    accounting uses to keep the per-cause counters disjoint; reports that
-    predate it (plain dict stand-ins) just skip the bookkeeping.
+    accounting uses to keep the per-cause counters disjoint.
     """
     report.shed_requests.append(request)
-    causes = getattr(report, "shed_causes", None)
-    if causes is not None:
-        causes[request.request_id] = cause
+    report.shed_causes[request.request_id] = cause
 
 
 def prepare_stream(
@@ -187,49 +187,48 @@ class ServingSession:
     dataset: DatasetConfig
     batch_policy: BatchPolicy
     router: Router
-    report: Any
+    report: OnlineServingReport
     requests: list[Request]
     options: ServingOptions
 
-    def refresh(self, active=None) -> None:
+    def refresh(self) -> None:
         """Fold device, preemption and class state into the report.
 
         Idempotent and leaves the record order alone, so a live driver may
-        call it mid-run.  ``active`` is forwarded to
-        :func:`collect_device_stats`.
+        call it mid-run.
         """
-        collect_device_stats(self.report, self.fleet, active)
+        collect_device_stats(self.report, self.fleet)
         preemptions = getattr(self.batch_policy, "num_preemptions", None)
         if preemptions is not None:
             self.report.num_preemptions = preemptions
         collect_class_stats(self.report)
 
-    def finish(self, active=None) -> None:
+    def finish(self) -> None:
         """The end-of-run fold: ledger rows in completion order, then :meth:`refresh`."""
         self.report.ledger.sort()
-        self.refresh(active)
+        self.refresh()
 
 
 def open_session(
-    report_cls,
     devices: Accelerator | Device | Sequence[Accelerator | Device],
     dataset: DatasetConfig | str,
     stream: Callable[[DatasetConfig], tuple[list[Request], str, float | None]],
     options: ServingOptions,
-    **header,
+    output_lengths: str | None = None,
 ) -> ServingSession:
     """The setup every driver shares, up to an empty report.
 
     Coerces the dataset, builds and validates the fleet, materializes the
     offered stream (``stream(dataset)`` returns the requests, the arrival
     process name and the offered QPS), defaults and fleet-binds the batch
-    policy and router of ``options``, resets every device, and builds a
-    ``report_cls`` header with one
-    :class:`~repro.serving.engine.DeviceSummary` per device.  ``header``
-    carries engine-specific report fields.  The session keeps ``options``
-    for the dispatch core and the event loop.
+    policy and router of ``options``, resets every device, and builds the
+    report header with one :class:`~repro.serving.engine.DeviceSummary` per
+    device.  ``output_lengths`` names a decode run's output-length
+    distribution (``"explicit"`` for a request list); it is the one source of
+    "this is a decode run" for the report, its ledger and the simulator core.
+    The session keeps ``options`` for the dispatch core and the event loop.
     """
-    from .engine import DeviceSummary  # local import: engine imports core
+    from .engine import DeviceSummary, OnlineServingReport  # local import: engine imports core
 
     if isinstance(dataset, str):
         dataset = get_dataset_config(dataset)
@@ -266,7 +265,7 @@ def open_session(
     for device in fleet:
         device.reset(continuous_batching=options.continuous_batching)
 
-    report = report_cls(
+    report = OnlineServingReport(
         dataset=dataset.name,
         arrival_process=arrival_name,
         batch_policy=batch_policy.name,
@@ -286,7 +285,8 @@ def open_session(
             )
             for i, device in enumerate(fleet)
         ],
-        **header,
+        output_lengths=output_lengths,
+        iteration_level=options.iteration_level,
     )
     return ServingSession(fleet, dataset, batch_policy, router, report, requests, options)
 
@@ -740,21 +740,20 @@ class DispatchCore:
         return self.batch_policy.next_action_time(self.queue, now)
 
 
-def collect_device_stats(report, fleet: list[Device], active=None) -> None:
+def collect_device_stats(report, fleet: list[Device]) -> None:
     """Fold end-of-run device state into the report's summaries.
 
     Copies each device's merged busy time and schedule-cache counters into
     its :class:`~repro.serving.engine.DeviceSummary` and charges
     power-modeled devices over their merged busy intervals (continuous
-    batching must not double-count overlap).  ``active[i]`` overrides "did
-    device ``i`` do work" for engines that run phases outside the batch path
-    (decode steps).
+    batching must not double-count overlap).  A device that ran a decode
+    step also ran the prefill batch its requests came from, so its batch
+    count alone shows whether it did work.
     """
     for index, device in enumerate(fleet):
         summary = report.devices[index]
         summary.busy_seconds = device.busy_seconds()
         summary.schedule_cache = device.schedule_cache_stats()
         served_energy = device.served_energy_joules()
-        did_work = active[index] if active is not None else summary.num_batches > 0
-        if served_energy is not None and did_work:
+        if served_energy is not None and summary.num_batches > 0:
             summary.energy_joules = served_energy

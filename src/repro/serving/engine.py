@@ -58,7 +58,6 @@ from ..hardware.accelerator import Accelerator
 from ..transformer.configs import DatasetConfig
 from .arrivals import ArrivalProcess
 from .autoscaler import ScaleObservation, _DecisionWindow, get_autoscaler
-from .clock import SimClock
 from .core import (
     _EPS,
     CrashLedger,
@@ -79,7 +78,6 @@ from .request import CompletionLedger, Request, RequestRecord
 
 __all__ = [
     "BatchRecord",
-    "DecodeServingReport",
     "DeviceSummary",
     "OnlineServingReport",
     "simulate_online",
@@ -150,7 +148,13 @@ class DeviceSummary:
 
 @dataclass
 class OnlineServingReport:
-    """Results of one open-loop serving simulation."""
+    """Results of one serving run: an encoder or decode simulation, or a live gateway.
+
+    A decode run (``output_lengths`` set) adds the decode phase's metrics:
+    TTFT and inter-token latency percentiles, token goodput, per-device
+    decode-step and KV-occupancy accounting, and the admission mode that
+    produced them.
+    """
 
     dataset: str
     arrival_process: str
@@ -184,8 +188,9 @@ class OnlineServingReport:
     #: / ``"late"`` / ``"crashed"``); feeds per-class accounting, not
     #: serialized.
     shed_causes: dict = field(default_factory=dict)
-    #: Every completed request, as columns (:attr:`records` is the row view).
-    ledger: CompletionLedger = field(default_factory=CompletionLedger, repr=False)
+    #: Every completed request, as columns (:attr:`records` is the row view);
+    #: a decode run's ledger also keeps each request's first token.
+    ledger: CompletionLedger | None = field(default=None, repr=False)
     batches: list[BatchRecord] = field(default_factory=list)
     devices: list[DeviceSummary] = field(default_factory=list)
     #: Stepwise (time, waiting-requests) samples of the central queue.
@@ -226,6 +231,18 @@ class OnlineServingReport:
     #: fit the selected device's cache at that instant (serialized by
     #: decode reports only).
     num_kv_stalls: int = 0
+    #: The decode run's output-length distribution (``"explicit"`` for a
+    #: request list); ``None`` marks an encoder run, whose report carries no
+    #: decode keys.
+    output_lengths: str | None = None
+    #: Decode admission: iteration-level (True) or request-level (gang).
+    iteration_level: bool = True
+    #: Per-device decode accounting: steps, generated tokens, KV peak/cap.
+    decode_devices: list[dict] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        if self.ledger is None:
+            self.ledger = CompletionLedger(first_tokens=self.output_lengths is not None)
 
     # ------------------------------------------------------------------
     # Latency / throughput
@@ -572,13 +589,62 @@ class OnlineServingReport:
             "hit_rate": hits / total if total else 0.0,
         }
 
+    # ------------------------------------------------------------------
+    # Decode: tokens, TTFT, inter-token latency
+    # ------------------------------------------------------------------
+
+    @property
+    def total_output_tokens(self) -> int:
+        """Tokens generated across all completed requests."""
+        return int(self.ledger.column("output_len").sum())
+
+    @property
+    def sustained_tokens_per_second(self) -> float:
+        """Generated tokens per second of simulated time (token goodput)."""
+        if self.makespan_seconds <= 0:
+            return 0.0
+        return self.total_output_tokens / self.makespan_seconds
+
+    def ttft_percentile(self, percentile: float) -> float:
+        """Time-to-first-token percentile in seconds (an encoder request's
+        TTFT is its latency)."""
+        return self._percentile("ttft", percentile)
+
+    def inter_token_percentile(self, percentile: float) -> float | None:
+        """Per-token decode latency percentile in seconds (None when the
+        stream generated no tokens past prefill)."""
+        ledger = self.ledger
+
+        def gaps():
+            extra = ledger.column("output_len") - 1
+            decoded = extra > 0
+            done, first = ledger.column("completion"), ledger.column("first_token")
+            return (done[decoded] - first[decoded]) / extra[decoded]
+
+        values = ledger.cached("inter_token", gaps)
+        if values.size == 0:
+            return None
+        return float(np.percentile(values, percentile))
+
+    def steady_ttft_percentile(
+        self, percentile: float, warmup_fraction: float = 0.0
+    ) -> float:
+        """TTFT percentile over the post-warm-up records."""
+        return self._percentile("ttft", percentile, warmup_fraction)
+
+    @property
+    def num_decode_steps(self) -> int:
+        """Decode iterations executed across the fleet."""
+        return sum(d["num_decode_steps"] for d in self.decode_devices)
+
     def to_dict(self) -> dict:
         """Machine-readable summary (JSON-ready; omits per-request records).
 
         Class-free runs produce exactly the historical key set; the
         ``num_preemptions`` and ``classes`` keys appear only when the run
         used a preemption-aware policy / carried tagged requests, so adding
-        the multi-tenant machinery never perturbs existing reports.
+        the multi-tenant machinery never perturbs existing reports.  A
+        decode run appends its decode block after ``devices``.
         """
         payload = {
             "dataset": self.dataset,
@@ -656,6 +722,26 @@ class OnlineServingReport:
             }
             for device in self.devices
         ]
+        if self.output_lengths is not None:
+            itl_p50 = self.inter_token_percentile(50)
+            itl_p95 = self.inter_token_percentile(95)
+            payload.update(
+                {
+                    "iteration_level": self.iteration_level,
+                    "output_lengths": self.output_lengths,
+                    "num_kv_stalls": self.num_kv_stalls,
+                    "num_decode_steps": self.num_decode_steps,
+                    "total_output_tokens": self.total_output_tokens,
+                    "sustained_tokens_per_second": self.sustained_tokens_per_second,
+                    # Like latency_ms: an all-shed run renders None, not a raise.
+                    "ttft_ms": self._percentiles_ms("ttft", (50, 95)),
+                    "inter_token_ms": {
+                        "p50": itl_p50 * 1e3 if itl_p50 is not None else None,
+                        "p95": itl_p95 * 1e3 if itl_p95 is not None else None,
+                    },
+                    "decode_devices": list(self.decode_devices),
+                }
+            )
         return payload
 
     def as_row(self) -> dict:
@@ -695,101 +781,14 @@ class OnlineServingReport:
                 if summary.attainment is not None:
                     row[f"att[{name}]"] = round(summary.attainment, 3)
                 row[f"shed[{name}]"] = summary.shed
-        return row
-
-
-@dataclass
-class DecodeServingReport(OnlineServingReport):
-    """Results of one decode serving simulation.
-
-    Extends the encoder report with the decode phase's metrics: TTFT and
-    inter-token latency percentiles, token goodput, per-device decode-step
-    and KV-occupancy accounting, and the admission mode that produced them.
-    """
-
-    iteration_level: bool = True
-    output_lengths: str | None = None
-    ledger: CompletionLedger = field(
-        default_factory=lambda: CompletionLedger(first_tokens=True), repr=False
-    )
-    #: Per-device decode accounting: steps, generated tokens, KV peak/cap.
-    decode_devices: list[dict] = field(default_factory=list)
-
-    @property
-    def total_output_tokens(self) -> int:
-        """Tokens generated across all completed requests."""
-        return int(self.ledger.column("output_len").sum())
-
-    @property
-    def sustained_tokens_per_second(self) -> float:
-        """Generated tokens per second of simulated time (token goodput)."""
-        if self.makespan_seconds <= 0:
-            return 0.0
-        return self.total_output_tokens / self.makespan_seconds
-
-    def ttft_percentile(self, percentile: float) -> float:
-        """Time-to-first-token percentile in seconds."""
-        return self._percentile("ttft", percentile)
-
-    def inter_token_percentile(self, percentile: float) -> float | None:
-        """Per-token decode latency percentile in seconds (None when the
-        stream generated no tokens past prefill)."""
-        ledger = self.ledger
-
-        def gaps():
-            extra = ledger.column("output_len") - 1
-            decoded = extra > 0
-            done, first = ledger.column("completion"), ledger.column("first_token")
-            return (done[decoded] - first[decoded]) / extra[decoded]
-
-        values = ledger.cached("inter_token", gaps)
-        if values.size == 0:
-            return None
-        return float(np.percentile(values, percentile))
-
-    def steady_ttft_percentile(
-        self, percentile: float, warmup_fraction: float = 0.0
-    ) -> float:
-        """TTFT percentile over the post-warm-up records."""
-        return self._percentile("ttft", percentile, warmup_fraction)
-
-    @property
-    def num_decode_steps(self) -> int:
-        """Decode iterations executed across the fleet."""
-        return sum(d["num_decode_steps"] for d in self.decode_devices)
-
-    def to_dict(self) -> dict:
-        payload = super().to_dict()
-        itl_p50 = self.inter_token_percentile(50)
-        itl_p95 = self.inter_token_percentile(95)
-        payload.update(
-            {
-                "iteration_level": self.iteration_level,
-                "output_lengths": self.output_lengths,
-                "num_kv_stalls": self.num_kv_stalls,
-                "num_decode_steps": self.num_decode_steps,
-                "total_output_tokens": self.total_output_tokens,
-                "sustained_tokens_per_second": self.sustained_tokens_per_second,
-                # Like latency_ms: an all-shed run renders None, not a raise.
-                "ttft_ms": self._percentiles_ms("ttft", (50, 95)),
-                "inter_token_ms": {
-                    "p50": itl_p50 * 1e3 if itl_p50 is not None else None,
-                    "p95": itl_p95 * 1e3 if itl_p95 is not None else None,
-                },
-                "decode_devices": list(self.decode_devices),
-            }
-        )
-        return payload
-
-    def as_row(self) -> dict:
-        row = super().as_row()
-        row["mode"] = "iteration" if self.iteration_level else "request"
-        row["ttft_p50_ms"] = (
-            round(self.ttft_percentile(50) * 1e3, 2) if self.num_completed else None
-        )
-        itl = self.inter_token_percentile(50)
-        row["itl_p50_ms"] = round(itl * 1e3, 3) if itl is not None else None
-        row["tok_per_s"] = round(self.sustained_tokens_per_second, 1)
+        if self.output_lengths is not None:
+            row["mode"] = "iteration" if self.iteration_level else "request"
+            row["ttft_p50_ms"] = (
+                round(self.ttft_percentile(50) * 1e3, 2) if self.num_completed else None
+            )
+            itl = self.inter_token_percentile(50)
+            row["itl_p50_ms"] = round(itl * 1e3, 3) if itl is not None else None
+            row["tok_per_s"] = round(self.sustained_tokens_per_second, 1)
         return row
 
 
@@ -885,7 +884,7 @@ class _SimCore(DispatchCore):
         super().__init__(session, *args, **kwargs)
         self.iteration_level = session.options.iteration_level
         #: Only a decode run has requests that generate more than one token.
-        self._decode_run = isinstance(self.report, DecodeServingReport)
+        self._decode_run = session.report.output_lengths is not None
         self.states = [_DeviceDecodeState() for _ in session.fleet]
         #: A prefill was refused for KV at this instant: the policy timer
         #: must not pull the loop back to ``now`` until something frees.
@@ -1145,25 +1144,21 @@ def simulate_online(
     """
     options = ServingOptions.resolve(options, knobs)
     decoding = options.output_lengths is not None
-    header, distribution = {}, None
+    distribution = output_lengths = None
     if decoding:
         if isinstance(arrivals, ArrivalProcess):
             from ..decode.output_lengths import get_output_lengths
 
             distribution = get_output_lengths(options.output_lengths)
-        header = {
-            "iteration_level": options.iteration_level,
-            "output_lengths": distribution.name if distribution is not None else "explicit",
-        }
+        output_lengths = distribution.name if distribution is not None else "explicit"
     session = open_session(
-        DecodeServingReport if decoding else OnlineServingReport,
         devices,
         dataset,
         lambda dataset: prepare_stream(
             dataset, arrivals, num_requests, options.seed, options.slo, distribution
         ),
         options,
-        **header,
+        output_lengths,
     )
     fleet, report, requests = session.fleet, session.report, session.requests
     if decoding:
@@ -1214,19 +1209,14 @@ def simulate_online(
             }
             for index, (device, state) in enumerate(zip(fleet, core.states))
         ]
-    session.finish(
-        active=[
-            summary.num_batches > 0 or state.num_steps > 0
-            for summary, state in zip(report.devices, core.states)
-        ]
-    )
+    session.finish()
     return report
 
 
 def _run_events(
     session: ServingSession, core: _SimCore, crashes: CrashLedger | None = None
 ) -> None:
-    """The simulator's event loop: drive ``core`` on a :class:`SimClock`.
+    """The simulator's event loop: drive ``core`` from event to event.
 
     Owns the requeue heap for crashed requests (``crashes`` decides their
     fate) and the autoscaled pool (``core.fleet``, a prefix of
@@ -1246,7 +1236,7 @@ def _run_events(
     provisioning_lag_s = options.provisioning_lag_s
     autoscale_interval_s = options.autoscale_interval_s
     min_devices = options.min_devices
-    clock = SimClock()
+    now = 0.0
     next_index = 0
     total = len(requests)
 
@@ -1347,7 +1337,6 @@ def _run_events(
             break
 
     while next_index < total or core.queue or requeue or core.busy():
-        now = clock.now()
         if autoscaling:
             _apply_scaling(now)
         if requeue and requeue[0][0] <= now + _EPS:
@@ -1416,7 +1405,9 @@ def _run_events(
         requeue_due = bool(requeue) and requeue[0][0] <= now + _EPS
         if next_event <= now + _EPS and draining and not requeue_due and not core.busy():
             raise RuntimeError(f"batch policy '{batch_policy.name}' is not making progress")
-        clock.advance_to(next_event)
+        # Never backwards: a stale policy timer may lie in the past.
+        if next_event > now:
+            now = float(next_event)
 
     horizon = report.makespan_seconds
     if autoscaling:

@@ -116,11 +116,11 @@ class ServingOptions:
     #: Base backoff before a crash retry; retry ``k`` waits
     #: ``retry_backoff_s * 2**(k-1)`` after the crash.
     retry_backoff_s: float = 0.05
-    #: Make this a decode run (see :mod:`repro.decode.engine`), returning a
-    #: :class:`~repro.serving.engine.DecodeServingReport`: a registered
-    #: ``output-length`` distribution name, a distribution instance or an
-    #: int (a fixed length) stamps each generated request's ``output_len``;
-    #: an explicit request list keeps its own.  Every device must carry a
+    #: Make this a decode run (see :mod:`repro.decode.engine`), whose report
+    #: carries the decode block: a registered ``output-length`` distribution
+    #: name, a distribution instance or an int (a fixed length) stamps each
+    #: generated request's ``output_len``; an explicit request list keeps
+    #: its own.  Every device must carry a
     #: decode cost model, and ``autoscaler``, ``faults`` and ``hedging`` are
     #: refused.  ``None`` (default) is an encoder run: every request
     #: generates one token.

@@ -7,11 +7,11 @@ tokens it generates (one for an encoder request).  Once the engine has
 dispatched and finished it, the request is wrapped in a
 :class:`RequestRecord` that pins down every timestamp of its life cycle --
 arrival, batch formation (dispatch), execution start on the device, and
-completion -- so that queueing delay, service time, end-to-end latency, and
-deadline attainment can all be reported separately; a decode run's
-:class:`DecodeRequestRecord` adds the first token's time.  A run keeps its
-completions as columns in a :class:`CompletionLedger` and builds the records
-only when asked for them.
+completion, and a decode run's first token -- so that queueing delay,
+service time, end-to-end latency, time to first token and deadline
+attainment can all be reported separately.  A run keeps its completions as
+columns in a :class:`CompletionLedger` and builds the records only when
+asked for them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from operator import attrgetter
 
 import numpy as np
 
-__all__ = ["CompletionLedger", "DecodeRequestRecord", "Request", "RequestRecord"]
+__all__ = ["CompletionLedger", "Request", "RequestRecord"]
 
 #: Tolerance when comparing completion times against deadlines.
 _DEADLINE_EPS = 1e-9
@@ -77,7 +77,12 @@ class Request:
 
 @dataclass(frozen=True, slots=True)
 class RequestRecord:
-    """A completed request with its full timing breakdown (seconds)."""
+    """A completed request with its full timing breakdown (seconds).
+
+    ``completion_time`` is when the *last* token was produced;
+    ``first_token_time`` is when prefill finished (the first token), kept
+    only by a ledger that tracks first tokens (a decode run's).
+    """
 
     request: Request
     dispatch_time: float
@@ -85,6 +90,7 @@ class RequestRecord:
     completion_time: float
     device_index: int
     batch_id: int
+    first_token_time: float | None = None
 
     @property
     def latency(self) -> float:
@@ -109,37 +115,29 @@ class RequestRecord:
             return True
         return self.completion_time <= self.request.deadline + _DEADLINE_EPS
 
-
-@dataclass(frozen=True, slots=True)
-class DecodeRequestRecord(RequestRecord):
-    """A completed request of a decode run, with its first token's time.
-
-    ``completion_time`` is when the *last* token was produced;
-    ``first_token_time`` is when prefill finished (= the first token) and
-    defaults to ``completion_time``: a one-token request's only token.
-    """
-
-    first_token_time: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.first_token_time is None:
-            object.__setattr__(self, "first_token_time", self.completion_time)
-
     @property
     def num_output_tokens(self) -> int:
         """Tokens this request generated."""
         return self.request.output_len
 
     @property
-    def ttft(self) -> float:
-        """Time to first token: arrival to the end of prefill."""
-        return self.first_token_time - self.request.arrival_time
+    def ttft(self) -> float | None:
+        """Time to first token: arrival to the end of prefill.
+
+        A one-token request's only token is its last, so its TTFT is its
+        latency; a multi-token request whose first token was not kept
+        reports ``None``.
+        """
+        if self.first_token_time is not None:
+            return self.first_token_time - self.request.arrival_time
+        return self.latency if self.request.output_len == 1 else None
 
     @property
     def inter_token_latency(self) -> float | None:
-        """Mean seconds per generated token after the first (None if none)."""
+        """Mean seconds per generated token after the first (None if none,
+        or if the first token was not kept)."""
         extra = self.request.output_len - 1
-        if extra <= 0:
+        if extra <= 0 or self.first_token_time is None:
             return None
         return (self.completion_time - self.first_token_time) / extra
 
@@ -157,7 +155,13 @@ _COLUMNS = {
     # None (no SLO) becomes NaN.
     "deadline": lambda ledger: np.array([r.deadline for r in ledger.requests], np.float64),
     "completion": lambda ledger: np.array(ledger.completion),
-    "first_token": lambda ledger: np.array(ledger.first_token),
+    # Without kept first tokens, a one-token row's first token is its
+    # completion and a multi-token row's is unknown (NaN).
+    "first_token": lambda ledger: (
+        np.array(ledger.first_token)
+        if ledger.first_token is not None
+        else np.where(ledger.column("output_len") == 1, ledger.column("completion"), np.nan)
+    ),
     "start": lambda ledger: np.array(ledger.start)[np.array(ledger.batch_row)],
     "latency": lambda ledger: ledger.column("completion") - ledger.column("arrival"),
     "queueing_delay": lambda ledger: ledger.column("start") - ledger.column("arrival"),
@@ -250,9 +254,9 @@ class CompletionLedger:
         batch = self.batch_row[row]
         fields = (self.requests[row], self.dispatch[batch], self.start[batch])
         fields += (self.completion[row], self.device[batch], self.batch_id[batch])
-        if self.first_token is None:
-            return RequestRecord(*fields)
-        return DecodeRequestRecord(*fields, self.first_token[row])
+        if self.first_token is not None:
+            fields += (self.first_token[row],)
+        return RequestRecord(*fields)
 
     def records(self) -> list[RequestRecord]:
         """Every row as a record, in row order; built once per ``version``."""

@@ -22,7 +22,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from repro.devices import BatchExecution, Device
 from repro.serving import FixedSizeBatcher, Request, ServingOptions, TimeoutBatcher
 from repro.serving.core import _EPS, open_session
-from repro.serving.engine import DecodeServingReport, _SimCore
+from repro.serving.engine import _SimCore
 
 #: Every cost is a multiple of this dyadic tick, so sums stay exact and
 #: identical devices reach identical instants.
@@ -141,12 +141,10 @@ class DecodeEventsMachine(RuleBasedStateMachine):
                 for _ in range(num_devices)
             ]
             session = open_session(
-                DecodeServingReport,
                 fleet,
                 "mrpc",
                 lambda dataset: ([], "explicit", None),
                 ServingOptions(batch_policy=policy(), iteration_level=iteration_level),
-                iteration_level=iteration_level,
                 output_lengths="explicit",
             )
             return cls(session)

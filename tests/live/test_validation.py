@@ -38,6 +38,14 @@ def test_trace_requests_are_sorted_and_deadlined():
     assert arrivals == sorted(arrivals)
 
 
+def test_trace_requests_keep_output_len():
+    """Both engines replay the same workload: the simulator refuses a decode trace."""
+    entries = [{"t": 0, "length": 8, "output_len": 4}, {"t": 0.1, "length": 8}]
+    assert [r.output_len for r in trace_requests(entries)] == [4, 1]
+    with pytest.raises(ValueError, match="pass output_lengths"):
+        simulate_trace(entries)
+
+
 def test_simulator_baseline_on_validation_trace():
     """Pin the simulated outcome the live gateway is validated against."""
     report = simulate_trace(load_validation_trace())

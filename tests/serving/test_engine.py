@@ -443,10 +443,10 @@ class TestReportMemo:
         snapshots = []
         finish = ServingSession.finish
 
-        def snapshot_then_finish(session, active=None):
-            session.refresh(active)  # what the live /stats path reads mid-run
+        def snapshot_then_finish(session):
+            session.refresh()  # what the live /stats path reads mid-run
             snapshots.append(session.report.to_dict())
-            finish(session, active)
+            finish(session)
 
         monkeypatch.setattr(ServingSession, "finish", snapshot_then_finish)
         report = run()

@@ -31,7 +31,7 @@ from repro.serving import (
 )
 from repro.serving.classes import UNTAGGED
 from repro.serving.core import ServingSession
-from repro.serving.request import DecodeRequestRecord, RequestRecord
+from repro.serving.request import RequestRecord
 
 MIX = "interactive:0.5,batch:0.3,best-effort:0.2"
 WARMUPS = (0.0, 0.1, 0.35, 0.7)
@@ -256,12 +256,12 @@ def test_ledger_folds_equal_the_record_by_record_folds(scenario):
     finish = ServingSession.finish
     mid_run = []
 
-    def check_then_finish(session, active=None):
+    def check_then_finish(session):
         # What a live /stats call reads: folded, but rows in landing order.
-        session.refresh(active)
+        session.refresh()
         report = session.report
         mid_run.append(_canon(_ledger_folds(report, warmup)) == _canon(_reference(report, warmup)))
-        finish(session, active)
+        finish(session)
 
     with mock.patch.object(ServingSession, "finish", check_then_finish):
         report = _run(scenario)
@@ -274,13 +274,11 @@ def test_ledger_folds_equal_the_record_by_record_folds(scenario):
 
 def _counting_inits(monkeypatch) -> list:
     built: list = []
-    for cls in (RequestRecord, DecodeRequestRecord):
+    def init(self, *args, _init=RequestRecord.__init__, **kwargs):
+        built.append(type(self))
+        _init(self, *args, **kwargs)
 
-        def init(self, *args, _init=cls.__init__, **kwargs):
-            built.append(type(self))
-            _init(self, *args, **kwargs)
-
-        monkeypatch.setattr(cls, "__init__", init)
+    monkeypatch.setattr(RequestRecord, "__init__", init)
     return built
 
 
@@ -289,7 +287,7 @@ def test_a_run_and_its_report_build_no_records(monkeypatch):
     fleet = build_fleet(("gpu-rtx6000",), dataset="mrpc", replicas=2)
     for knobs, record_type in (
         ({"slo": SLOSpec(base_s=0.03)}, RequestRecord),
-        ({"output_lengths": GeometricOutputLength(mean_output_len=4.0)}, DecodeRequestRecord),
+        ({"output_lengths": GeometricOutputLength(mean_output_len=4.0)}, RequestRecord),
     ):
         report = simulate_online(
             fleet,

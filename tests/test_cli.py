@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import list_experiments
 
 
 class TestParser:
@@ -53,6 +54,17 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fig99"])
+
+    def test_help_shows_tuple_defaults_the_way_the_flag_takes_them(self, capsys):
+        parser = build_parser()
+        helps = {}
+        for command in [spec.name for spec in list_experiments()] + ["live"]:
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            helps[command] = capsys.readouterr().out
+            assert "('" not in helps[command] and "()" not in helps[command], command
+        # Space-separated, as --devices takes them (argparse may wrap lines).
+        assert "(default: sparse-fpga gpu-rtx6000 cpu-xeon)" in " ".join(helps["plan"].split())
 
 
 class TestCommands:
